@@ -1,7 +1,8 @@
 """Exact concentration curves for hamming cubes, plus the gaussian decay fit.
 
 Writes one CSV per dimension (consumable by `mmlab fit` / `mmlab levy`) and
-prints the fitted decay law.  The segment fast path makes n up to ~20 cheap.
+prints the fitted decay law.  Harper's closed form makes each value a
+binomial sum, so n up to the 24 cap is cheap.
 
 Usage:
     python3 scripts/cube_curves.py --min-n 4 --max-n 12 --out-dir curves/

@@ -340,6 +340,9 @@ def _cmd_replay(args, argv):
     stored = doc.get("argv")
     if not isinstance(stored, list) or not all(isinstance(a, str) for a in stored):
         raise InputError(f"{args.manifest} has no usable argv list")
+    if stored and stored[0] == "replay":
+        raise InputError(f"{args.manifest} replays another manifest; "
+                         "replay that manifest's own command instead")
     return _dispatch([str(a) for a in stored])
 
 

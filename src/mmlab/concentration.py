@@ -1,5 +1,5 @@
 """Concentration estimators: search lower bounds, exact cube curves, medians
-and tail checks, gaussian decay fits, and the analytic sphere cap value."""
+and tail checks, gaussian decay fits, and the closed-form sphere cap value."""
 
 from __future__ import annotations
 
@@ -7,12 +7,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import betainc
 
-from .spaces import (HALF_TOL, ConcentrationCurve, alpha_exact, measure,
-                     neighborhood)
-
-_MATERIALIZE_CAP = 8192
+from .spaces import (_MATERIALIZE_CAP, HALF_TOL, ConcentrationCurve, alpha_exact,
+                     measure, neighborhood)
 
 
 @dataclass(frozen=True)
@@ -325,15 +323,8 @@ def sphere_cap_alpha(dim, eps):
         raise ValueError("eps must be positive")
     if eps >= math.pi / 2:
         return 0.0
-
-    def f(t):
-        return math.sin(t) ** (dim - 1)
-
-    num, err1 = quad(f, math.pi / 2 + eps, math.pi, epsabs=1e-12, epsrel=1e-12)
-    den, err2 = quad(f, 0.0, math.pi, epsabs=1e-12, epsrel=1e-12)
-    if max(err1, err2) > 1e-10:
-        raise RuntimeError("quadrature failed to reach tolerance")
-    return num / den
+    # cap of angular radius pi/2 - eps: (1/2) I_{sin^2}(dim/2, 1/2)
+    return float(0.5 * betainc(dim / 2, 0.5, math.cos(eps) ** 2))
 
 
 def sphere_cap_curve(dim, eps_grid):
@@ -343,40 +334,24 @@ def sphere_cap_curve(dim, eps_grid):
 
 # -- exact hamming cube curves -----------------------------------------------
 
-def _cube_segment_order(n):
-    """Vertex order whose initial segments minimize hop-neighborhood growth:
-    sort by popcount, descending integer inside each layer (each partial layer
-    is a star around the top coordinate).  Cross-checked against exhaustive
-    search at small dims in the test suite."""
-    idx = np.arange(1 << n, dtype=np.uint32)
-    pc = np.bitwise_count(idx)
-    return np.lexsort((-idx.astype(np.int64), pc))
-
-
 def hamming_cube_alpha(n, eps, max_dim=24):
     """Exact concentration function of the normalized hamming cube.
 
-    The optimal half-mass set is an initial segment of the isoperimetric
-    vertex order, and its eps-thickening is floor(n*eps) hop expansions, so
-    the value comes from growing that segment directly.  Works far beyond the
-    generic enumeration cap because only one extremal set is ever built.
+    By Harper's vertex-isoperimetric theorem a half-mass set with the
+    smallest eps-thickening is the hamming ball of radius (n-1)//2, plus for
+    even n the half of the middle layer with the first coordinate set.  Its
+    thickening is the same shape grown by floor(n*eps) hops, so the value is
+    a binomial sum in exact integers.
     """
     if not 1 <= n <= max_dim:
         raise ValueError(f"cube dimension {n} outside [1, {max_dim}]")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    t = int(np.floor(n * eps + 1e-9))
-    count = 1 << n
-    seg = np.zeros(count, dtype=bool)
-    seg[_cube_segment_order(n)[:count // 2]] = True
-    idx = np.arange(count)
-    cur = seg
-    for _ in range(min(t, n)):
-        nxt = cur.copy()
-        for b in range(n):
-            nxt |= cur[idx ^ (1 << b)]
-        cur = nxt
-    return float(1.0 - cur.sum() / count)
+    r = min((n - 1) // 2 + math.floor(n * eps + 1e-9), n)
+    size = sum(math.comb(n, k) for k in range(r + 1))
+    if n % 2 == 0:
+        size += math.comb(n - 1, r)
+    return float(1.0 - size / (1 << n))
 
 
 def hamming_cube_curve(n, eps_grid):

@@ -29,8 +29,13 @@ class SamplerConfig:
             raise ValueError("sample_count must be at least 1")
 
 
-def _rng(seed, block):
-    return np.random.default_rng([int(seed), int(block)])
+def _sample_blocks(cfg, draw):
+    """Stack draw(rng, take) over fixed-size blocks, block b seeded by
+    (cfg.seed, b), so the samples never depend on how work is split."""
+    return np.concatenate([
+        draw(np.random.default_rng([int(cfg.seed), b0 // _SAMPLE_BLOCK]),
+             min(_SAMPLE_BLOCK, cfg.sample_count - b0))
+        for b0 in range(0, cfg.sample_count, _SAMPLE_BLOCK)], axis=0)
 
 
 def _maybe_materialize(space):
@@ -61,12 +66,8 @@ def hamming_cube_sampled(n, cfg):
     """Uniformly sampled bit strings from {0,1}^n, empirical measure."""
     if n < 1:
         raise ValueError("cube dimension must be positive")
-    rows = []
-    for b0 in range(0, cfg.sample_count, _SAMPLE_BLOCK):
-        take = min(_SAMPLE_BLOCK, cfg.sample_count - b0)
-        rows.append(_rng(cfg.seed, b0 // _SAMPLE_BLOCK).integers(
-            0, 2, size=(take, n), dtype=np.uint8))
-    pts = np.concatenate(rows, axis=0)
+    pts = _sample_blocks(cfg, lambda rng, take: rng.integers(
+        0, 2, size=(take, n), dtype=np.uint8))
     labels = ["".join(map(str, row)) for row in pts]
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
     return _maybe_materialize(FiniteMMSpace(labels, w, points=pts, metric="hamming"))
@@ -91,13 +92,8 @@ def symmetric_group_sampled(n, cfg):
     """Uniformly sampled permutations of n symbols, empirical measure."""
     if n < 1:
         raise ValueError("degree must be positive")
-    rows = []
-    for b0 in range(0, cfg.sample_count, _SAMPLE_BLOCK):
-        take = min(_SAMPLE_BLOCK, cfg.sample_count - b0)
-        rng = _rng(cfg.seed, b0 // _SAMPLE_BLOCK)
-        block = np.tile(np.arange(n, dtype=np.uint8), (take, 1))
-        rows.append(rng.permuted(block, axis=1))
-    pts = np.concatenate(rows, axis=0)
+    pts = _sample_blocks(cfg, lambda rng, take: rng.permuted(
+        np.tile(np.arange(n, dtype=np.uint8), (take, 1)), axis=1))
     labels = ["".join(map(str, row)) for row in pts]
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
     return _maybe_materialize(FiniteMMSpace(labels, w, points=pts, metric="hamming"))
@@ -116,17 +112,16 @@ def sphere_sampled(dim, cfg, metric="euclidean"):
     if metric not in ("euclidean", "geodesic"):
         raise ValueError(f"metric must be euclidean or geodesic, got {metric!r}")
     d = dim + 1
-    rows = []
-    for b0 in range(0, cfg.sample_count, _SAMPLE_BLOCK):
-        take = min(_SAMPLE_BLOCK, cfg.sample_count - b0)
-        rng = _rng(cfg.seed, b0 // _SAMPLE_BLOCK)
+
+    def draw(rng, take):
         g = rng.standard_normal((take, d))
         norms = np.linalg.norm(g, axis=1)
         while (bad := norms < 1e-12).any():
             g[bad] = rng.standard_normal((int(bad.sum()), d))
             norms = np.linalg.norm(g, axis=1)
-        rows.append(g / norms[:, None])
-    pts = np.concatenate(rows, axis=0)
+        return g / norms[:, None]
+
+    pts = _sample_blocks(cfg, draw)
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
     kind = "euclidean" if metric == "euclidean" else "sphere_geodesic"
     return _maybe_materialize(FiniteMMSpace(
@@ -142,19 +137,17 @@ def so_n_sampled(n, cfg):
     """
     if n < 2:
         raise ValueError("rotation group needs n >= 2")
-    rows = []
-    for b0 in range(0, cfg.sample_count, _SAMPLE_BLOCK):
-        take = min(_SAMPLE_BLOCK, cfg.sample_count - b0)
-        rng = _rng(cfg.seed, b0 // _SAMPLE_BLOCK)
-        g = rng.standard_normal((take, n, n))
-        q, r = np.linalg.qr(g)
+
+    def draw(rng, take):
+        q, r = np.linalg.qr(rng.standard_normal((take, n, n)))
         diag = np.diagonal(r, axis1=1, axis2=2).copy()
         signs = np.where(diag < 0, -1.0, 1.0)
         q = q * signs[:, None, :]
         dets = np.linalg.det(q)
         q[dets < 0, :, -1] *= -1.0
-        rows.append(q.reshape(take, n * n))
-    pts = np.concatenate(rows, axis=0)
+        return q.reshape(take, n * n)
+
+    pts = _sample_blocks(cfg, draw)
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
     return _maybe_materialize(FiniteMMSpace(
         list(range(cfg.sample_count)), w, points=pts,

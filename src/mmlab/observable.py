@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .concentration import SearchConfig
 from .spaces import _MATERIALIZE_CAP, point_space
 
 _SUPPORT_TOL = 1e-15
-_CELL_SQ_CAP = 64  # below this many cells the constant search broadcasts O(c^2)
+_COUPLING_TOL = 1e-12  # couplings this close entrywise are one candidate
 
 
 # -- step functions and the me1 metric ---------------------------------------
@@ -117,13 +117,17 @@ def me1(h1, h2):
     return float(_me1_rows(masses, (v1 - v2)[None, :])[0])
 
 
-def _best_const_rows(masses, vals, iters=80):
-    """min over constants c of me1(row - c), one value per row, by bisection.
+def _best_const_rows(masses, vals):
+    """min over constants c of me1(row - c), one value per row, exactly.
 
-    Feasibility of lam: some closed window of width 2*lam captures value mass
-    greater than 1 - lam.  Captured mass is nondecreasing in lam and the
-    target decreasing, so the crossover is unique and bisection converges to
-    the infimum to full double precision.
+    me1(row - c) <= lam iff the closed window [c - lam, c + lam] holds value
+    mass at least total - lam, so the minimum is attained on a window spanned
+    by two sorted values: min over i <= j of
+    max((v_j - v_i) / 2, total - mass[v_i .. v_j]).  For fixed i the first
+    term grows with j and the second shrinks; they cross at the first j with
+    v_j/2 + cum[j+1] >= v_i/2 + cum[i] + total, where both sides are
+    nondecreasing, so one searchsorted per row and the costs at j and j - 1
+    give the exact value.
     """
     vals = np.asarray(vals, dtype=float)
     if vals.ndim == 1:
@@ -133,26 +137,22 @@ def _best_const_rows(masses, vals, iters=80):
     m = np.asarray(masses, dtype=float)[order]
     k, c = v.shape
     cum = np.concatenate([np.zeros((k, 1)), np.cumsum(m, axis=1)], axis=1)
-    total = cum[:, -1]
+    total = cum[:, -1:]
 
-    lo = np.zeros(k)
-    hi = np.ones(k)
-    small = c <= _CELL_SQ_CAP
-    rows = np.arange(k)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if small:
-            within = v[:, None, :] <= (v + 2.0 * mid[:, None])[:, :, None]
-            j = within.sum(axis=2)
-        else:
-            j = np.empty((k, c), dtype=np.intp)
-            for r in rows:
-                j[r] = np.searchsorted(v[r], v[r] + 2.0 * mid[r], side="right")
-        captured = (np.take_along_axis(cum, j, axis=1) - cum[:, :-1]).max(axis=1)
-        feasible = captured > total - mid
-        hi = np.where(feasible, mid, hi)
-        lo = np.where(feasible, lo, mid)
-    return hi
+    key = 0.5 * v + cum[:, 1:]
+    target = 0.5 * v + cum[:, :-1] + total
+    cross = np.empty((k, c), dtype=np.intp)
+    for r in range(k):
+        cross[r] = np.searchsorted(key[r], target[r])
+    i = np.arange(c)
+    j = np.clip(cross, i, c - 1)
+
+    def cost(end):
+        width = 0.5 * (np.take_along_axis(v, end, axis=1) - v)
+        outside = total - (np.take_along_axis(cum, end + 1, axis=1) - cum[:, :-1])
+        return np.maximum(width, outside)
+
+    return np.minimum(cost(j), cost(np.maximum(j - 1, i))).min(axis=1)
 
 
 def best_constant_me1(h):
@@ -296,12 +296,12 @@ def _nw_corner(wx, wy, order_x, order_y):
 
 def _candidate_couplings(X, Y, cfg):
     nx, ny = X.n, Y.n
-    out, seen = [], set()
+    out = []
 
     def push(pi):
-        key = pi.round(15).tobytes()
-        if key not in seen:
-            seen.add(key)
+        # first seen wins, so a larger budget only appends candidates
+        gaps = [np.abs(q - pi).max() for q in out]
+        if not gaps or min(gaps) > _COUPLING_TOL:
             out.append(pi)
 
     if nx == ny and np.allclose(X.weight, Y.weight, atol=1e-12):

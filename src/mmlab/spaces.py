@@ -28,6 +28,7 @@ HALF_TOL = 1e-12
 METRIC_KINDS = ("matrix", "hamming", "euclidean", "sphere_geodesic", "operator_norm")
 
 _MATERIALIZE_CAP = 8192  # refuse to build dense matrices beyond this many points
+_SUBSET_TABLE_BUDGET = 1 << 30  # bytes for alpha_exact's per-subset tables
 _BLOCK_ROWS = 4096
 _BLOCK_COLS = 2048
 
@@ -301,7 +302,8 @@ def alpha_exact(space, eps, exhaustive_cap=20):
 
     alpha(eps) = 1 - min{ mu(A_eps) : mu(A) >= 1/2 }, closed thickening.
     Enumerates all 2^n subsets with a bitmask dynamic program, so the space
-    must have at most exhaustive_cap points (default 20).
+    must have at most exhaustive_cap points (default 20); whatever the cap,
+    the tables (17 bytes per subset) must fit in 1 GiB, so n <= 25.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -310,6 +312,10 @@ def alpha_exact(space, eps, exhaustive_cap=20):
         raise ValueError(
             f"space has {n} points, exhaustive enumeration is capped at "
             f"{exhaustive_cap}; use alpha_lower_bound for larger instances")
+    if 17 << n > _SUBSET_TABLE_BUDGET:  # uint64 reach, float64 mass, bool flag
+        raise ValueError(
+            f"space has {n} points; exhaustive enumeration needs {17 << n} bytes, "
+            f"over the {_SUBSET_TABLE_BUDGET}-byte budget")
     d = space.dist
     w = space.weight
 

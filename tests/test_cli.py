@@ -239,6 +239,27 @@ def test_replay_rejects_manifest_without_argv(tmp_path):
     assert r.returncode == 2
 
 
+def test_replay_refuses_a_manifest_that_replays(tmp_path):
+    man = tmp_path / "m.json"
+    man.write_text(json.dumps({"command": "replay",
+                               "argv": ["replay", "--manifest", str(man)]}))
+    r = run_cli("replay", "--manifest", man)
+    assert r.returncode == 2
+    assert "replay" in json.loads(r.stderr)["error"]
+
+
+def test_alpha_cap_beyond_memory_budget_is_an_input_error(tmp_path):
+    from mmlab.spaces import FiniteMMSpace, space_to_json
+    pos = np.arange(26, dtype=float)
+    space = FiniteMMSpace(list(range(26)), np.full(26, 1 / 26),
+                          dist=np.abs(pos[:, None] - pos[None, :]) / 26)
+    path = tmp_path / "line26.json"
+    path.write_text(json.dumps(space_to_json(space)))
+    r = run_cli("alpha", "--space", path, "--eps", 0.5, "--cap", 26)
+    assert r.returncode == 2
+    assert "budget" in json.loads(r.stderr)["error"]
+
+
 def test_generate_cache_round_trip(tmp_path):
     cache = tmp_path / "cache"
     env = {"MMLAB_CACHE_DIR": str(cache)}

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import random_space
 from mmlab.concentration import SearchConfig
-from mmlab.generators import hamming_cube, symmetric_group
-from mmlab.observable import (LipschitzSet, StepFunction, best_constant_me1,
-                              hausdorff_me1, levy_convergence_test,
-                              lipschitz_extremes, me1, obs_distance,
-                              step_constant, step_from_cells)
+from mmlab.generators import hamming_cube, product_space, symmetric_group
+from mmlab.observable import (LipschitzSet, StepFunction, _candidate_couplings,
+                              best_constant_me1, hausdorff_me1,
+                              levy_convergence_test, lipschitz_extremes, me1,
+                              obs_distance, step_constant, step_from_cells)
 from mmlab.spaces import point_space
 
 
@@ -127,6 +127,16 @@ def test_best_constant_never_beats_a_direct_constant(h):
         assert best <= me1(h, step_constant(c)) + 1e-9
 
 
+@settings(max_examples=80, deadline=None)
+@given(step_functions(max_cells=7))
+def test_best_constant_equals_the_best_midpoint_constant(h):
+    # an optimal window [a, b] between two values is centred at (a + b) / 2,
+    # and me1 to that constant runs through the separate _me1_rows kernel
+    direct = min(me1(h, step_constant((a + b) / 2))
+                 for a in h.values for b in h.values)
+    assert best_constant_me1(h) == pytest.approx(direct, abs=1e-12)
+
+
 # -- extreme families -------------------------------------------------------------
 
 def test_extremes_on_two_points():
@@ -217,6 +227,19 @@ def test_obs_distance_symmetry_within_tolerance():
     a = obs_distance(x, y).upper
     b = obs_distance(y, x).upper
     assert a == pytest.approx(b, abs=1e-9)
+
+
+def test_near_identical_couplings_are_one_candidate():
+    # north-west-corner couplings onto one point differ only by rounding
+    x = product_space((0.35, 0.65), 6)
+    for seed in range(6):
+        cands = _candidate_couplings(x, point_space(), SearchConfig(seed=seed))
+        assert len(cands) == 1
+
+
+def test_cube5_distance_to_point_is_exact():
+    assert obs_distance(hamming_cube(5), point_space()).upper == pytest.approx(
+        7 / 32, abs=1e-15)
 
 
 # -- convergence to the point space -------------------------------------------------

@@ -124,6 +124,26 @@ def test_alpha_exact_rejects_bad_inputs():
         alpha_exact(big, 0.3, exhaustive_cap=20)
 
 
+def dense_line(n):
+    pos = np.arange(n, dtype=float)
+    return FiniteMMSpace(list(range(n)), np.full(n, 1.0 / n),
+                         dist=np.abs(pos[:, None] - pos[None, :]) / n)
+
+
+def test_alpha_exact_refuses_tables_over_budget_before_allocating():
+    import tracemalloc
+    space = dense_line(26)
+    space.dist  # noqa: B018  (build the matrix outside the traced window)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            alpha_exact(space, 0.5, exhaustive_cap=26)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @settings(max_examples=40, deadline=None)
 @given(spaces(max_n=6))
 def test_alpha_exact_monotone_in_eps(space):
