@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .spaces import (_MATERIALIZE_CAP, HALF_TOL, ConcentrationCurve, alpha_exact,
                      measure, neighborhood)
@@ -323,6 +322,8 @@ def sphere_cap_alpha(dim, eps):
         raise ValueError("eps must be positive")
     if eps >= math.pi / 2:
         return 0.0
+    from scipy.special import betainc
+
     # cap of angular radius pi/2 - eps: (1/2) I_{sin^2}(dim/2, 1/2)
     return float(0.5 * betainc(dim / 2, 0.5, math.cos(eps) ** 2))
 

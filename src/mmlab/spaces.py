@@ -4,16 +4,19 @@ and the exhaustive concentration oracle.
 A space is a finite set of labeled points, a metric, and a probability
 weight vector.  The metric is either an explicit dense matrix or a point
 representation (bit vectors, coordinates on a sphere, flattened rotation
-matrices) from which distances are computed in blocks.  The lazy form is
-what makes 1e5-sample spaces usable: the full matrix would not fit in
-memory, but min-distance-to-set scans stream over column blocks.
+matrices) read through one kernel per metric kind.  The lazy form is what
+makes 1e5-sample spaces usable: the full matrix would not fit in memory, but
+thickenings and min-distance-to-set scans stream over tiles of bounded size,
+and point clouds screen thickenings with a KD-tree or BLAS products.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -29,8 +32,12 @@ METRIC_KINDS = ("matrix", "hamming", "euclidean", "sphere_geodesic", "operator_n
 
 _MATERIALIZE_CAP = 8192  # refuse to build dense matrices beyond this many points
 _SUBSET_TABLE_BUDGET = 1 << 30  # bytes for alpha_exact's per-subset tables
-_BLOCK_ROWS = 4096
-_BLOCK_COLS = 2048
+_TILE_BYTES = 1 << 24  # scratch bytes one distance tile may hold
+# relative width of the band of squared distances that screens leave to the
+# exact formula; every float error it covers is below 1e-12
+_INDEX_MARGIN = 1e-9
+_UNIT_TOL = 1e-12  # squared norms this close to 1 let geodesic points be screened
+_TREE_MAX_DIM = 6  # beyond this many coordinates a KD-tree is slower than BLAS tiles
 
 
 class FiniteMMSpace:
@@ -101,34 +108,22 @@ class FiniteMMSpace:
     def __repr__(self):
         return f"FiniteMMSpace(n={self.n}, metric={self.metric!r})"
 
+    @functools.cached_property
+    def _kernel(self):
+        return _KERNELS[self.metric](self.points, self.metric_params)
+
     # -- distance access -------------------------------------------------
 
     def pairwise(self, rows, cols):
         """Dense block of distances between the given row and column indices."""
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
-        if self.metric == "matrix":
+        if self._dist is not None:
             return self._dist[np.ix_(rows, cols)]
-        a = self.points[rows]
-        b = self.points[cols]
-        if self.metric == "hamming":
-            return (a[:, None, :] != b[None, :, :]).mean(axis=2)
-        if self.metric == "euclidean":
-            diff = a[:, None, :].astype(float) - b[None, :, :].astype(float)
-            return np.sqrt((diff * diff).sum(axis=2))
-        if self.metric == "sphere_geodesic":
-            dots = np.clip(a.astype(float) @ b.astype(float).T, -1.0, 1.0)
-            d = np.arccos(dots)
-            # unit-dot rounding would leave ~1e-8 self-distances
-            d[rows[:, None] == cols[None, :]] = 0.0
-            return d
-        if self.metric == "operator_norm":
-            side = self.metric_params["side"]
-            diff = (a[:, None, :].astype(float) - b[None, :, :].astype(float))
-            diff = diff.reshape(len(rows) * len(cols), side, side)
-            sv = np.linalg.svd(diff, compute_uv=False)
-            return sv[:, 0].reshape(len(rows), len(cols))
-        raise AssertionError(self.metric)
+        out = np.empty((rows.shape[0], cols.shape[0]))
+        for r, c, block in _tiles(self._kernel, rows, cols):
+            out[r, c] = block
+        return out
 
     @property
     def dist(self):
@@ -139,44 +134,30 @@ class FiniteMMSpace:
                     f"space has {self.n} points, too many for a dense matrix; "
                     "use pairwise/dist_to_set block operations")
             idx = np.arange(self.n)
-            if self.metric == "operator_norm":
-                # chunk so the svd batch stays small
-                out = np.empty((self.n, self.n))
-                for r0 in range(0, self.n, 256):
-                    r = idx[r0:r0 + 256]
-                    out[r0:r0 + 256] = self.pairwise(r, idx)
-                self._dist = out
-            else:
-                self._dist = self.pairwise(idx, idx)
+            self._dist = self.pairwise(idx, idx)
         return self._dist
 
     def dist_to_set(self, mask):
-        """For every point, min distance to the masked set, streamed in blocks."""
+        """For every point, min distance to the masked set, streamed in tiles."""
         mask = _as_mask(self, mask)
         if not mask.any():
             raise ValueError("empty set has no neighborhood")
         members = np.flatnonzero(mask)
         if self._dist is not None:
             return self._dist[:, members].min(axis=1)
-        n = self.n
-        out = np.full(n, np.inf)
-        rows = np.arange(n)
-        for r0 in range(0, n, _BLOCK_ROWS):
-            r = rows[r0:r0 + _BLOCK_ROWS]
-            acc = np.full(r.shape[0], np.inf)
-            for c0 in range(0, members.shape[0], _BLOCK_COLS):
-                c = members[c0:c0 + _BLOCK_COLS]
-                acc = np.minimum(acc, self.pairwise(r, c).min(axis=1))
-            out[r0:r0 + _BLOCK_ROWS] = acc
+        out = np.full(self.n, np.inf)
+        for r, _, block in _tiles(self._kernel, np.arange(self.n), members):
+            out[r] = np.minimum(out[r], block.min(axis=1))
         return out
 
     def thickened(self, mask, eps):
         """Boolean mask of the closed eps-thickening of the masked set.
 
         Same points as dist_to_set(mask) <= eps but cheaper on lazy spaces:
-        the sphere kernel compares inner products against cos(eps) instead of
-        taking an arccos per pair, and row blocks stop scanning column blocks
-        once every row is marked.
+        the kernel's screen (a KD-tree, for points in few coordinates)
+        settles every point whose distance to the set clears eps by a
+        rounding margin, and the rest are scanned in tiles that stop once
+        every row is marked.
         """
         mask = _as_mask(self, mask)
         if not mask.any():
@@ -184,27 +165,222 @@ class FiniteMMSpace:
         members = np.flatnonzero(mask)
         if self._dist is not None:
             return self._dist[:, members].min(axis=1) <= eps
-        out = np.zeros(self.n, dtype=bool)
-        out[members] = True
-        for r0 in range(0, self.n, _BLOCK_ROWS):
-            r = np.arange(r0, min(r0 + _BLOCK_ROWS, self.n))
-            todo = r[~out[r]]
-            for c0 in range(0, members.shape[0], _BLOCK_COLS):
-                if todo.shape[0] == 0:
+        out = mask & (0.0 <= eps)  # a member is at distance 0 from the set
+        todo = np.flatnonzero(~mask)
+        sure, unsure = self._kernel.screen(todo, members, eps)
+        out[todo[sure]] = True
+        todo = todo[unsure]
+        rows, cols = _tile_shape(todo.shape[0], members.shape[0], self._kernel.scan_bytes)
+        for r0 in range(0, todo.shape[0], rows):
+            left = todo[r0:r0 + rows]
+            for c0 in range(0, members.shape[0], cols):
+                if left.shape[0] == 0:
                     break
-                c = members[c0:c0 + _BLOCK_COLS]
-                hit = self._within_block(todo, c, eps)
-                out[todo[hit]] = True
-                todo = todo[~hit]
+                hit = self._within_block(left, members[c0:c0 + cols], eps)
+                out[left[hit]] = True
+                left = left[~hit]
         return out
 
     def _within_block(self, rows, cols, eps):
-        if self.metric == "sphere_geodesic":
-            if eps >= np.pi:
-                return np.ones(rows.shape[0], dtype=bool)
-            dots = self.points[rows].astype(float) @ self.points[cols].astype(float).T
-            return (dots >= np.cos(eps)).any(axis=1)
-        return (self.pairwise(rows, cols) <= eps).any(axis=1)
+        """One tile of the thickening scan: whether each row has a column
+        within eps."""
+        return self._kernel.within(rows, cols, eps)
+
+
+# -- metric kernels ----------------------------------------------------------
+
+def _tile_shape(n_rows, n_cols, pair_bytes):
+    """Row and column counts of a tile whose scratch fits in _TILE_BYTES."""
+    pairs = max(1, _TILE_BYTES // pair_bytes)
+    rows = max(1, min(n_rows, max(math.isqrt(pairs), pairs // max(n_cols, 1))))
+    return rows, max(1, pairs // rows)
+
+
+def _tiles(kernel, rows, cols):
+    """Yield (row slice, column slice, distance tile) covering rows x cols."""
+    step_r, step_c = _tile_shape(rows.shape[0], cols.shape[0], kernel.pair_bytes)
+    for r0 in range(0, rows.shape[0], step_r):
+        r = slice(r0, r0 + step_r)
+        for c0 in range(0, cols.shape[0], step_c):
+            c = slice(c0, c0 + step_c)
+            yield r, c, kernel.block(rows[r], cols[c])
+
+
+class _Kernel:
+    """Distances of one metric kind, computed from a space's point array.
+
+    block(rows, cols) is the exact distance formula, applied to each pair on
+    its own, so an entry never depends on the tile it is computed in; dense
+    matrices, dist_to_set and diameter use it.  within and screen may use
+    faster arithmetic, but leave every pair their rounding could misjudge to
+    the exact formula, so all paths agree with the dense matrix, ties
+    included.  pair_bytes is the scratch one pair of block takes.
+    """
+
+    @property
+    def scan_bytes(self):
+        """Scratch one pair of within takes."""
+        return self.pair_bytes
+
+    def within(self, rows, cols, eps):
+        """Whether each row has a column within eps."""
+        return (self.block(rows, cols) <= eps).any(axis=1)
+
+    def screen(self, rows, members, eps):
+        """(sure, unsure) masks over rows: rows certainly within eps of a
+        member, and rows the exact scan must decide.  Without an index
+        nothing is certain."""
+        return np.zeros(rows.shape[0], dtype=bool), np.ones(rows.shape[0], dtype=bool)
+
+
+class _Hamming(_Kernel):
+    """Fraction of differing coordinates, count / d.  0/1 points are packed
+    into uint64 words once and counted with popcounts; other words
+    (permutations) are compared coordinate by coordinate."""
+
+    def __init__(self, points, params):
+        self.points = points
+        self.dim = points.shape[1]
+        self.words = None
+        if np.isin(points, (0, 1)).all():
+            packed = np.packbits(points.astype(bool), axis=1)
+            packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+            self.words = packed.view(np.uint64)
+            self.pair_bytes = 24
+        else:
+            self.pair_bytes = self.dim + 24
+
+    def counts(self, rows, cols):
+        if self.words is None:
+            return (self.points[rows][:, None, :] != self.points[cols][None, :, :]).sum(axis=2)
+        a, b = self.words[rows], self.words[cols]
+        count = np.zeros((rows.shape[0], cols.shape[0]), dtype=np.int32)
+        for k in range(self.words.shape[1]):
+            count += np.bitwise_count(a[:, None, k] ^ b[None, :, k])
+        return count
+
+    def block(self, rows, cols):
+        return self.counts(rows, cols) / self.dim
+
+    def within(self, rows, cols, eps):
+        # the largest count c with c / d <= eps, by the same division as block
+        reach = np.count_nonzero(np.arange(self.dim + 1) / self.dim <= eps) - 1
+        return (self.counts(rows, cols) <= reach).any(axis=1)
+
+
+class _Coordinates(_Kernel):
+    """Points in R^d: the base of the euclidean and geodesic kernels.
+
+    dist(i, j) is the exact formula on broadcast index arrays, so a pair's
+    distance is the same in a tile and alone.  When indexed, pairs are
+    screened by squared euclidean distance: through a KD-tree over the set in
+    few dimensions, and through one BLAS product per tile of the scan.
+    Neither rounds like dist does, so they settle only pairs whose squared
+    distance lies outside the band [lo, hi] of band(eps); dist decides the
+    rest.
+    """
+
+    def __init__(self, points, params):
+        self.points = np.asarray(points, dtype=float)
+        self.sq = (self.points * self.points).sum(axis=1)
+        ones = np.ones((self.sq.shape[0], 1))
+        # lifted[i] . dropped[j] = |x_i|^2 + |x_j|^2 - 2 x_i . x_j
+        self.lifted = np.hstack([self.points, self.sq[:, None], ones])
+        self.dropped = np.hstack([-2.0 * self.points, ones, self.sq[:, None]])
+        self.sq_max = float(self.sq.max())
+        self.pair_bytes = 16 * self.points.shape[1] + 24
+
+    @property
+    def scan_bytes(self):
+        return 16 if self.indexed else self.pair_bytes
+
+    def block(self, rows, cols):
+        return self.dist(rows[:, None], cols[None, :])
+
+    def band(self, eps):
+        r2 = self.radius_sq(eps)
+        # wider than the float error of any squared distance here, exact,
+        # tree or BLAS, and of the conversion behind radius_sq
+        slack = _INDEX_MARGIN * (r2 + 4.0 * self.sq_max)
+        return r2 - slack, r2 + slack
+
+    def screen(self, rows, members, eps):
+        if not self.indexed or self.points.shape[1] > _TREE_MAX_DIM:
+            return super().screen(rows, members, eps)
+        from scipy.spatial import cKDTree
+
+        lo, hi = self.band(eps)
+        # unbalanced, uncompacted trees build and answer fastest on these
+        # inputs; the distance bound is strict, and 0 would drop exact ties
+        tree = cKDTree(self.points[members], balanced_tree=False, compact_nodes=False)
+        near, _ = tree.query(self.points[rows],
+                             distance_upper_bound=math.sqrt(max(hi, 0.0)) or np.inf)
+        near = near * near
+        return near < lo, (near >= lo) & (near <= hi)
+
+    def within(self, rows, cols, eps):
+        if not self.indexed:
+            return super().within(rows, cols, eps)
+        lo, hi = self.band(eps)
+        near = self.lifted[rows] @ self.dropped[cols].T
+        least = near.min(axis=1)
+        hit = least < lo
+        unsure = np.flatnonzero((least >= lo) & (least <= hi))
+        r, c = np.nonzero(near[unsure] <= hi)
+        r = unsure[r]
+        step = max(1, _TILE_BYTES // self.pair_bytes)
+        for k in range(0, r.shape[0], step):
+            rk, ck = r[k:k + step], c[k:k + step]
+            hit[rk[self.dist(rows[rk], cols[ck]) <= eps]] = True
+        return hit
+
+
+class _Euclidean(_Coordinates):
+    def __init__(self, points, params):
+        super().__init__(points, params)
+        self.indexed = bool(np.isfinite(self.points).all())
+
+    def radius_sq(self, eps):
+        return max(eps, 0.0) ** 2
+
+    def dist(self, i, j):
+        diff = self.points[i] - self.points[j]
+        return np.sqrt((diff * diff).sum(axis=-1))
+
+
+class _SphereGeodesic(_Coordinates):
+    """Arc length arccos(x . y).  Between unit points the squared chord is
+    2 - 2 x . y, and arc eps is chord 2 sin(eps / 2)."""
+
+    def __init__(self, points, params):
+        super().__init__(points, params)
+        self.indexed = bool(np.abs(self.sq - 1.0).max() <= _UNIT_TOL)
+
+    def radius_sq(self, eps):
+        return (2.0 * math.sin(min(max(eps, 0.0), math.pi) / 2.0)) ** 2
+
+    def dist(self, i, j):
+        dots = (self.points[i] * self.points[j]).sum(axis=-1)
+        # unit-dot rounding would leave ~1e-8 self-distances
+        return np.where(i == j, 0.0, np.arccos(np.clip(dots, -1.0, 1.0)))
+
+
+class _OperatorNorm(_Kernel):
+    """Largest singular value of the difference of two side x side matrices."""
+
+    def __init__(self, points, params):
+        self.points = np.asarray(points, dtype=float)
+        self.side = params["side"]
+        self.pair_bytes = 32 * self.points.shape[1] + 64
+
+    def block(self, rows, cols):
+        diff = self.points[rows][:, None, :] - self.points[cols][None, :, :]
+        sv = np.linalg.svd(diff.reshape(-1, self.side, self.side), compute_uv=False)
+        return sv[:, 0].reshape(rows.shape[0], cols.shape[0])
+
+
+_KERNELS = {"hamming": _Hamming, "euclidean": _Euclidean,
+            "sphere_geodesic": _SphereGeodesic, "operator_norm": _OperatorNorm}
 
 
 def point_space(label="*"):
@@ -287,14 +463,8 @@ def diameter(space):
     """Largest pairwise distance."""
     if space._dist is not None or space.n <= _MATERIALIZE_CAP:
         return float(space.dist.max())
-    best = 0.0
-    rows = np.arange(space.n)
-    for r0 in range(0, space.n, _BLOCK_ROWS):
-        r = rows[r0:r0 + _BLOCK_ROWS]
-        for c0 in range(0, space.n, _BLOCK_COLS):
-            c = rows[c0:c0 + _BLOCK_COLS]
-            best = max(best, float(space.pairwise(r, c).max()))
-    return best
+    idx = np.arange(space.n)
+    return max(float(block.max()) for _, _, block in _tiles(space._kernel, idx, idx))
 
 
 def alpha_exact(space, eps, exhaustive_cap=20):

@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment, linprog
 
 _MARGINAL_TOL = 1e-9
 
@@ -74,6 +72,9 @@ def emd(space, pair):
     Zero-mass points are dropped before the solve and reinstated as zero
     rows/columns of the witness.
     """
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     if pair.mu1.shape[0] != space.n:
         raise ValueError("measure length does not match the space")
     rows = np.flatnonzero(pair.mu1 > 0)
@@ -117,6 +118,8 @@ def emd_oracle(space, pair, grid):
     the whole quantized polytope equals a minimum-cost assignment on the
     expanded units.  Converges to emd as grid grows; test use only.
     """
+    from scipy.optimize import linear_sum_assignment
+
     if space.n > 6:
         raise ValueError("oracle limited to spaces with at most 6 points")
     if grid < 1:

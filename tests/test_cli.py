@@ -43,6 +43,13 @@ def test_generate_stdout_and_manifest(tmp_path):
     assert man["inputs"] == []
 
 
+def test_importing_the_cli_leaves_scipy_unloaded():
+    code = "import sys, mmlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_generate_requires_family_parameters():
     r = run_cli("generate", "--family", "hamming_cube")
     assert r.returncode == 2

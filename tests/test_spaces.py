@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import spaces
-from mmlab.generators import hamming_cube, sphere_sampled, SamplerConfig
+from mmlab import spaces as spaces_module
+from mmlab.concentration import SearchConfig, alpha_lower_bound
+from mmlab.generators import (hamming_cube, hamming_cube_sampled, sphere_sampled,
+                              SamplerConfig)
 from mmlab.spaces import (ConcentrationCurve, FiniteMMSpace, alpha_exact,
                           diameter, load_space, measure, neighborhood,
                           point_space, save_space, space_from_json,
@@ -57,18 +60,119 @@ def test_neighborhood_matches_distance_oracle(space, eps):
     assert (got == want).all()
 
 
+def lattice_points():
+    """Point sets for every lazy metric kind whose distances repeat exactly,
+    so thickening radii can sit on ties (d == eps)."""
+    dirs = np.array([v for v in itertools.product((-1, 0, 1), repeat=3) if any(v)],
+                    dtype=float)
+    # two signed unit entries in 8 coordinates: dot products 0, +-1/2, +-1
+    pairs8 = np.zeros((112, 8))
+    for k, ((i, j), si, sj) in enumerate(itertools.product(
+            itertools.combinations(range(8), 2), (-1, 1), (-1, 1))):
+        pairs8[k, [i, j]] = si, sj
+    return {
+        "hamming 0/1": (np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8),
+                        "hamming", None),
+        # 70 coordinates pack into two words
+        "hamming 0/1, two words": (np.random.default_rng(7).integers(
+            0, 2, size=(40, 70), dtype=np.uint8), "hamming", None),
+        "hamming permutations": (np.array(list(itertools.permutations(range(4))),
+                                          dtype=np.uint8), "hamming", None),
+        "euclidean": (np.array(list(itertools.product(range(4), range(4), range(3))),
+                               dtype=float), "euclidean", None),
+        # past _TREE_MAX_DIM coordinates only the BLAS tiles screen
+        "euclidean, 8 coordinates": (np.random.default_rng(8).integers(
+            0, 3, size=(60, 8)).astype(float), "euclidean", None),
+        "geodesic, unit points": (dirs / np.linalg.norm(dirs, axis=1)[:, None],
+                                  "sphere_geodesic", None),
+        "geodesic, unit points, 8 coordinates": (pairs8 / np.sqrt(2.0),
+                                                 "sphere_geodesic", None),
+        "geodesic, other points": (np.array(list(itertools.product((-1, 0, 2), repeat=3)),
+                                            dtype=float), "sphere_geodesic", None),
+        "operator_norm": (np.array(list(itertools.product((-1, 0, 1), repeat=4)), dtype=float),
+                          "operator_norm", {"side": 2}),
+    }
+
+
+def lazy_space(points, metric, params=None):
+    n = points.shape[0]
+    return FiniteMMSpace(list(range(n)), np.full(n, 1.0 / n), points=points,
+                         metric=metric, metric_params=params)
+
+
 def test_lazy_thickening_agrees_with_materialized():
-    # same space twice: lazy kernel backend vs explicit matrix backend
-    cfg = SamplerConfig(seed=3, sample_count=300)
+    # every metric kind on lattice data, at every distance that occurs (ties),
+    # one float step either side, and radii no distance meets (negative, nan):
+    # the lazy kernels, screens included, give the dense matrix's masks
+    rng = np.random.default_rng(1)
+    for name, (pts, metric, params) in lattice_points().items():
+        lazy = lazy_space(pts, metric, params)
+        dense = FiniteMMSpace(lazy.labels, lazy.weight,
+                              dist=lazy_space(pts, metric, params).dist)
+        radii = [-0.5, np.nan]
+        for d in np.unique(dense.dist):
+            radii += [d, np.nextafter(d, 0.0), np.nextafter(d, np.inf)]
+        for share in (0.05, 0.3, 0.5, 0.9):
+            mask = rng.random(lazy.n) < share
+            mask[rng.integers(lazy.n)] = True
+            assert np.array_equal(lazy.dist_to_set(mask), dense.dist_to_set(mask)), name
+            for eps in radii:
+                assert np.array_equal(lazy.thickened(mask, eps),
+                                      dense.thickened(mask, eps)), (name, eps)
+        assert lazy._dist is None, name
+
+    # sampled spheres, built unmaterialized
     for metric in ("euclidean", "sphere_geodesic"):
-        lazy = sphere_sampled(2, cfg, metric="geodesic" if metric == "sphere_geodesic"
-                              else "euclidean")
-        idx = np.arange(lazy.n)
-        dense = FiniteMMSpace(lazy.labels, lazy.weight, dist=lazy.pairwise(idx, idx))
+        pts = sphere_sampled(2, SamplerConfig(seed=3, sample_count=300)).points
+        lazy = lazy_space(pts, metric)
+        dense = FiniteMMSpace(lazy.labels, lazy.weight, dist=lazy_space(pts, metric).dist)
         mask = np.zeros(lazy.n, dtype=bool)
         mask[[0, 17, 101]] = True
         for eps in (0.05, 0.3, 1.0, 3.5):
-            assert (lazy.thickened(mask, eps) == dense.thickened(mask, eps)).all()
+            assert np.array_equal(lazy.thickened(mask, eps), dense.thickened(mask, eps))
+        assert lazy._dist is None
+
+
+def test_tile_budget_and_point_order_do_not_change_results(monkeypatch):
+    cfg = SearchConfig(seed=2, restarts=3)
+    rng = np.random.default_rng(5)
+
+    def run(pts, metric, params, masks):
+        space = lazy_space(pts, metric, params)
+        thick = [space.thickened(m, eps) for m in masks for eps in (0.3, 0.5, 1.0)]
+        return thick, space.dist_to_set(masks[0]), diameter(space), [
+            alpha_lower_bound(lazy_space(pts, metric, params), eps, cfg) for eps in (0.3, 1.0)]
+
+    for name, (pts, metric, params) in lattice_points().items():
+        masks = [rng.random(pts.shape[0]) < 0.5 for _ in range(3)]
+        want = run(pts, metric, params, masks)
+        with monkeypatch.context() as m:
+            m.setattr(spaces_module, "_TILE_BYTES", 256)  # a few pairs per tile
+            got = run(pts, metric, params, masks)
+        for a, b in zip(want[0], got[0]):
+            assert np.array_equal(a, b), name
+        assert np.array_equal(want[1], got[1]) and want[2:] == got[2:], name
+
+        # reversed point order: the same masks, reversed
+        rev = run(pts[::-1], metric, params, [m[::-1] for m in masks])
+        for a, b in zip(want[0], rev[0]):
+            assert np.array_equal(a, b[::-1]), name
+        assert np.array_equal(want[1], rev[1][::-1]) and want[2] == rev[2], name
+
+
+def test_hamming_thickening_tile_memory_is_bounded():
+    import tracemalloc
+    cube = hamming_cube_sampled(100, SamplerConfig(seed=0, sample_count=3000))
+    mask = np.zeros(cube.n, dtype=bool)
+    mask[::2] = True
+    tracemalloc.start()
+    try:
+        cube.thickened(mask, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cube._dist is None
+    assert peak < 64 << 20
 
 
 def test_sphere_geodesic_self_distance_is_exactly_zero():
