@@ -7,7 +7,7 @@ representation (bit vectors, coordinates on a sphere, flattened rotation
 matrices) read through one kernel per metric kind.  The lazy form is what
 makes 1e5-sample spaces usable: the full matrix would not fit in memory, but
 thickenings and min-distance-to-set scans stream over tiles of bounded size,
-and point clouds screen thickenings with a KD-tree or BLAS products.
+and point clouds screen those tiles with one BLAS product each.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ METRIC_KINDS = ("matrix", "hamming", "euclidean", "sphere_geodesic", "operator_n
 
 _MATERIALIZE_CAP = 8192  # refuse to build dense matrices beyond this many points
 _SUBSET_TABLE_BUDGET = 1 << 30  # bytes for alpha_exact's per-subset tables
-_TILE_BYTES = 1 << 24  # scratch bytes one distance tile may hold
+_TILE_BYTES = 1 << 25  # scratch bytes one distance tile may hold
 # relative width of the band of squared distances that screens leave to the
 # exact formula; every float error it covers is below 1e-12
 _INDEX_MARGIN = 1e-9
 _UNIT_TOL = 1e-12  # squared norms this close to 1 let geodesic points be screened
-_TREE_MAX_DIM = 6  # beyond this many coordinates a KD-tree is slower than BLAS tiles
 
 
 class FiniteMMSpace:
@@ -121,8 +120,8 @@ class FiniteMMSpace:
         if self._dist is not None:
             return self._dist[np.ix_(rows, cols)]
         out = np.empty((rows.shape[0], cols.shape[0]))
-        for r, c, block in _tiles(self._kernel, rows, cols):
-            out[r, c] = block
+        for r, c in _tiles(self._kernel, rows, cols):
+            out[r, c] = self._kernel.block(rows[r], cols[c])
         return out
 
     @property
@@ -145,19 +144,19 @@ class FiniteMMSpace:
         members = np.flatnonzero(mask)
         if self._dist is not None:
             return self._dist[:, members].min(axis=1)
+        rows = np.arange(self.n)
         out = np.full(self.n, np.inf)
-        for r, _, block in _tiles(self._kernel, np.arange(self.n), members):
-            out[r] = np.minimum(out[r], block.min(axis=1))
+        for r, c in _tiles(self._kernel, rows, members):
+            out[r] = np.minimum(out[r], self._kernel.nearest(rows[r], members[c]))
         return out
 
     def thickened(self, mask, eps):
         """Boolean mask of the closed eps-thickening of the masked set.
 
         Same points as dist_to_set(mask) <= eps but cheaper on lazy spaces:
-        the kernel's screen (a KD-tree, for points in few coordinates)
-        settles every point whose distance to the set clears eps by a
-        rounding margin, and the rest are scanned in tiles that stop once
-        every row is marked.
+        each tile asks the kernel only whether a row has a member within
+        eps, which point clouds screen with one BLAS product, and a row
+        stops being scanned once it is marked.
         """
         mask = _as_mask(self, mask)
         if not mask.any():
@@ -167,10 +166,7 @@ class FiniteMMSpace:
             return self._dist[:, members].min(axis=1) <= eps
         out = mask & (0.0 <= eps)  # a member is at distance 0 from the set
         todo = np.flatnonzero(~mask)
-        sure, unsure = self._kernel.screen(todo, members, eps)
-        out[todo[sure]] = True
-        todo = todo[unsure]
-        rows, cols = _tile_shape(todo.shape[0], members.shape[0], self._kernel.scan_bytes)
+        rows, cols = _tile_shape(todo.shape[0], members.shape[0], self._kernel.pair_bytes)
         for r0 in range(0, todo.shape[0], rows):
             left = todo[r0:r0 + rows]
             for c0 in range(0, members.shape[0], cols):
@@ -197,13 +193,11 @@ def _tile_shape(n_rows, n_cols, pair_bytes):
 
 
 def _tiles(kernel, rows, cols):
-    """Yield (row slice, column slice, distance tile) covering rows x cols."""
+    """Yield (row slice, column slice) pairs of tiles covering rows x cols."""
     step_r, step_c = _tile_shape(rows.shape[0], cols.shape[0], kernel.pair_bytes)
     for r0 in range(0, rows.shape[0], step_r):
-        r = slice(r0, r0 + step_r)
         for c0 in range(0, cols.shape[0], step_c):
-            c = slice(c0, c0 + step_c)
-            yield r, c, kernel.block(rows[r], cols[c])
+            yield slice(r0, r0 + step_r), slice(c0, c0 + step_c)
 
 
 class _Kernel:
@@ -211,26 +205,19 @@ class _Kernel:
 
     block(rows, cols) is the exact distance formula, applied to each pair on
     its own, so an entry never depends on the tile it is computed in; dense
-    matrices, dist_to_set and diameter use it.  within and screen may use
-    faster arithmetic, but leave every pair their rounding could misjudge to
-    the exact formula, so all paths agree with the dense matrix, ties
-    included.  pair_bytes is the scratch one pair of block takes.
+    matrices and diameter use it.  within and nearest may use faster
+    arithmetic, but leave every pair their rounding could misjudge to the
+    exact formula, so all paths agree with the dense matrix, ties included.
+    pair_bytes is the scratch one pair of block, within or nearest takes.
     """
-
-    @property
-    def scan_bytes(self):
-        """Scratch one pair of within takes."""
-        return self.pair_bytes
 
     def within(self, rows, cols, eps):
         """Whether each row has a column within eps."""
         return (self.block(rows, cols) <= eps).any(axis=1)
 
-    def screen(self, rows, members, eps):
-        """(sure, unsure) masks over rows: rows certainly within eps of a
-        member, and rows the exact scan must decide.  Without an index
-        nothing is certain."""
-        return np.zeros(rows.shape[0], dtype=bool), np.ones(rows.shape[0], dtype=bool)
+    def nearest(self, rows, cols):
+        """Distance from each row to its nearest column."""
+        return self.block(rows, cols).min(axis=1)
 
 
 class _Hamming(_Kernel):
@@ -271,13 +258,15 @@ class _Hamming(_Kernel):
 class _Coordinates(_Kernel):
     """Points in R^d: the base of the euclidean and geodesic kernels.
 
-    dist(i, j) is the exact formula on broadcast index arrays, so a pair's
-    distance is the same in a tile and alone.  When indexed, pairs are
-    screened by squared euclidean distance: through a KD-tree over the set in
-    few dimensions, and through one BLAS product per tile of the scan.
-    Neither rounds like dist does, so they settle only pairs whose squared
-    distance lies outside the band [lo, hi] of band(eps); dist decides the
-    rest.
+    dist(i, j) is the exact formula on broadcast index arrays.  It sums over
+    coordinates one at a time, in the same order for every pair, so a pair's
+    distance is the same in a tile and alone (a BLAS product rounds by tile
+    shape), and it holds two floats a pair rather than a (rows, cols, d)
+    broadcast.  When indexed, within and nearest screen a tile by squared
+    euclidean distance through one BLAS product.  That does not round like
+    dist does, so within settles only pairs whose squared distance lies
+    outside the band [lo, hi] of band(eps), and nearest only drops pairs
+    clearly farther than the row's least; dist decides the rest.
     """
 
     def __init__(self, points, params):
@@ -288,35 +277,29 @@ class _Coordinates(_Kernel):
         self.lifted = np.hstack([self.points, self.sq[:, None], ones])
         self.dropped = np.hstack([-2.0 * self.points, ones, self.sq[:, None]])
         self.sq_max = float(self.sq.max())
-        self.pair_bytes = 16 * self.points.shape[1] + 24
-
-    @property
-    def scan_bytes(self):
-        return 16 if self.indexed else self.pair_bytes
+        self.pair_bytes = 17  # dist's sum, term and self-pair flag; scans need less
 
     def block(self, rows, cols):
         return self.dist(rows[:, None], cols[None, :])
 
+    def coordinate_sum(self, i, j, term):
+        """Sum over coordinates k of term(x_i[k], x_j[k], out), k = 0, 1, ..."""
+        a, b = self.points[i], self.points[j]
+        shape = np.broadcast_shapes(a.shape, b.shape)[:-1]
+        total, scratch = np.zeros(shape), np.empty(shape)
+        for k in range(a.shape[-1]):
+            total += term(a[..., k], b[..., k], scratch)
+        return total
+
     def band(self, eps):
         r2 = self.radius_sq(eps)
-        # wider than the float error of any squared distance here, exact,
-        # tree or BLAS, and of the conversion behind radius_sq
+        if not math.isfinite(r2):
+            # an infinite radius reaches every point, a nan one none
+            return r2, r2
+        # wider than the float error of any squared distance here, exact or
+        # BLAS, and of the conversion behind radius_sq
         slack = _INDEX_MARGIN * (r2 + 4.0 * self.sq_max)
         return r2 - slack, r2 + slack
-
-    def screen(self, rows, members, eps):
-        if not self.indexed or self.points.shape[1] > _TREE_MAX_DIM:
-            return super().screen(rows, members, eps)
-        from scipy.spatial import cKDTree
-
-        lo, hi = self.band(eps)
-        # unbalanced, uncompacted trees build and answer fastest on these
-        # inputs; the distance bound is strict, and 0 would drop exact ties
-        tree = cKDTree(self.points[members], balanced_tree=False, compact_nodes=False)
-        near, _ = tree.query(self.points[rows],
-                             distance_upper_bound=math.sqrt(max(hi, 0.0)) or np.inf)
-        near = near * near
-        return near < lo, (near >= lo) & (near <= hi)
 
     def within(self, rows, cols, eps):
         if not self.indexed:
@@ -328,24 +311,50 @@ class _Coordinates(_Kernel):
         unsure = np.flatnonzero((least >= lo) & (least <= hi))
         r, c = np.nonzero(near[unsure] <= hi)
         r = unsure[r]
-        step = max(1, _TILE_BYTES // self.pair_bytes)
-        for k in range(0, r.shape[0], step):
-            rk, ck = r[k:k + step], c[k:k + step]
-            hit[rk[self.dist(rows[rk], cols[ck]) <= eps]] = True
+        hit[r[self.pair_dist(rows[r], cols[c]) <= eps]] = True
         return hit
+
+    def nearest(self, rows, cols):
+        if not self.indexed:
+            return super().nearest(rows, cols)
+        near = self.lifted[rows] @ self.dropped[cols].T
+        # the band's bound on squared-distance errors, without the radius
+        slack = _INDEX_MARGIN * 4.0 * self.sq_max
+        # a pair farther than 4 slack past its row's least is farther than
+        # the nearest pair by more than any rounding, so cannot be the least
+        close = np.flatnonzero(near <= near.min(axis=1)[:, None] + 4.0 * slack)
+        r, c = np.divmod(close, cols.shape[0])  # 2-d nonzero is several times slower
+        out = np.full(rows.shape[0], np.inf)
+        np.minimum.at(out, r, self.pair_dist(rows[r], cols[c]))
+        return out
+
+    def pair_dist(self, i, j):
+        """dist of the pairs (i[k], j[k]), in chunks of bounded scratch."""
+        out = np.empty(i.shape[0])
+        step = max(1, _TILE_BYTES // self.pair_bytes)
+        for k in range(0, i.shape[0], step):
+            out[k:k + step] = self.dist(i[k:k + step], j[k:k + step])
+        return out
 
 
 class _Euclidean(_Coordinates):
     def __init__(self, points, params):
         super().__init__(points, params)
-        self.indexed = bool(np.isfinite(self.points).all())
+        # bounded squared norms keep the screen's sums finite and every
+        # distance well below sqrt(float max), so an eps whose square
+        # overflows reaches every point
+        self.indexed = bool(np.isfinite(8.0 * self.sq_max))
 
     def radius_sq(self, eps):
-        return max(eps, 0.0) ** 2
+        e = float(max(eps, 0.0))
+        return e * e
 
     def dist(self, i, j):
-        diff = self.points[i] - self.points[j]
-        return np.sqrt((diff * diff).sum(axis=-1))
+        def term(x, y, out):
+            return np.square(np.subtract(x, y, out=out), out=out)
+
+        sq = self.coordinate_sum(i, j, term)
+        return np.sqrt(sq, out=sq)
 
 
 class _SphereGeodesic(_Coordinates):
@@ -360,9 +369,11 @@ class _SphereGeodesic(_Coordinates):
         return (2.0 * math.sin(min(max(eps, 0.0), math.pi) / 2.0)) ** 2
 
     def dist(self, i, j):
-        dots = (self.points[i] * self.points[j]).sum(axis=-1)
+        dots = self.coordinate_sum(i, j, np.multiply)
+        out = np.arccos(np.clip(dots, -1.0, 1.0, out=dots), out=dots)
         # unit-dot rounding would leave ~1e-8 self-distances
-        return np.where(i == j, 0.0, np.arccos(np.clip(dots, -1.0, 1.0)))
+        out[np.broadcast_to(i == j, out.shape)] = 0.0
+        return out
 
 
 class _OperatorNorm(_Kernel):
@@ -464,7 +475,8 @@ def diameter(space):
     if space._dist is not None or space.n <= _MATERIALIZE_CAP:
         return float(space.dist.max())
     idx = np.arange(space.n)
-    return max(float(block.max()) for _, _, block in _tiles(space._kernel, idx, idx))
+    return max(float(space._kernel.block(idx[r], idx[c]).max())
+               for r, c in _tiles(space._kernel, idx, idx))
 
 
 def alpha_exact(space, eps, exhaustive_cap=20):

@@ -80,7 +80,6 @@ def lattice_points():
                                           dtype=np.uint8), "hamming", None),
         "euclidean": (np.array(list(itertools.product(range(4), range(4), range(3))),
                                dtype=float), "euclidean", None),
-        # past _TREE_MAX_DIM coordinates only the BLAS tiles screen
         "euclidean, 8 coordinates": (np.random.default_rng(8).integers(
             0, 3, size=(60, 8)).astype(float), "euclidean", None),
         "geodesic, unit points": (dirs / np.linalg.norm(dirs, axis=1)[:, None],
@@ -102,14 +101,15 @@ def lazy_space(points, metric, params=None):
 
 def test_lazy_thickening_agrees_with_materialized():
     # every metric kind on lattice data, at every distance that occurs (ties),
-    # one float step either side, and radii no distance meets (negative, nan):
+    # one float step either side, radii no distance meets (negative, nan),
+    # and radii every distance meets (1e200, whose square overflows, and inf):
     # the lazy kernels, screens included, give the dense matrix's masks
     rng = np.random.default_rng(1)
     for name, (pts, metric, params) in lattice_points().items():
         lazy = lazy_space(pts, metric, params)
         dense = FiniteMMSpace(lazy.labels, lazy.weight,
                               dist=lazy_space(pts, metric, params).dist)
-        radii = [-0.5, np.nan]
+        radii = [-0.5, np.nan, 1e200, np.inf]
         for d in np.unique(dense.dist):
             radii += [d, np.nextafter(d, 0.0), np.nextafter(d, np.inf)]
         for share in (0.05, 0.3, 0.5, 0.9):
@@ -131,6 +131,42 @@ def test_lazy_thickening_agrees_with_materialized():
         for eps in (0.05, 0.3, 1.0, 3.5):
             assert np.array_equal(lazy.thickened(mask, eps), dense.thickened(mask, eps))
         assert lazy._dist is None
+
+
+def test_dist_to_set_picks_the_exact_nearest_among_near_ties():
+    # every row has two members at mirror-image offsets, equally far up to
+    # rounding: the screen's BLAS products may rank the two either way, and
+    # dist_to_set must still give the smaller exact distance
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((300, 3))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    v = 0.05 * rng.standard_normal((300, 3))
+    m1 = x + v
+    m1 /= np.linalg.norm(m1, axis=1)[:, None]
+    mirrored = {"euclidean": (x + v, x - v),
+                # m1 reflected through the axis of x, on the sphere again
+                "sphere_geodesic": (m1, 2.0 * (m1 * x).sum(axis=1)[:, None] * x - m1)}
+    mask = np.arange(900) >= 300
+    for metric, (a, b) in mirrored.items():
+        pts = np.vstack([x, a, b])
+        lazy = lazy_space(pts, metric)
+        dense = FiniteMMSpace(lazy.labels, lazy.weight, dist=lazy_space(pts, metric).dist)
+        assert np.array_equal(lazy.dist_to_set(mask), dense.dist_to_set(mask)), metric
+        assert lazy._dist is None
+
+
+def test_euclidean_points_too_large_to_screen_are_scanned_exactly():
+    # squared norms overflow here, so the squared-distance screen is off and
+    # the exact scan still gives the dense matrix's masks
+    pts = np.array(list(itertools.product(range(3), repeat=2)), dtype=float) * 1e154
+    mask = np.zeros(pts.shape[0], dtype=bool)
+    mask[[0, 4]] = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        lazy = lazy_space(pts, "euclidean")
+        dense = FiniteMMSpace(lazy.labels, lazy.weight, dist=lazy_space(pts, "euclidean").dist)
+        for eps in (5e153, 1e154, 1.5e154, 1e300, np.inf):
+            assert np.array_equal(lazy.thickened(mask, eps), dense.thickened(mask, eps)), eps
+            assert np.array_equal(lazy.dist_to_set(mask), dense.dist_to_set(mask))
 
 
 def test_tile_budget_and_point_order_do_not_change_results(monkeypatch):
