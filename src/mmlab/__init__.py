@@ -47,19 +47,15 @@ from .transport import (  # noqa: F401
     EmdResult,
     MeasurePair,
     emd,
-    emd_oracle,
     translate_distance,
 )
 from .observable import (  # noqa: F401
-    LipschitzSet,
     StepFunction,
     best_constant_me1,
-    hausdorff_me1,
     levy_convergence_test,
     lipschitz_extremes,
     me1,
     obs_distance,
-    step_from_cells,
 )
 from .dynamics import (  # noqa: F401
     ColoredHypergraph,

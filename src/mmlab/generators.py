@@ -15,7 +15,6 @@ import numpy as np
 
 from .spaces import FiniteMMSpace
 
-_EXPLICIT_MATRIX_MAX = 2048   # materialize dense matrices up to this many points
 _SAMPLE_BLOCK = 8192
 
 
@@ -38,12 +37,6 @@ def _sample_blocks(cfg, draw):
         for b0 in range(0, cfg.sample_count, _SAMPLE_BLOCK)], axis=0)
 
 
-def _maybe_materialize(space):
-    if space.n <= _EXPLICIT_MATRIX_MAX:
-        space.dist  # noqa: B018  (cache the dense matrix while it is cheap)
-    return space
-
-
 # -- hamming cubes -----------------------------------------------------------
 
 def hamming_cube(n, max_dim=20):
@@ -57,9 +50,8 @@ def hamming_cube(n, max_dim=20):
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
     pts = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
     labels = [format(i, f"0{n}b") for i in range(count)]
-    space = FiniteMMSpace(labels, np.full(count, 1.0 / count),
-                          points=pts, metric="hamming")
-    return _maybe_materialize(space)
+    return FiniteMMSpace(labels, np.full(count, 1.0 / count),
+                         points=pts, metric="hamming")
 
 
 def hamming_cube_sampled(n, cfg):
@@ -70,7 +62,7 @@ def hamming_cube_sampled(n, cfg):
         0, 2, size=(take, n), dtype=np.uint8))
     labels = ["".join(map(str, row)) for row in pts]
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
-    return _maybe_materialize(FiniteMMSpace(labels, w, points=pts, metric="hamming"))
+    return FiniteMMSpace(labels, w, points=pts, metric="hamming")
 
 
 # -- permutation groups ------------------------------------------------------
@@ -85,7 +77,7 @@ def symmetric_group(n, max_n=7):
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
     labels = ["".join(map(str, p)) for p in perms]
     w = np.full(len(perms), 1.0 / len(perms))
-    return _maybe_materialize(FiniteMMSpace(labels, w, points=perms, metric="hamming"))
+    return FiniteMMSpace(labels, w, points=perms, metric="hamming")
 
 
 def symmetric_group_sampled(n, cfg):
@@ -96,7 +88,7 @@ def symmetric_group_sampled(n, cfg):
         np.tile(np.arange(n, dtype=np.uint8), (take, 1)), axis=1))
     labels = ["".join(map(str, row)) for row in pts]
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
-    return _maybe_materialize(FiniteMMSpace(labels, w, points=pts, metric="hamming"))
+    return FiniteMMSpace(labels, w, points=pts, metric="hamming")
 
 
 # -- spheres and rotations ---------------------------------------------------
@@ -124,8 +116,7 @@ def sphere_sampled(dim, cfg, metric="euclidean"):
     pts = _sample_blocks(cfg, draw)
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
     kind = "euclidean" if metric == "euclidean" else "sphere_geodesic"
-    return _maybe_materialize(FiniteMMSpace(
-        list(range(cfg.sample_count)), w, points=pts, metric=kind))
+    return FiniteMMSpace(list(range(cfg.sample_count)), w, points=pts, metric=kind)
 
 
 def so_n_sampled(n, cfg):
@@ -149,9 +140,8 @@ def so_n_sampled(n, cfg):
 
     pts = _sample_blocks(cfg, draw)
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
-    return _maybe_materialize(FiniteMMSpace(
-        list(range(cfg.sample_count)), w, points=pts,
-        metric="operator_norm", metric_params={"side": n}))
+    return FiniteMMSpace(list(range(cfg.sample_count)), w, points=pts,
+                         metric="operator_norm", metric_params={"side": n})
 
 
 # -- special linear groups over prime fields ---------------------------------
@@ -289,7 +279,7 @@ def product_space(base_weights, n, max_points=4096):
         rem //= k
     labels = ["".join(map(str, row)) for row in digits]
     w = base[digits].prod(axis=1)
-    return _maybe_materialize(FiniteMMSpace(labels, w, points=digits, metric="hamming"))
+    return FiniteMMSpace(labels, w, points=digits, metric="hamming")
 
 
 # -- descriptor expansion ----------------------------------------------------

@@ -25,6 +25,7 @@ from .spaces import _MATERIALIZE_CAP, point_space
 
 _SUPPORT_TOL = 1e-15
 _COUPLING_TOL = 1e-12  # couplings this close entrywise are one candidate
+_MERGE_TOL = 1e-12     # family members this close pointwise are one member
 
 
 # -- step functions and the me1 metric ---------------------------------------
@@ -53,20 +54,6 @@ class StepFunction:
 
 def step_constant(c):
     return StepFunction([0.0, 1.0], [float(c)])
-
-
-def step_from_cells(masses, values):
-    """Step function from cell masses (zero-mass cells dropped)."""
-    masses = np.asarray(masses, dtype=float)
-    values = np.asarray(values, dtype=float)
-    keep = masses > _SUPPORT_TOL
-    masses, values = masses[keep], values[keep]
-    total = masses.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"cell masses sum to {total!r}, expected 1")
-    breaks = np.concatenate([[0.0], np.cumsum(masses)])
-    breaks[-1] = 1.0
-    return StepFunction(breaks, values)
 
 
 def _me1_rows(masses, gaps):
@@ -163,14 +150,20 @@ def best_constant_me1(h):
 # -- anchored Lipschitz families ----------------------------------------------
 
 def lipschitz_extremes(space, anchor, pair_limit=12, mcshane_cap=256):
-    """Finite spanning family of 1-Lipschitz value vectors vanishing at anchor.
+    """Finite spanning family of 1-Lipschitz value vectors vanishing at anchor,
+    one member per row of a (members, points) matrix.
 
     Members are x -> d(x, S) - d(anchor, S) for S in a subset pool (all
     singletons; all pairs when the space has at most pair_limit points), their
     negatives, and the zero vector.  Distance functions to sets are exactly
     1-Lipschitz; on small spaces each member is additionally passed through
     the McShane cap min_y(v(y) + d(x, y)) to pin the property against float
-    drift.  Exact duplicates are removed.
+    drift.  Members agreeing within _MERGE_TOL at every point are one member
+    (the first seen), so rounding copies such as d(., y') - d(a, y') and
+    -(d(., y) - d(a, y)) for antipodes y, y' of a cube count once.
+
+    Adding a constant changes neither membership nor any me1 fit, so the
+    family at another anchor b is this matrix minus its column b.
     """
     n = space.n
     if n > _MATERIALIZE_CAP:
@@ -180,31 +173,27 @@ def lipschitz_extremes(space, anchor, pair_limit=12, mcshane_cap=256):
         raise ValueError(f"anchor {anchor} out of range")
     d = space.dist
 
-    cand = [np.zeros(n)]
-    pools = [d[:, [y]].min(axis=1) for y in range(n)]
+    pools = d.T  # row y: distance to {y}
     if n <= pair_limit:
-        pools += [d[:, [y, z]].min(axis=1)
-                  for y in range(n) for z in range(y + 1, n)]
-    for f in pools:
-        v = f - f[anchor]
-        cand.append(v)
-        cand.append(-v)
+        y, z = np.triu_indices(n, 1)
+        pools = np.concatenate([pools, np.minimum(d[:, y], d[:, z]).T])
+    fam = np.zeros((1 + 2 * pools.shape[0], n))
+    fam[1::2] = pools - pools[:, anchor, None]
+    fam[2::2] = -fam[1::2]
 
     if n <= mcshane_cap:
-        capped = []
-        for v in cand:
-            w = (v[:, None] + d).min(axis=0)
-            capped.append(w - w[anchor])
-        cand = capped
+        fam = np.stack([(v[:, None] + d).min(axis=0) for v in fam])
+        fam = fam - fam[:, anchor, None]
 
-    seen = set()
-    out = []
-    for v in cand:
-        key = v.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(v)
-    return out
+    # rows in one bin of width _MERGE_TOL at every point are merged, after a
+    # check that they really agree; a near pair split by a bin edge is kept
+    keys = np.rint(fam * (1.0 / _MERGE_TOL)) + 0.0  # + 0.0 folds -0.0 into 0.0
+    first, keep = {}, []
+    for i, key in enumerate(keys):
+        j = first.setdefault(key.tobytes(), i)
+        if j == i or np.abs(fam[i] - fam[j]).max() > _MERGE_TOL:
+            keep.append(i)
+    return fam[keep]
 
 
 @dataclass
@@ -232,26 +221,6 @@ class Parametrization:
         """Lift a value vector over points to a step function on [0,1]."""
         values = np.asarray(values, dtype=float)
         return StepFunction(self.breaks, values[self.owner])
-
-
-@dataclass
-class LipschitzSet:
-    """Finite family of step functions standing in for an L_f set."""
-    members: list
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("empty set has no Hausdorff distance")
-
-
-def hausdorff_me1(A, B):
-    """max of the two sup-min me1 deviations between finite families."""
-    a_members = A.members if isinstance(A, LipschitzSet) else list(A)
-    b_members = B.members if isinstance(B, LipschitzSet) else list(B)
-    if not a_members or not b_members:
-        raise ValueError("empty set has no Hausdorff distance")
-    d = np.array([[me1(a, b) for b in b_members] for a in a_members])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 # -- observable distance estimator --------------------------------------------
@@ -324,26 +293,21 @@ def _candidate_couplings(X, Y, cfg):
     return out
 
 
-def _family_hausdorff(masses, fam_a, fam_b):
-    """Hausdorff me1 between two lifted families, each augmented with all
-    constant functions.  Constants are shared, so each member only needs its
-    best cross-family match and its best constant approximation."""
-    A = np.stack(fam_a)
-    B = np.stack(fam_b)
-
-    def side(P, Q):
-        best = np.full(P.shape[0], np.inf)
-        block = max(1, (1 << 22) // max(1, P.shape[0] * masses.shape[0]))
-        for q0 in range(0, Q.shape[0], block):
-            qb = Q[q0:q0 + block]
-            gaps = np.abs(P[:, None, :] - qb[None, :, :])
-            vals = _me1_rows(masses, gaps.reshape(-1, masses.shape[0]))
-            best = np.minimum(best, vals.reshape(P.shape[0], -1).min(axis=1))
-        return best
-
-    worst_a = np.minimum(side(A, B), _best_const_rows(masses, A))
-    worst_b = np.minimum(side(B, A), _best_const_rows(masses, B))
-    return float(max(worst_a.max(), worst_b.max()))
+def _family_hausdorff(masses, A, B, fit_a, fit_b):
+    """Hausdorff me1 between two lifted families (rows of A and B), each
+    augmented with all constant functions.  Constants are shared, so each
+    member only needs its best cross-family match and its best constant fit,
+    given as fit_a and fit_b.  Each (a, b) pair's me1 is evaluated once and
+    read by both sides: row minima for A, column minima for B."""
+    near_a = fit_a.copy()
+    near_b = fit_b.copy()
+    block = max(1, (1 << 22) // max(1, B.shape[0] * masses.shape[0]))
+    for p0 in range(0, A.shape[0], block):
+        gaps = np.abs(A[p0:p0 + block, None, :] - B[None, :, :])
+        vals = _me1_rows(masses, gaps.reshape(-1, masses.shape[0])).reshape(-1, B.shape[0])
+        np.minimum(near_a[p0:p0 + block], vals.min(axis=1), out=near_a[p0:p0 + block])
+        np.minimum(near_b, vals.min(axis=0), out=near_b)
+    return float(max(near_a.max(), near_b.max()))
 
 
 def obs_distance(X, Y, cfg=None):
@@ -355,28 +319,31 @@ def obs_distance(X, Y, cfg=None):
     evaluating the Hausdorff me1 distance between the constant-augmented
     extreme families on the common cell partition.  Enlarging the budget only
     adds candidates, so the reported value never increases with budget.
+
+    Each space's extreme family is built once; an anchor only shifts every
+    member by its value there.  The constant fit is shift-invariant, so it
+    runs once per coupling, on the lifted rows.
     """
     cfg = cfg or SearchConfig()
     best = None
-    ext_cache_x, ext_cache_y = {}, {}
+    fx = lipschitz_extremes(X, 0)
+    fy = lipschitz_extremes(Y, 0)
 
     for pi in _candidate_couplings(X, Y, cfg):
         ci, cj = np.nonzero(pi > _SUPPORT_TOL)
         masses = pi[ci, cj]
+        # take keeps the lifted rows C-contiguous, which the row sorts need
+        lx, ly = np.take(fx, ci, axis=1), np.take(fy, cj, axis=1)
+        fit_x, fit_y = _best_const_rows(masses, lx), _best_const_rows(masses, ly)
         by_mass = np.lexsort((cj, ci, -masses))
         for cell in by_mass[:max(1, cfg.anchor_budget)]:
-            ia, ja = int(ci[cell]), int(cj[cell])
-            if ia not in ext_cache_x:
-                ext_cache_x[ia] = lipschitz_extremes(X, ia)
-            if ja not in ext_cache_y:
-                ext_cache_y[ja] = lipschitz_extremes(Y, ja)
-            fam_a = [v[ci] for v in ext_cache_x[ia]]
-            fam_b = [u[cj] for u in ext_cache_y[ja]]
-            h = _family_hausdorff(masses, fam_a, fam_b)
+            h = _family_hausdorff(masses, lx - lx[:, cell, None], ly - ly[:, cell, None],
+                                  fit_x, fit_y)
             if best is None or h < best[0]:
                 # anchor cell first so the anchor point owns the interval at 0
                 order = np.concatenate([[cell], np.delete(np.arange(ci.shape[0]), cell)])
-                best = (h, pi, ci[order], cj[order], masses[order], (ia, ja))
+                best = (h, pi, ci[order], cj[order], masses[order],
+                        (int(ci[cell]), int(cj[cell])))
                 if h <= 0.0:
                     break
         if best is not None and best[0] <= 0.0:

@@ -1,7 +1,7 @@
 """Transportation (earth mover's) distance between probability measures on a
 shared finite metric space: an exact linear-programming solver with a witness
-coupling, a grid-quantized assignment oracle for cross-checks, and the
-translate distance of a measure under a point permutation."""
+coupling, and the translate distance of a measure under a point
+permutation."""
 
 from __future__ import annotations
 
@@ -97,40 +97,6 @@ def emd(space, pair):
     witness = Coupling(joint)
     witness.check(pair)
     return EmdResult(distance=float(res.fun), witness=witness)
-
-
-def _apportion(mu, grid):
-    """Largest-remainder rounding of a probability vector to grid units."""
-    target = mu * grid
-    base = np.floor(target).astype(int)
-    short = grid - int(base.sum())
-    if short > 0:
-        rem = target - base
-        base[np.argsort(-rem, kind="stable")[:short]] += 1
-    return base
-
-
-def emd_oracle(space, pair, grid):
-    """Transportation distance over couplings quantized to resolution 1/grid.
-
-    Both marginals are apportioned to grid unit masses; any grid coupling of
-    the rounded marginals splits into unit assignments, so the minimum over
-    the whole quantized polytope equals a minimum-cost assignment on the
-    expanded units.  Converges to emd as grid grows; test use only.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    if space.n > 6:
-        raise ValueError("oracle limited to spaces with at most 6 points")
-    if grid < 1:
-        raise ValueError("grid must be positive")
-    units1 = _apportion(pair.mu1, grid)
-    units2 = _apportion(pair.mu2, grid)
-    rows = np.repeat(np.arange(space.n), units1)
-    cols = np.repeat(np.arange(space.n), units2)
-    cost = space.dist[np.ix_(rows, cols)]
-    r, c = linear_sum_assignment(cost)
-    return float(cost[r, c].sum() / grid)
 
 
 def translate_distance(space, mu, perm):

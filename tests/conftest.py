@@ -1,10 +1,15 @@
-"""Shared test instances: random finite metric-measure spaces, 1-Lipschitz
-data, and random measures, both as hypothesis strategies and as plain seeded
-constructors for the bulk randomized sweeps."""
+"""Shared test instances and oracles: random finite metric-measure spaces,
+1-Lipschitz data, and random measures, both as hypothesis strategies and as
+plain seeded constructors for the bulk randomized sweeps; step functions from
+cell masses; the Hausdorff me1 distance between finite families, pair by
+pair; and a grid-quantized transport oracle independent of the LP solver."""
+
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 
+from mmlab.observable import StepFunction, me1
 from mmlab.spaces import FiniteMMSpace
 
 
@@ -82,3 +87,73 @@ def random_lipschitz(rng, space):
 
 def random_measure(rng, n):
     return normalized(rng.integers(1, 10, size=n))
+
+
+# -- oracles -------------------------------------------------------------------
+
+def step_from_cells(masses, values):
+    """Step function from cell masses (zero-mass cells dropped)."""
+    masses = np.asarray(masses, dtype=float)
+    values = np.asarray(values, dtype=float)
+    keep = masses > 1e-15
+    masses, values = masses[keep], values[keep]
+    total = masses.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"cell masses sum to {total!r}, expected 1")
+    breaks = np.concatenate([[0.0], np.cumsum(masses)])
+    breaks[-1] = 1.0
+    return StepFunction(breaks, values)
+
+
+@dataclass
+class LipschitzSet:
+    """Finite family of step functions standing in for an L_f set."""
+    members: list
+
+    def __post_init__(self):
+        if not self.members:
+            raise ValueError("empty set has no Hausdorff distance")
+
+
+def hausdorff_me1(A, B):
+    """max of the two sup-min me1 deviations between finite families."""
+    a_members = A.members if isinstance(A, LipschitzSet) else list(A)
+    b_members = B.members if isinstance(B, LipschitzSet) else list(B)
+    if not a_members or not b_members:
+        raise ValueError("empty set has no Hausdorff distance")
+    d = np.array([[me1(a, b) for b in b_members] for a in a_members])
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def _apportion(mu, grid):
+    """Largest-remainder rounding of a probability vector to grid units."""
+    target = mu * grid
+    base = np.floor(target).astype(int)
+    short = grid - int(base.sum())
+    if short > 0:
+        rem = target - base
+        base[np.argsort(-rem, kind="stable")[:short]] += 1
+    return base
+
+
+def emd_oracle(space, pair, grid):
+    """Transportation distance over couplings quantized to resolution 1/grid.
+
+    Both marginals are apportioned to grid unit masses; any grid coupling of
+    the rounded marginals splits into unit assignments, so the minimum over
+    the whole quantized polytope equals a minimum-cost assignment on the
+    expanded units.  Converges to emd as grid grows.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    if space.n > 6:
+        raise ValueError("oracle limited to spaces with at most 6 points")
+    if grid < 1:
+        raise ValueError("grid must be positive")
+    units1 = _apportion(pair.mu1, grid)
+    units2 = _apportion(pair.mu2, grid)
+    rows = np.repeat(np.arange(space.n), units1)
+    cols = np.repeat(np.arange(space.n), units2)
+    cost = space.dist[np.ix_(rows, cols)]
+    r, c = linear_sum_assignment(cost)
+    return float(cost[r, c].sum() / grid)

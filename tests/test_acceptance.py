@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_lipschitz, random_measure, random_space
+from conftest import emd_oracle, random_lipschitz, random_measure, random_space
 from mmlab.concentration import (LipschitzFunction, SearchConfig,
                                  alpha_lower_bound, gaussian_fit,
                                  hamming_cube_curve, sphere_cap_alpha,
@@ -24,7 +24,7 @@ from mmlab.dynamics import (LEADER_THRESHOLD, Cover, IsometricAction,
 from mmlab.generators import SamplerConfig, hamming_cube, sphere_sampled, symmetric_group
 from mmlab.observable import levy_convergence_test
 from mmlab.spaces import alpha_exact
-from mmlab.transport import MeasurePair, emd, emd_oracle
+from mmlab.transport import MeasurePair, emd
 
 from conftest import normalized
 

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_space
+from conftest import (LipschitzSet, hausdorff_me1, random_space, spaces,
+                      step_from_cells)
 from mmlab.concentration import SearchConfig
 from mmlab.generators import hamming_cube, product_space, symmetric_group
-from mmlab.observable import (LipschitzSet, StepFunction, _candidate_couplings,
-                              best_constant_me1, hausdorff_me1,
-                              levy_convergence_test, lipschitz_extremes, me1,
-                              obs_distance, step_constant, step_from_cells)
-from mmlab.spaces import point_space
+from mmlab.observable import (StepFunction, _best_const_rows,
+                              _candidate_couplings, _family_hausdorff,
+                              best_constant_me1, levy_convergence_test,
+                              lipschitz_extremes, me1, obs_distance,
+                              step_constant)
+from mmlab.spaces import FiniteMMSpace, point_space
 
 
 @st.composite
@@ -169,6 +171,44 @@ def test_extremes_reject_bad_anchor():
         lipschitz_extremes(cube, anchor=99)
 
 
+def _same_sets(P, Q, tol):
+    """Every row of P is within tol of a row of Q, and vice versa."""
+    gap = np.abs(P[:, None, :] - Q[None, :, :]).max(axis=2)
+    return bool((gap.min(axis=1) <= tol).all() and (gap.min(axis=0) <= tol).all())
+
+
+@settings(max_examples=40, deadline=None)
+@given(spaces(max_n=9), st.data(), st.sampled_from([256, 0]))
+def test_extremes_at_another_anchor_are_shifts(space, data, cap):
+    # cap 0 skips the McShane pass, as spaces above 256 points do
+    a = data.draw(st.integers(0, space.n - 1))
+    b = data.draw(st.integers(0, space.n - 1))
+    fa = lipschitz_extremes(space, a, mcshane_cap=cap)
+    fb = lipschitz_extremes(space, b, mcshane_cap=cap)
+    assert fa.flags["C_CONTIGUOUS"] and fa.shape[1] == space.n
+    assert _same_sets(fa, fb - fb[:, a, None], 1e-12)
+
+
+def test_extremes_lose_no_member_to_merging():
+    # d(0, 1) = M in [1e4, 1e5), d(1, 2) = 1 and d(0, 2) one ulp above M - 1:
+    # d(., 0) and -(d(., 1) - M) differ at point 2 by that ulp, 2e-12 to
+    # 1.5e-11, just over the 1e-12 merge tolerance, so both must survive
+    rng = np.random.default_rng(3)
+    for far in rng.uniform(1e4, 1e5, 200):
+        near = np.nextafter(far - 1.0, np.inf)
+        d = np.array([[0.0, far, near], [far, 0.0, 1.0], [near, 1.0, 0.0]])
+        space = FiniteMMSpace([0, 1, 2], np.full(3, 1 / 3), dist=d)
+        fam = lipschitz_extremes(space, 0, pair_limit=0, mcshane_cap=0)
+        v = d.T - d[0][:, None]
+        assert _same_sets(fam, np.concatenate([np.zeros((1, 3)), v, -v]), 1e-12)
+
+
+def test_ten_cube_family_merges_rounding_copies():
+    # distances to antipodes are 1 - d, so x -> d(x, y') - d(a, y') equals
+    # -(d(x, y) - d(a, y)) up to rounding: 1024 pairs of members, one zero
+    assert len(lipschitz_extremes(hamming_cube(10), 0)) == 1025
+
+
 # -- Hausdorff me1 ----------------------------------------------------------------
 
 def test_hausdorff_me1_examples():
@@ -180,6 +220,42 @@ def test_hausdorff_me1_examples():
         0.5, abs=1e-12)
     with pytest.raises(ValueError):
         LipschitzSet([])
+
+
+@st.composite
+def lifted_families(draw, max_cells=5, max_members=4):
+    k = draw(st.integers(1, max_cells))
+    raw = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    masses = np.asarray(raw, float) / sum(raw)
+
+    def family():
+        m = draw(st.integers(1, max_members))
+        vals = draw(st.lists(st.integers(-8, 8), min_size=m * k, max_size=m * k))
+        return np.asarray(vals, float).reshape(m, k) / 4.0
+
+    return masses, family(), family()
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifted_families())
+def test_family_hausdorff_against_the_pairwise_oracle(case):
+    masses, A, B = case
+    steps_a = [step_from_cells(masses, row) for row in A]
+    steps_b = [step_from_cells(masses, row) for row in B]
+    # the constants that matter: one optimal constant per member, which sits
+    # at the midpoint of two of its values
+    consts = []
+    for h in steps_a + steps_b:
+        fit = best_constant_me1(h)
+        c = min(((x + y) / 2 for x in h.values for y in h.values),
+                key=lambda c: me1(h, step_constant(c)))
+        assert me1(h, step_constant(c)) == pytest.approx(fit, abs=1e-12)
+        consts.append(step_constant(c))
+    want = hausdorff_me1(steps_a + consts, steps_b + consts)
+    fit_a = np.array([best_constant_me1(h) for h in steps_a])
+    fit_b = np.array([best_constant_me1(h) for h in steps_b])
+    got = _family_hausdorff(masses, A, B, fit_a, fit_b)
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_hausdorff_me1_subset_direction():
@@ -237,9 +313,45 @@ def test_near_identical_couplings_are_one_candidate():
         assert len(cands) == 1
 
 
+def _search_with_a_family_per_anchor(X, Y, cfg):
+    """The estimator's search, with the extreme families rebuilt and the
+    constants fitted at every anchor pair."""
+    best = np.inf
+    for pi in _candidate_couplings(X, Y, cfg):
+        ci, cj = np.nonzero(pi > 1e-15)
+        masses = pi[ci, cj]
+        for cell in np.lexsort((cj, ci, -masses))[:max(1, cfg.anchor_budget)]:
+            A = lipschitz_extremes(X, ci[cell])[:, ci]
+            B = lipschitz_extremes(Y, cj[cell])[:, cj]
+            best = min(best, _family_hausdorff(masses, A, B, _best_const_rows(masses, A),
+                                               _best_const_rows(masses, B)))
+    return best
+
+
+def test_anchors_as_shifts_match_a_family_per_anchor():
+    rng = np.random.default_rng(11)
+    for k in range(12):
+        X = random_space(rng, int(rng.integers(2, 9)))
+        Y = random_space(rng, int(rng.integers(2, 9)))
+        cfg = SearchConfig(seed=k, restarts=2, anchor_budget=int(rng.integers(1, 4)),
+                           coupling_exhaustive_limit=0)
+        want = _search_with_a_family_per_anchor(X, Y, cfg)
+        assert obs_distance(X, Y, cfg).upper == pytest.approx(want, abs=1e-12)
+
+
 def test_cube5_distance_to_point_is_exact():
     assert obs_distance(hamming_cube(5), point_space()).upper == pytest.approx(
         7 / 32, abs=1e-15)
+
+
+@pytest.mark.parametrize("space, want", [
+    (hamming_cube(4), 1 / 4), (hamming_cube(6), 7 / 32),
+    (hamming_cube(7), 3 / 14), (hamming_cube(8), 3 / 16),
+    (symmetric_group(4), 1 / 4), (symmetric_group(5), 1 / 5)],
+    ids=["cube4", "cube6", "cube7", "cube8", "S4", "S5"])
+def test_distance_to_point_is_pinned(space, want):
+    # the 5-cube is pinned to 1e-15 above
+    assert obs_distance(space, point_space()).upper == pytest.approx(want, abs=1e-12)
 
 
 # -- convergence to the point space -------------------------------------------------

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (mcshane_envelope, measures_on, random_measure,
-                      random_space, spaces)
+from conftest import (emd_oracle, mcshane_envelope, measures_on,
+                      random_measure, random_space, spaces)
 from mmlab.generators import hamming_cube
 from mmlab.spaces import FiniteMMSpace
-from mmlab.transport import (Coupling, MeasurePair, emd, emd_oracle,
-                             translate_distance)
+from mmlab.transport import Coupling, MeasurePair, emd, translate_distance
 
 
 def delta(n, i):
