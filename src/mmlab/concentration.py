@@ -11,6 +11,11 @@ import numpy as np
 from .spaces import (_MATERIALIZE_CAP, HALF_TOL, ConcentrationCurve, alpha_exact,
                      measure, neighborhood)
 
+_EXHAUSTIVE_BALL_LIMIT = 64  # spaces this small try a ball around every point
+_LIPSCHITZ_ANCHORS = 3       # points under each random 1-Lipschitz restart score
+_SWAP_PASSES = 2             # greedy removal-and-swap passes
+_SWAP_CAP = 256              # largest space the greedy swaps run on
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -24,10 +29,6 @@ class SearchConfig:
     seed: int = 0
     restarts: int = 8
     ball_anchors: int = 4
-    exhaustive_ball_limit: int = 64
-    lipschitz_anchors: int = 3
-    swap_passes: int = 2
-    swap_cap: int = 256
     anchor_budget: int = 8
     coupling_exhaustive_limit: int = 720
 
@@ -98,7 +99,7 @@ def _eval_candidate(space, mask, eps):
     return measure(space, neighborhood(space, mask, eps))
 
 
-def _greedy_refine(space, mask, eps, cfg):
+def _greedy_refine(space, mask, eps):
     """Local removals and swaps on a dense-matrix space.  Accepts strict
     lexicographic improvements in (thickened mass, set size), so it stops."""
     d = space.dist
@@ -111,7 +112,7 @@ def _greedy_refine(space, mask, eps, cfg):
         return float(w[(d[:, m].min(axis=1) <= eps)].sum())
 
     cur = mu_eps(mask)
-    for _ in range(cfg.swap_passes):
+    for _ in range(_SWAP_PASSES):
         changed = False
         # removals first: shrinking the set never hurts the objective
         for i in np.flatnonzero(mask):
@@ -169,7 +170,7 @@ def alpha_lower_bound(space, eps, cfg=None):
     w = space.weight
     all_idx = np.arange(n)
 
-    if n <= cfg.exhaustive_ball_limit:
+    if n <= _EXHAUSTIVE_BALL_LIMIT:
         anchors = list(range(n))
     else:
         rng = np.random.default_rng([cfg.seed, 0])
@@ -187,7 +188,7 @@ def alpha_lower_bound(space, eps, cfg=None):
     scale = None
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, 1 + r])
-        picks = rng.choice(n, size=min(cfg.lipschitz_anchors, n), replace=False)
+        picks = rng.choice(n, size=min(_LIPSCHITZ_ANCHORS, n), replace=False)
         rows = space.pairwise(np.asarray(picks), all_idx)
         if scale is None:
             scale = float(rows.max()) or 1.0
@@ -198,8 +199,8 @@ def alpha_lower_bound(space, eps, cfg=None):
         if mu < best:
             best, best_mask = mu, mask
 
-    if best_mask is not None and n <= cfg.swap_cap:
-        best = min(best, _greedy_refine(space, best_mask, eps, cfg))
+    if best_mask is not None and n <= _SWAP_CAP:
+        best = min(best, _greedy_refine(space, best_mask, eps))
 
     return float(min(max(1.0 - best, 0.0), 0.5))
 

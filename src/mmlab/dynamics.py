@@ -14,6 +14,7 @@ import numpy as np
 from .spaces import _as_mask, neighborhood
 
 _SAMPLE_BLOCK = 8192
+_ENUMERATION_CAP = 1 << 22  # most pruned colorings ramsey_verify enumerates
 
 LEADER_THRESHOLD = math.sqrt(2.0) / 2.0 - math.sqrt(3.0) / 3.0
 
@@ -294,7 +295,7 @@ def _ramsey_graph_two_colors(l, n, sets):
     return np.array([(bad >> (c - 1 - i)) & 1 for i in range(c)], dtype=np.int64)
 
 
-def ramsey_verify(k, l, r, n, enumeration_cap=1 << 22):
+def ramsey_verify(k, l, r, n):
     """Exhaustively checks whether every r-coloring of the k-subsets of
     range(n) contains a monochromatic l-subset; reports the lexicographically
     smallest counterexample coloring otherwise.
@@ -309,9 +310,9 @@ def ramsey_verify(k, l, r, n, enumeration_cap=1 << 22):
     c = len(sets)
     if l > n:
         return RamseyResult(False, ColoredHypergraph(n, k, r, np.zeros(c, dtype=np.int64)))
-    if c >= 1 and r ** (c - 1) > enumeration_cap:
+    if c >= 1 and r ** (c - 1) > _ENUMERATION_CAP:
         raise ValueError(
-            f"{r}^{c - 1} pruned colorings exceed the enumeration cap {enumeration_cap}")
+            f"{r}^{c - 1} pruned colorings exceed the enumeration cap {_ENUMERATION_CAP}")
 
     if r == 1:
         h = ColoredHypergraph(n, k, r, np.zeros(c, dtype=np.int64))

@@ -6,10 +6,10 @@ The estimator compares finite families: anchored extreme functions of each
 space (distance functions to small point sets, shifted to vanish at the
 anchor) together with all constant functions.  Constants are shared by both
 sides, so they never contribute to the Hausdorff value themselves; they let a
-concentrated distance function sit close to its typical value, which is what
-makes a Levy sequence's distance to the one-point space decay.  Without them
-every family containing d(., x0) would stay about 1/2 away from {0} no
-matter how concentrated the space is.
+concentrated distance function sit close to its typical value, so that a Levy
+sequence's distance to the one-point space decays.  Against that space, whose
+family is {0}, the estimator is a closed form: the largest me1 distance from
+a member of the other family to its nearest constant.
 """
 
 from __future__ import annotations
@@ -149,18 +149,16 @@ def best_constant_me1(h):
 
 # -- anchored Lipschitz families ----------------------------------------------
 
-def lipschitz_extremes(space, anchor, pair_limit=12, mcshane_cap=256):
+def lipschitz_extremes(space, anchor, pair_limit=12):
     """Finite spanning family of 1-Lipschitz value vectors vanishing at anchor,
     one member per row of a (members, points) matrix.
 
     Members are x -> d(x, S) - d(anchor, S) for S in a subset pool (all
     singletons; all pairs when the space has at most pair_limit points), their
     negatives, and the zero vector.  Distance functions to sets are exactly
-    1-Lipschitz; on small spaces each member is additionally passed through
-    the McShane cap min_y(v(y) + d(x, y)) to pin the property against float
-    drift.  Members agreeing within _MERGE_TOL at every point are one member
-    (the first seen), so rounding copies such as d(., y') - d(a, y') and
-    -(d(., y) - d(a, y)) for antipodes y, y' of a cube count once.
+    1-Lipschitz.  Members agreeing within _MERGE_TOL at every point are one
+    member (the first seen), so rounding copies such as d(., y') - d(a, y')
+    and -(d(., y) - d(a, y)) for antipodes y, y' of a cube count once.
 
     Adding a constant changes neither membership nor any me1 fit, so the
     family at another anchor b is this matrix minus its column b.
@@ -180,10 +178,6 @@ def lipschitz_extremes(space, anchor, pair_limit=12, mcshane_cap=256):
     fam = np.zeros((1 + 2 * pools.shape[0], n))
     fam[1::2] = pools - pools[:, anchor, None]
     fam[2::2] = -fam[1::2]
-
-    if n <= mcshane_cap:
-        fam = np.stack([(v[:, None] + d).min(axis=0) for v in fam])
-        fam = fam - fam[:, anchor, None]
 
     # rows in one bin of width _MERGE_TOL at every point are merged, after a
     # check that they really agree; a near pair split by a bin edge is kept
@@ -216,11 +210,6 @@ class Parametrization:
         np.add.at(push, self.owner, np.diff(self.breaks))
         if not np.allclose(push, self.space.weight, atol=1e-9):
             raise ValueError("pushforward of cell lengths does not match weights")
-
-    def to_step(self, values):
-        """Lift a value vector over points to a step function on [0,1]."""
-        values = np.asarray(values, dtype=float)
-        return StepFunction(self.breaks, values[self.owner])
 
 
 # -- observable distance estimator --------------------------------------------
@@ -322,45 +311,50 @@ def obs_distance(X, Y, cfg=None):
 
     Each space's extreme family is built once; an anchor only shifts every
     member by its value there.  The constant fit is shift-invariant, so it
-    runs once per coupling, on the lifted rows.
+    runs once per coupling, on the lifted rows.  Against the one-point space
+    it is the whole answer (module docstring): no search runs.
     """
     cfg = cfg or SearchConfig()
+    to_point = X.n == 1 or Y.n == 1
     best = None
     fx = lipschitz_extremes(X, 0)
     fy = lipschitz_extremes(Y, 0)
 
-    for pi in _candidate_couplings(X, Y, cfg):
+    couplings = [np.outer(X.weight, Y.weight)] if to_point else _candidate_couplings(X, Y, cfg)
+    for pi in couplings:
         ci, cj = np.nonzero(pi > _SUPPORT_TOL)
         masses = pi[ci, cj]
         # take keeps the lifted rows C-contiguous, which the row sorts need
         lx, ly = np.take(fx, ci, axis=1), np.take(fy, cj, axis=1)
         fit_x, fit_y = _best_const_rows(masses, lx), _best_const_rows(masses, ly)
         by_mass = np.lexsort((cj, ci, -masses))
+        if to_point:
+            best = (float(max(fit_x.max(), fit_y.max())), pi, ci, cj, masses, by_mass[0])
+            break
         for cell in by_mass[:max(1, cfg.anchor_budget)]:
             h = _family_hausdorff(masses, lx - lx[:, cell, None], ly - ly[:, cell, None],
                                   fit_x, fit_y)
             if best is None or h < best[0]:
-                # anchor cell first so the anchor point owns the interval at 0
-                order = np.concatenate([[cell], np.delete(np.arange(ci.shape[0]), cell)])
-                best = (h, pi, ci[order], cj[order], masses[order],
-                        (int(ci[cell]), int(cj[cell])))
+                best = (h, pi, ci, cj, masses, cell)
                 if h <= 0.0:
                     break
         if best is not None and best[0] <= 0.0:
             break
 
-    h, pi, oi, oj, masses, anchor = best
-    breaks = np.concatenate([[0.0], np.cumsum(masses)])
+    h, pi, ci, cj, masses, cell = best
+    # anchor cell first so the anchor point owns the interval at 0
+    order = np.concatenate([[cell], np.delete(np.arange(ci.shape[0]), cell)])
+    breaks = np.concatenate([[0.0], np.cumsum(masses[order])])
     breaks[-1] = 1.0
     return ObsDistanceResult(
         upper=h,
-        parametrization_x=Parametrization(X, breaks, oi),
-        parametrization_y=Parametrization(Y, breaks, oj),
+        parametrization_x=Parametrization(X, breaks, ci[order]),
+        parametrization_y=Parametrization(Y, breaks, cj[order]),
         coupling=pi,
-        anchor=anchor)
+        anchor=(int(ci[cell]), int(cj[cell])))
 
 
-def levy_convergence_test(spaces, cfg=None, slack=0.02):
+def levy_convergence_test(spaces, *, slack=0.02):
     """Distances of an ordered space family to the one-point space.
 
     decreasing_trend applies the same slack rule as the concentration-curve
@@ -368,7 +362,7 @@ def levy_convergence_test(spaces, cfg=None, slack=0.02):
     is strictly below the first.
     """
     pt = point_space()
-    dists = np.array([obs_distance(s, pt, cfg).upper for s in spaces])
+    dists = np.array([obs_distance(s, pt).upper for s in spaces])
     trend = bool((np.diff(dists) <= slack).all() and dists[-1] < dists[0]) \
         if dists.shape[0] > 1 else False
     return LevyConvergenceResult(dists=dists, decreasing_trend=trend, slack=slack)

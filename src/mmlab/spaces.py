@@ -33,6 +33,8 @@ METRIC_KINDS = ("matrix", "hamming", "euclidean", "sphere_geodesic", "operator_n
 _MATERIALIZE_CAP = 8192  # refuse to build dense matrices beyond this many points
 _SUBSET_TABLE_BUDGET = 1 << 30  # bytes for alpha_exact's per-subset tables
 _TILE_BYTES = 1 << 25  # scratch bytes one distance tile may hold
+_TRIANGLE_SAMPLE_CAP = 1024  # validate_space samples this many points beyond it
+_EXPLICIT_MATRIX_MAX = 512  # hamming spaces this small serialize as matrices
 # relative width of the band of squared distances that screens leave to the
 # exact formula; every float error it covers is below 1e-12
 _INDEX_MARGIN = 1e-9
@@ -423,21 +425,21 @@ def neighborhood(space, mask, eps):
     return space.thickened(mask, eps)
 
 
-def validate_space(space, atol=1e-9, triangle_sample_cap=1024, seed=0):
+def validate_space(space, atol=1e-9, seed=0):
     """Diagnostic list of metric/measure axiom violations ("" empty means valid).
 
-    The triangle inequality is checked exhaustively up to triangle_sample_cap
+    The triangle inequality is checked exhaustively up to _TRIANGLE_SAMPLE_CAP
     points and on a seeded point sample beyond that.
     """
     out = []
     n = space.n
     # all metric checks run on a submatrix: the whole space when it is small
     # enough to materialize, a seeded point sample otherwise
-    if n <= triangle_sample_cap and (space._dist is not None or n <= _MATERIALIZE_CAP):
+    if n <= _TRIANGLE_SAMPLE_CAP and (space._dist is not None or n <= _MATERIALIZE_CAP):
         idx = np.arange(n)
         sub = space.dist
     else:
-        take = min(n, triangle_sample_cap)
+        take = min(n, _TRIANGLE_SAMPLE_CAP)
         idx = np.sort(np.random.default_rng(seed).choice(n, take, replace=False))
         sub = space.pairwise(idx, idx)
 
@@ -585,18 +587,16 @@ class ConcentrationCurve:
 
 # -- JSON round trip ---------------------------------------------------------
 
-def space_to_json(space, explicit_matrix_max=512):
+def space_to_json(space):
     """JSON-compatible dict for a space.
 
     Small spaces serialize the dense matrix; point-backed spaces keep their
     implicit metric descriptor so huge instances stay huge-free on disk.
     """
     obj = {"labels": list(space.labels), "weights": [float(x) for x in space.weight]}
-    if space.metric == "matrix" or (space.points is None):
-        obj["metric"] = {"type": "matrix",
-                         "data": [[float(x) for x in row] for row in space.dist]}
-    elif space.n <= explicit_matrix_max and space.metric == "hamming":
-        # tiny digit-backed spaces round-trip as matrices for readability
+    # tiny digit-backed spaces round-trip as matrices for readability
+    if (space.metric == "matrix" or space.points is None
+            or (space.n <= _EXPLICIT_MATRIX_MAX and space.metric == "hamming")):
         obj["metric"] = {"type": "matrix",
                          "data": [[float(x) for x in row] for row in space.dist]}
     else:
@@ -640,9 +640,9 @@ def space_from_json(obj):
     raise ValueError(f"unknown metric type {kind!r}")
 
 
-def save_space(space, path, **kw):
+def save_space(space, path):
     with open(path, "w") as fh:
-        json.dump(space_to_json(space, **kw), fh, sort_keys=True)
+        json.dump(space_to_json(space), fh, sort_keys=True)
         fh.write("\n")
 
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import (LipschitzSet, hausdorff_me1, random_space, spaces,
                       step_from_cells)
+from mmlab import observable
 from mmlab.concentration import SearchConfig
-from mmlab.generators import hamming_cube, product_space, symmetric_group
+from mmlab.generators import (SamplerConfig, hamming_cube, product_space,
+                              sphere_sampled, symmetric_group)
 from mmlab.observable import (StepFunction, _best_const_rows,
                               _candidate_couplings, _family_hausdorff,
                               best_constant_me1, levy_convergence_test,
@@ -178,13 +180,12 @@ def _same_sets(P, Q, tol):
 
 
 @settings(max_examples=40, deadline=None)
-@given(spaces(max_n=9), st.data(), st.sampled_from([256, 0]))
-def test_extremes_at_another_anchor_are_shifts(space, data, cap):
-    # cap 0 skips the McShane pass, as spaces above 256 points do
+@given(spaces(max_n=9), st.data())
+def test_extremes_at_another_anchor_are_shifts(space, data):
     a = data.draw(st.integers(0, space.n - 1))
     b = data.draw(st.integers(0, space.n - 1))
-    fa = lipschitz_extremes(space, a, mcshane_cap=cap)
-    fb = lipschitz_extremes(space, b, mcshane_cap=cap)
+    fa = lipschitz_extremes(space, a)
+    fb = lipschitz_extremes(space, b)
     assert fa.flags["C_CONTIGUOUS"] and fa.shape[1] == space.n
     assert _same_sets(fa, fb - fb[:, a, None], 1e-12)
 
@@ -198,7 +199,7 @@ def test_extremes_lose_no_member_to_merging():
         near = np.nextafter(far - 1.0, np.inf)
         d = np.array([[0.0, far, near], [far, 0.0, 1.0], [near, 1.0, 0.0]])
         space = FiniteMMSpace([0, 1, 2], np.full(3, 1 / 3), dist=d)
-        fam = lipschitz_extremes(space, 0, pair_limit=0, mcshane_cap=0)
+        fam = lipschitz_extremes(space, 0, pair_limit=0)
         v = d.T - d[0][:, None]
         assert _same_sets(fam, np.concatenate([np.zeros((1, 3)), v, -v]), 1e-12)
 
@@ -339,6 +340,40 @@ def test_anchors_as_shifts_match_a_family_per_anchor():
         assert obs_distance(X, Y, cfg).upper == pytest.approx(want, abs=1e-12)
 
 
+def _spaces_with_a_massless_point(rng):
+    """Random dense spaces; the last one gives its first point weight 0."""
+    out = [random_space(rng, int(rng.integers(2, 10))) for _ in range(15)]
+    w = out[-1].weight.copy()
+    w[0] = 0.0
+    out.append(FiniteMMSpace(out[-1].labels, w / w.sum(), dist=out[-1].dist))
+    return out
+
+
+def test_distance_to_point_is_the_closed_form(monkeypatch):
+    pt = point_space()
+    cases = _spaces_with_a_massless_point(np.random.default_rng(17))
+    want = [_search_with_a_family_per_anchor(X, pt, SearchConfig(seed=k))
+            for k, X in enumerate(cases)]
+
+    def no_search(*args):
+        raise AssertionError("the point case ran the search")
+
+    monkeypatch.setattr(observable, "_candidate_couplings", no_search)
+    monkeypatch.setattr(observable, "_family_hausdorff", no_search)
+    for X, searched in zip(cases, want):
+        res = obs_distance(X, pt)
+        assert abs(res.upper - searched) <= 2.3e-16
+        assert type(res.upper) is float
+        assert np.array_equal(res.coupling, np.outer(X.weight, [1.0]))
+        # the first anchor cell by mass: the heaviest point, lowest index first
+        assert res.anchor == (int(np.argmax(X.weight)), 0)
+        back = obs_distance(pt, X)
+        assert back.upper == res.upper and back.anchor == (0, res.anchor[0])
+        # a massless point owns no cell
+        assert sorted(res.parametrization_x.owner) == list(np.flatnonzero(X.weight > 0))
+    assert obs_distance(pt, pt).upper == 0.0
+
+
 def test_cube5_distance_to_point_is_exact():
     assert obs_distance(hamming_cube(5), point_space()).upper == pytest.approx(
         7 / 32, abs=1e-15)
@@ -358,10 +393,7 @@ def test_distance_to_point_is_pinned(space, want):
 
 def test_cube_sequence_contracts_toward_the_point():
     spaces = [hamming_cube(n) for n in (2, 4, 6, 8, 10)]
-    # the deterministic coupling candidates already find the optimum here,
-    # so a lean budget pins the same values as the default
-    res = levy_convergence_test(spaces, SearchConfig(seed=0, restarts=2,
-                                                     anchor_budget=2))
+    res = levy_convergence_test(spaces)
     want = [0.25, 0.25, 0.21875, 0.1875, 0.2]
     assert np.allclose(res.dists, want, atol=1e-12)
     assert res.decreasing_trend
@@ -378,3 +410,13 @@ def test_identical_nontrivial_spaces_show_no_trend():
     res = levy_convergence_test([hamming_cube(2)] * 4)
     assert not res.decreasing_trend
     assert np.allclose(res.dists, res.dists[0], atol=1e-12)
+
+
+def test_sampled_spheres_are_a_levy_family():
+    # the paper's model Levy family: 250 geodesic samples of S^2, S^8, S^32
+    spaces = [sphere_sampled(d, SamplerConfig(seed=0, sample_count=250), "geodesic")
+              for d in (2, 8, 32)]
+    res = levy_convergence_test(spaces)
+    want = [0.5228064956955301, 0.36123838736869585, 0.2400000000000001]
+    assert np.allclose(res.dists, want, rtol=0, atol=1e-12)
+    assert res.decreasing_trend
