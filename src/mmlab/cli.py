@@ -10,9 +10,7 @@ symmetry with batch runners but never changes results.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -25,8 +23,8 @@ from .dynamics import (IsometricAction, is_essential, leader_certificate,
                        leader_empirical, ramsey_verify)
 from .generators import build_space
 from .observable import obs_distance
-from .spaces import (ConcentrationCurve, alpha_exact, space_from_json,
-                     space_to_json, validate_space)
+from .spaces import (_EXHAUSTIVE_CAP, ConcentrationCurve, alpha_exact,
+                     space_from_json, space_to_json, validate_space)
 from .transport import MeasurePair, emd
 from .concentration import alpha_lower_bound
 
@@ -142,20 +140,7 @@ def _generate_descriptor(args):
 
 def _cmd_generate(args, argv):
     desc = _generate_descriptor(args)
-    key = json.dumps(desc, sort_keys=True)
-    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-    cache_dir = os.environ.get("MMLAB_CACHE_DIR")
-    text = None
-    if cache_dir:
-        cached = Path(cache_dir) / f"{digest}.json"
-        if cached.is_file():
-            text = cached.read_text(encoding="utf-8")
-    if text is None:
-        space = build_space(desc)
-        text = _json_text(space_to_json(space))
-        if cache_dir:
-            Path(cache_dir).mkdir(parents=True, exist_ok=True)
-            (Path(cache_dir) / f"{digest}.json").write_text(text, encoding="utf-8")
+    text = _json_text(space_to_json(build_space(desc)))
     _emit(args, argv, text, inputs=[], parameters=desc)
     return 0
 
@@ -381,7 +366,7 @@ def _build_parser():
     p.add_argument("--eps", type=float)
     p.add_argument("--grid", help="start:stop:count for a CSV curve")
     p.add_argument("--mode", choices=("exact", "lower"), default="exact")
-    p.add_argument("--cap", type=int, default=20)
+    p.add_argument("--cap", type=int, default=_EXHAUSTIVE_CAP)
     common(p)
     p.set_defaults(handler=_cmd_alpha)
 

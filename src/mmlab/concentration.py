@@ -8,13 +8,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import (_MATERIALIZE_CAP, HALF_TOL, ConcentrationCurve, alpha_exact,
-                     measure, neighborhood)
+from .spaces import (_EXHAUSTIVE_CAP, _MATERIALIZE_CAP, HALF_TOL, ConcentrationCurve,
+                     alpha_exact, measure, neighborhood)
 
 _EXHAUSTIVE_BALL_LIMIT = 64  # spaces this small try a ball around every point
 _LIPSCHITZ_ANCHORS = 3       # points under each random 1-Lipschitz restart score
 _SWAP_PASSES = 2             # greedy removal-and-swap passes
 _SWAP_CAP = 256              # largest space the greedy swaps run on
+_LIPSCHITZ_REL_TOL = 1e-9    # relative slack LipschitzFunction.check allows
+_CUBE_ALPHA_MAX_DIM = 24     # largest cube hamming_cube_alpha evaluates
 
 
 @dataclass(frozen=True)
@@ -52,13 +54,13 @@ class LipschitzFunction:
         if self.constant < 0:
             raise ValueError("Lipschitz constant must be nonnegative")
 
-    def check(self, space, rel_tol=1e-9):
+    def check(self, space):
         """Raise if the claimed constant fails on some pair."""
         if self.values.shape[0] != space.n:
             raise ValueError("value vector length does not match the space")
         d = space.dist
         gaps = np.abs(self.values[:, None] - self.values[None, :])
-        excess = gaps - self.constant * d * (1.0 + rel_tol) - 1e-12
+        excess = gaps - self.constant * d * (1.0 + _LIPSCHITZ_REL_TOL) - 1e-12
         if (excess > 0).any():
             i, j = np.unravel_index(np.argmax(excess), excess.shape)
             raise ValueError(
@@ -242,7 +244,7 @@ def median(space, f):
     return float(uniq[int(np.argmax(ok))])
 
 
-def tail_check(space, f, eps, exhaustive_cap=20, cfg=None):
+def tail_check(space, f, eps):
     """Check the deviation-from-median tail against twice the concentration
     function.  Uses the exact alpha within the exhaustive range and the
     majority-ball upper bound beyond it (flagged in bound_kind)."""
@@ -255,8 +257,8 @@ def tail_check(space, f, eps, exhaustive_cap=20, cfg=None):
             "rescale the values first")
     m = median(space, f)
     tail = float(space.weight[np.abs(f.values - m) > eps].sum())
-    if space.n <= exhaustive_cap:
-        bound = 2.0 * alpha_exact(space, eps, exhaustive_cap=exhaustive_cap)
+    if space.n <= _EXHAUSTIVE_CAP:
+        bound = 2.0 * alpha_exact(space, eps)
         kind = "exact"
     elif space.n <= _MATERIALIZE_CAP:
         bound = 2.0 * majority_ball_upper(space, eps)
@@ -336,7 +338,7 @@ def sphere_cap_curve(dim, eps_grid):
 
 # -- exact hamming cube curves -----------------------------------------------
 
-def hamming_cube_alpha(n, eps, max_dim=24):
+def hamming_cube_alpha(n, eps):
     """Exact concentration function of the normalized hamming cube.
 
     By Harper's vertex-isoperimetric theorem a half-mass set with the
@@ -345,8 +347,8 @@ def hamming_cube_alpha(n, eps, max_dim=24):
     thickening is the same shape grown by floor(n*eps) hops, so the value is
     a binomial sum in exact integers.
     """
-    if not 1 <= n <= max_dim:
-        raise ValueError(f"cube dimension {n} outside [1, {max_dim}]")
+    if not 1 <= n <= _CUBE_ALPHA_MAX_DIM:
+        raise ValueError(f"cube dimension {n} outside [1, {_CUBE_ALPHA_MAX_DIM}]")
     if eps <= 0:
         raise ValueError("eps must be positive")
     r = min((n - 1) // 2 + math.floor(n * eps + 1e-9), n)
@@ -363,7 +365,8 @@ def hamming_cube_curve(n, eps_grid):
 
 # -- curve assembly ----------------------------------------------------------
 
-def concentration_curve(space, eps_grid, mode="exact", cfg=None, exhaustive_cap=20):
+def concentration_curve(space, eps_grid, mode="exact", cfg=None,
+                        exhaustive_cap=_EXHAUSTIVE_CAP):
     """Sample the concentration function over a grid.
 
     mode "exact" enumerates subsets; mode "lower" runs the search bound and

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .generators import _blocks, _unit_vectors
 from .spaces import _as_mask, neighborhood
 
-_SAMPLE_BLOCK = 8192
 _ENUMERATION_CAP = 1 << 22  # most pruned colorings ramsey_verify enumerates
 
 LEADER_THRESHOLD = math.sqrt(2.0) / 2.0 - math.sqrt(3.0) / 3.0
@@ -169,6 +169,8 @@ def leader_empirical(dim_half, sample_count, eps, seed=0):
     projections onto all three equal coordinate blocks have norm at least
     sqrt(2)/2 - eps.  The Pythagorean argument makes the count exactly zero
     whenever eps is below the certificate threshold."""
+    if dim_half < 1:
+        raise ValueError("dim_half must be at least 1")
     d = 2 * dim_half
     if d % 6 != 0:
         raise ValueError("2*dim_half must be divisible by 6 for three equal blocks")
@@ -179,25 +181,12 @@ def leader_empirical(dim_half, sample_count, eps, seed=0):
     third = d // 3
     level_sq = (math.sqrt(2.0) / 2.0 - eps) ** 2
     violations = 0
-    done = 0
-    block = 0
-    while done < sample_count:
-        take = min(_SAMPLE_BLOCK, sample_count - done)
-        rng = np.random.default_rng([seed, block])
-        g = rng.standard_normal((take, d))
-        norms = np.linalg.norm(g, axis=1)
-        while (norms == 0).any():
-            bad = norms == 0
-            g[bad] = rng.standard_normal((int(bad.sum()), d))
-            norms = np.linalg.norm(g, axis=1)
-        g /= norms[:, None]
-        sq = g * g
-        ok = np.ones(take, dtype=bool)
+    for sq in _blocks(seed, sample_count, lambda rng, take: _unit_vectors(rng, take, d)):
+        np.square(sq, out=sq)
+        ok = np.ones(sq.shape[0], dtype=bool)
         for b in range(3):
             ok &= sq[:, b * third:(b + 1) * third].sum(axis=1) >= level_sq
         violations += int(ok.sum())
-        done += take
-        block += 1
     return LeaderEmpirical(violations=violations, sample_count=sample_count, eps=eps)
 
 

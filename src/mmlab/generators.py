@@ -16,6 +16,10 @@ import numpy as np
 from .spaces import FiniteMMSpace
 
 _SAMPLE_BLOCK = 8192
+_CUBE_MAX_DIM = 20          # hamming_cube materializes 2^n points up to this
+_SYMMETRIC_MAX_N = 7        # symmetric_group materializes n! points up to this
+_SL2_MAX_P = 13             # sl2_word_metric builds (p^3 - p)^2 distances up to this
+_PRODUCT_MAX_POINTS = 4096  # product_space materializes k^n points up to this
 
 
 @dataclass(frozen=True)
@@ -28,22 +32,38 @@ class SamplerConfig:
             raise ValueError("sample_count must be at least 1")
 
 
+def _blocks(seed, count, draw):
+    """Yield draw(rng, take) over fixed-size blocks of count samples, block b
+    seeded by (seed, b), so the samples never depend on how work is split."""
+    for b0 in range(0, count, _SAMPLE_BLOCK):
+        yield draw(np.random.default_rng([int(seed), b0 // _SAMPLE_BLOCK]),
+                   min(_SAMPLE_BLOCK, count - b0))
+
+
 def _sample_blocks(cfg, draw):
-    """Stack draw(rng, take) over fixed-size blocks, block b seeded by
-    (cfg.seed, b), so the samples never depend on how work is split."""
-    return np.concatenate([
-        draw(np.random.default_rng([int(cfg.seed), b0 // _SAMPLE_BLOCK]),
-             min(_SAMPLE_BLOCK, cfg.sample_count - b0))
-        for b0 in range(0, cfg.sample_count, _SAMPLE_BLOCK)], axis=0)
+    """All of cfg's blocks of draw, stacked."""
+    return np.concatenate(list(_blocks(cfg.seed, cfg.sample_count, draw)), axis=0)
+
+
+def _unit_vectors(rng, take, d):
+    """take uniform unit vectors in R^d: gaussians normalized in place, with
+    near-zero draws redrawn."""
+    g = rng.standard_normal((take, d))
+    norms = np.linalg.norm(g, axis=1)
+    while (bad := norms < 1e-12).any():
+        g[bad] = rng.standard_normal((int(bad.sum()), d))
+        norms = np.linalg.norm(g, axis=1)
+    g /= norms[:, None]
+    return g
 
 
 # -- hamming cubes -----------------------------------------------------------
 
-def hamming_cube(n, max_dim=20):
+def hamming_cube(n):
     """Uniform measure on {0,1}^n with normalized hamming distance."""
-    if not 1 <= n <= max_dim:
+    if not 1 <= n <= _CUBE_MAX_DIM:
         raise ValueError(
-            f"cube dimension {n} outside [1, {max_dim}]; "
+            f"cube dimension {n} outside [1, {_CUBE_MAX_DIM}]; "
             "use hamming_cube_sampled for larger dimensions")
     count = 1 << n
     idx = np.arange(count, dtype=np.uint32)
@@ -67,12 +87,12 @@ def hamming_cube_sampled(n, cfg):
 
 # -- permutation groups ------------------------------------------------------
 
-def symmetric_group(n, max_n=7):
+def symmetric_group(n):
     """All permutations of n symbols, uniform measure, normalized hamming
     distance between permutation words (fraction of displaced symbols)."""
-    if not 1 <= n <= max_n:
+    if not 1 <= n <= _SYMMETRIC_MAX_N:
         raise ValueError(
-            f"symmetric group degree {n} outside [1, {max_n}]; "
+            f"symmetric group degree {n} outside [1, {_SYMMETRIC_MAX_N}]; "
             "use symmetric_group_sampled for larger degrees")
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
     labels = ["".join(map(str, p)) for p in perms]
@@ -103,17 +123,7 @@ def sphere_sampled(dim, cfg, metric="euclidean"):
         raise ValueError("sphere dimension must be positive")
     if metric not in ("euclidean", "geodesic"):
         raise ValueError(f"metric must be euclidean or geodesic, got {metric!r}")
-    d = dim + 1
-
-    def draw(rng, take):
-        g = rng.standard_normal((take, d))
-        norms = np.linalg.norm(g, axis=1)
-        while (bad := norms < 1e-12).any():
-            g[bad] = rng.standard_normal((int(bad.sum()), d))
-            norms = np.linalg.norm(g, axis=1)
-        return g / norms[:, None]
-
-    pts = _sample_blocks(cfg, draw)
+    pts = _sample_blocks(cfg, lambda rng, take: _unit_vectors(rng, take, dim + 1))
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
     kind = "euclidean" if metric == "euclidean" else "sphere_geodesic"
     return FiniteMMSpace(list(range(cfg.sample_count)), w, points=pts, metric=kind)
@@ -181,22 +191,33 @@ def _is_prime(p):
     return True
 
 
-def sl2_word_metric(p, max_p=13):
+def sl2_word_metric(p):
     """SL(2, F_p) with the word metric of the two elementary generators
     and their inverses.  Group order is p^3 - p."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p > max_p:
-        raise ValueError(f"p={p} exceeds the cap {max_p} (order grows as p^3)")
+    if p > _SL2_MAX_P:
+        raise ValueError(f"p={p} exceeds the cap {_SL2_MAX_P} (order grows as p^3)")
 
+    def mul(x, y):
+        # products mod p of row-major 2x2 matrices, (..., 4) each, broadcast
+        return np.stack([
+            (x[..., 0] * y[..., 0] + x[..., 1] * y[..., 2]) % p,
+            (x[..., 0] * y[..., 1] + x[..., 1] * y[..., 3]) % p,
+            (x[..., 2] * y[..., 0] + x[..., 3] * y[..., 2]) % p,
+            (x[..., 2] * y[..., 1] + x[..., 3] * y[..., 3]) % p,
+        ], axis=-1)
+
+    # the "ij" grid runs through (a, b, c, d) in lexicographic order
     a, b, c, d = np.meshgrid(*([np.arange(p)] * 4), indexing="ij")
     det1 = (a * d - b * c) % p == 1
     elems = np.stack([a[det1], b[det1], c[det1], d[det1]], axis=1)
-    elems = elems[np.lexsort((elems[:, 3], elems[:, 2], elems[:, 1], elems[:, 0]))]
     k = elems.shape[0]
     assert k == p**3 - p
+    place = p ** np.arange(3, -1, -1)  # m @ place is m's base-p code
+    lut = np.full(p**4, -1, dtype=np.int64)  # code -> index in elems
+    lut[elems @ place] = np.arange(k)
 
-    index = {tuple(e): i for i, e in enumerate(elems)}
     gens = np.array([
         [1, 1, 0, 1],
         [1, p - 1, 0, 1],
@@ -204,52 +225,25 @@ def sl2_word_metric(p, max_p=13):
         [1, 0, p - 1, 1],
     ])
 
-    def mul(x, y):
-        # (k, 4) times (4,) matrix product mod p
-        return np.stack([
-            (x[:, 0] * y[0] + x[:, 1] * y[2]) % p,
-            (x[:, 0] * y[1] + x[:, 1] * y[3]) % p,
-            (x[:, 2] * y[0] + x[:, 3] * y[2]) % p,
-            (x[:, 2] * y[1] + x[:, 3] * y[3]) % p,
-        ], axis=1)
-
     # word lengths by breadth-first search from the identity
     lengths = np.full(k, -1, dtype=np.int64)
-    ident = index[(1, 0, 0, 1)]
-    lengths[ident] = 0
-    frontier = [ident]
+    frontier = lut[np.array([[1, 0, 0, 1]]) @ place]  # the identity
+    lengths[frontier] = 0
     level = 0
-    while frontier:
+    while frontier.size:
         level += 1
-        cur = elems[frontier]
-        nxt = []
-        for g in gens:
-            prods = np.stack([
-                (g[0] * cur[:, 0] + g[1] * cur[:, 2]) % p,
-                (g[0] * cur[:, 1] + g[1] * cur[:, 3]) % p,
-                (g[2] * cur[:, 0] + g[3] * cur[:, 2]) % p,
-                (g[2] * cur[:, 1] + g[3] * cur[:, 3]) % p,
-            ], axis=1)
-            for t in prods:
-                i = index[tuple(t)]
-                if lengths[i] < 0:
-                    lengths[i] = level
-                    nxt.append(i)
-        frontier = nxt
+        reached = lut[mul(gens[:, None], elems[frontier]) @ place].reshape(-1)
+        frontier = np.unique(reached[lengths[reached] < 0])
+        lengths[frontier] = level
     if (lengths < 0).any():
         raise RuntimeError("generators fail to generate the group")
 
     # dist(g_i, g_j) = wordlen(g_i * g_j^{-1})
     invs = np.stack([elems[:, 3], (-elems[:, 1]) % p,
                      (-elems[:, 2]) % p, elems[:, 0]], axis=1)
-    flat_all = ((elems[:, 0] * p + elems[:, 1]) * p + elems[:, 2]) * p + elems[:, 3]
-    lut = np.full(p**4, -1, dtype=np.int64)
-    lut[flat_all] = np.arange(k)
     dist = np.empty((k, k), dtype=float)
     for j in range(k):
-        prod = mul(elems, invs[j])
-        flat = ((prod[:, 0] * p + prod[:, 1]) * p + prod[:, 2]) * p + prod[:, 3]
-        dist[:, j] = lengths[lut[flat]]
+        dist[:, j] = lengths[lut[mul(elems, invs[j]) @ place]]
     return WordMetricGroup(
         elements=elems.reshape(k, 2, 2), gens=gens.reshape(4, 2, 2),
         dist=dist, p=p)
@@ -257,7 +251,7 @@ def sl2_word_metric(p, max_p=13):
 
 # -- products ----------------------------------------------------------------
 
-def product_space(base_weights, n, max_points=4096):
+def product_space(base_weights, n):
     """n-fold measure product of a weighted alphabet with normalized
     coordinate-mismatch distance."""
     base = np.asarray(base_weights, dtype=float)
@@ -269,8 +263,8 @@ def product_space(base_weights, n, max_points=4096):
         raise ValueError("n must be positive")
     k = base.size
     count = k**n
-    if count > max_points:
-        raise ValueError(f"k^n = {count} exceeds cap {max_points}")
+    if count > _PRODUCT_MAX_POINTS:
+        raise ValueError(f"k^n = {count} exceeds cap {_PRODUCT_MAX_POINTS}")
     idx = np.arange(count)
     digits = np.empty((count, n), dtype=np.uint8)
     rem = idx.copy()

@@ -52,10 +52,6 @@ class StepFunction:
         return np.diff(self.breakpoints)
 
 
-def step_constant(c):
-    return StepFunction([0.0, 1.0], [float(c)])
-
-
 def _me1_rows(masses, gaps):
     """me1-to-zero of |gap| rows sharing one cell-mass vector.
 

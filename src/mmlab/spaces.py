@@ -31,9 +31,11 @@ HALF_TOL = 1e-12
 METRIC_KINDS = ("matrix", "hamming", "euclidean", "sphere_geodesic", "operator_norm")
 
 _MATERIALIZE_CAP = 8192  # refuse to build dense matrices beyond this many points
+_EXHAUSTIVE_CAP = 20  # default largest space alpha_exact enumerates
 _SUBSET_TABLE_BUDGET = 1 << 30  # bytes for alpha_exact's per-subset tables
 _TILE_BYTES = 1 << 25  # scratch bytes one distance tile may hold
 _TRIANGLE_SAMPLE_CAP = 1024  # validate_space samples this many points beyond it
+_VALIDATE_ATOL = 1e-9  # metric and weight slack validate_space tolerates
 _EXPLICIT_MATRIX_MAX = 512  # hamming spaces this small serialize as matrices
 # relative width of the band of squared distances that screens leave to the
 # exact formula; every float error it covers is below 1e-12
@@ -69,7 +71,7 @@ class FiniteMMSpace:
         if w.shape[0] != n:
             raise ValueError(f"{w.shape[0]} weights for {n} labels")
         s = float(w.sum())
-        if abs(s - 1.0) > WEIGHT_REJECT_TOL:
+        if not abs(s - 1.0) <= WEIGHT_REJECT_TOL:  # a nan sum is rejected too
             raise ValueError(f"weights sum to {s!r}, expected 1 within {WEIGHT_REJECT_TOL}")
         if abs(s - 1.0) > WEIGHT_CLEAN_TOL:
             warnings.warn(f"renormalizing weights (sum was {s!r})", stacklevel=2)
@@ -425,11 +427,12 @@ def neighborhood(space, mask, eps):
     return space.thickened(mask, eps)
 
 
-def validate_space(space, atol=1e-9, seed=0):
+@np.errstate(invalid="ignore")  # inf - inf in the later checks; reported as non-finite
+def validate_space(space):
     """Diagnostic list of metric/measure axiom violations ("" empty means valid).
 
     The triangle inequality is checked exhaustively up to _TRIANGLE_SAMPLE_CAP
-    points and on a seeded point sample beyond that.
+    points and on a point sample of fixed seed beyond that.
     """
     out = []
     n = space.n
@@ -440,15 +443,17 @@ def validate_space(space, atol=1e-9, seed=0):
         sub = space.dist
     else:
         take = min(n, _TRIANGLE_SAMPLE_CAP)
-        idx = np.sort(np.random.default_rng(seed).choice(n, take, replace=False))
+        idx = np.sort(np.random.default_rng(0).choice(n, take, replace=False))
         sub = space.pairwise(idx, idx)
 
+    for i, j in np.argwhere(~np.isfinite(sub))[:5]:
+        out.append(f"non-finite distance at ({idx[i]},{idx[j]})")
     for i in np.flatnonzero(np.diag(sub) != 0)[:5]:
         out.append(f"nonzero self-distance at ({idx[i]},{idx[i]})")
-    asym = [(i, j) for i, j in np.argwhere(np.abs(sub - sub.T) > atol) if i < j]
+    asym = [(i, j) for i, j in np.argwhere(np.abs(sub - sub.T) > _VALIDATE_ATOL) if i < j]
     for i, j in asym[:5]:
         out.append(f"symmetry violated at ({idx[i]},{idx[j]})")
-    for i, j in np.argwhere(sub < -atol)[:5]:
+    for i, j in np.argwhere(sub < -_VALIDATE_ATOL)[:5]:
         out.append(f"negative distance at ({idx[i]},{idx[j]})")
 
     reported = 0
@@ -456,18 +461,18 @@ def validate_space(space, atol=1e-9, seed=0):
         if reported >= 5:
             break
         rhs = sub[:, jj:jj + 1] + sub[jj:jj + 1, :]  # d(i,j) + d(j,k)
-        for i, k in np.argwhere(sub > rhs + atol):
+        for i, k in np.argwhere(sub > rhs + _VALIDATE_ATOL):
             out.append(
                 f"triangle inequality violated at ({idx[i]},{idx[jj]},{idx[k]})")
             reported += 1
             if reported >= 5:
                 break
 
-    wneg = np.flatnonzero(space.weight < -atol)
+    wneg = np.flatnonzero(space.weight < -_VALIDATE_ATOL)
     for i in wneg[:5]:
         out.append(f"negative weight at {i}")
     s = float(space.weight.sum())
-    if abs(s - 1.0) > WEIGHT_REJECT_TOL:
+    if not abs(s - 1.0) <= WEIGHT_REJECT_TOL:
         out.append(f"weights sum to {s!r}, expected 1")
     return out
 
@@ -481,7 +486,7 @@ def diameter(space):
                for r, c in _tiles(space._kernel, idx, idx))
 
 
-def alpha_exact(space, eps, exhaustive_cap=20):
+def alpha_exact(space, eps, exhaustive_cap=_EXHAUSTIVE_CAP):
     """Exact concentration function value by subset enumeration.
 
     alpha(eps) = 1 - min{ mu(A_eps) : mu(A) >= 1/2 }, closed thickening.

@@ -1,8 +1,9 @@
 """Shared test instances and oracles: random finite metric-measure spaces,
 1-Lipschitz data, and random measures, both as hypothesis strategies and as
 plain seeded constructors for the bulk randomized sweeps; step functions from
-cell masses; the Hausdorff me1 distance between finite families, pair by
-pair; and a grid-quantized transport oracle independent of the LP solver."""
+cell masses and constants; the Hausdorff me1 distance between finite
+families, pair by pair; and a grid-quantized transport oracle independent of
+the LP solver."""
 
 from dataclasses import dataclass
 
@@ -103,6 +104,11 @@ def step_from_cells(masses, values):
     breaks = np.concatenate([[0.0], np.cumsum(masses)])
     breaks[-1] = 1.0
     return StepFunction(breaks, values)
+
+
+def step_constant(c):
+    """The constant function c as a one-cell step function."""
+    return StepFunction([0.0, 1.0], [float(c)])
 
 
 @dataclass

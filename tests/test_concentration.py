@@ -240,6 +240,18 @@ def test_tail_check_beyond_diameter_is_empty():
     assert res.tail_mass == 0.0 and res.holds
 
 
+@pytest.mark.parametrize("n, kind, alpha", [(20, "exact", alpha_exact),
+                                            (21, "majority_ball", majority_ball_upper)])
+def test_tail_check_bound_past_the_exhaustive_cap(n, kind, alpha):
+    pos = np.arange(n) / n
+    line = FiniteMMSpace(list(range(n)), np.full(n, 1 / n),
+                         dist=np.abs(pos[:, None] - pos[None, :]))
+    res = tail_check(line, LipschitzFunction(pos), 0.3)
+    assert res.bound_kind == kind
+    assert res.bound == 2 * alpha(line, 0.3)
+    assert res.holds
+
+
 def test_tail_check_requires_unit_constant():
     cube = hamming_cube(2)
     f = LipschitzFunction([0.0, 2.0, 2.0, 4.0], constant=4.0)

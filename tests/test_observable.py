@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (LipschitzSet, hausdorff_me1, random_space, spaces,
-                      step_from_cells)
+                      step_constant, step_from_cells)
 from mmlab import observable
 from mmlab.concentration import SearchConfig
 from mmlab.generators import (SamplerConfig, hamming_cube, product_space,
@@ -16,8 +16,7 @@ from mmlab.generators import (SamplerConfig, hamming_cube, product_space,
 from mmlab.observable import (StepFunction, _best_const_rows,
                               _candidate_couplings, _family_hausdorff,
                               best_constant_me1, levy_convergence_test,
-                              lipschitz_extremes, me1, obs_distance,
-                              step_constant)
+                              lipschitz_extremes, me1, obs_distance)
 from mmlab.spaces import FiniteMMSpace, point_space
 
 
