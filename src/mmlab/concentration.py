@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import (_EXHAUSTIVE_CAP, _MATERIALIZE_CAP, HALF_TOL, ConcentrationCurve,
-                     alpha_exact, measure, neighborhood)
+from .spaces import (_EXHAUSTIVE_CAP, _MATERIALIZE_CAP, _TILE_BYTES, HALF_TOL,
+                     ConcentrationCurve, alpha_exact, measure, neighborhood)
 
 _EXHAUSTIVE_BALL_LIMIT = 64  # spaces this small try a ball around every point
 _LIPSCHITZ_ANCHORS = 3       # points under each random 1-Lipschitz restart score
@@ -17,6 +17,8 @@ _SWAP_PASSES = 2             # greedy removal-and-swap passes
 _SWAP_CAP = 256              # largest space the greedy swaps run on
 _LIPSCHITZ_REL_TOL = 1e-9    # relative slack LipschitzFunction.check allows
 _CUBE_ALPHA_MAX_DIM = 24     # largest cube hamming_cube_alpha evaluates
+_BALL_PAIR_BYTES = 33        # majority_ball_upper's scratch per pair: distance,
+                             # order, weight, running mass and threshold flag
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,8 @@ class LipschitzFunction:
             i, j = np.unravel_index(np.argmax(excess), excess.shape)
             raise ValueError(
                 f"Lipschitz constant {self.constant} violated at ({i},{j}): "
-                f"|f({i})-f({j})|={gaps[i, j]!r} > c*d={self.constant * d[i, j]!r}")
+                f"|f({i})-f({j})|={float(gaps[i, j])!r} > "
+                f"c*d={float(self.constant * d[i, j])!r}")
 
 
 @dataclass(frozen=True)
@@ -212,17 +215,23 @@ def majority_ball_upper(space, eps):
 
     If the ball around x of radius r has mass strictly above one half, every
     half-mass set meets it, so x lies in the eps-thickening whenever r <= eps.
-    One minus the mass of such x bounds alpha from above.
+    One minus the mass of such x bounds alpha from above.  Each point's
+    smallest majority radius depends on its own row alone, so rows are
+    processed in blocks of bounded scratch.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    d = space.dist
-    order = np.argsort(d, axis=1, kind="stable")
-    cum = np.cumsum(np.take_along_axis(
-        np.broadcast_to(space.weight, d.shape), order, axis=1), axis=1)
-    first = np.argmax(cum > 0.5 + 1e-9, axis=1)
-    radii = np.take_along_axis(d, np.take_along_axis(
-        order, first[:, None], axis=1), axis=1)[:, 0]
+    n = space.n
+    all_idx = np.arange(n)
+    radii = np.empty(n)
+    rows = max(1, _TILE_BYTES // (_BALL_PAIR_BYTES * n))
+    for r0 in range(0, n, rows):
+        d = space.pairwise(all_idx[r0:r0 + rows], all_idx)
+        order = np.argsort(d, axis=1, kind="stable")
+        cum = np.cumsum(space.weight[order], axis=1)
+        first = np.argmax(cum > 0.5 + 1e-9, axis=1)
+        radii[r0:r0 + rows] = np.take_along_axis(d, np.take_along_axis(
+            order, first[:, None], axis=1), axis=1)[:, 0]
     return float(min(max(1.0 - space.weight[radii <= eps].sum(), 0.0), 0.5))
 
 

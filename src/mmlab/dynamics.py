@@ -187,6 +187,7 @@ def leader_empirical(dim_half, sample_count, eps, seed=0):
         for b in range(3):
             ok &= sq[:, b * third:(b + 1) * third].sum(axis=1) >= level_sq
         violations += int(ok.sum())
+        del sq  # free the block before _blocks draws the next one
     return LeaderEmpirical(violations=violations, sample_count=sample_count, eps=eps)
 
 

@@ -1,7 +1,7 @@
 """Transportation (earth mover's) distance between probability measures on a
-shared finite metric space: an exact linear-programming solver with a witness
-coupling, and the translate distance of a measure under a point
-permutation."""
+shared finite metric space: an exact min-cost flow over the metric's essential
+pairs, with a dual certificate and a witness coupling, and the translate
+distance of a measure under a point permutation."""
 
 from __future__ import annotations
 
@@ -9,7 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spaces import _TILE_BYTES
+
 _MARGINAL_TOL = 1e-9
+_REL_TOL = 1e-9         # slack, relative to d_max, of the metric and certificate checks
+_SPLIT_REL_TOL = 1e-12  # two legs this close to d_ij make the pair inessential
+_TRIPLE_BYTES = 20      # scratch one (i, k, j) triple of the pair scan takes
 
 
 @dataclass
@@ -62,41 +67,141 @@ class Coupling:
 class EmdResult:
     distance: float
     witness: Coupling
+    potential: np.ndarray  # the dual certificate: 1-Lipschitz, pairs to distance
+
+
+def _essential_pairs(d):
+    """Mask of the pairs (i, j), i != j, that no point k splits into two
+    strictly shorter legs with d_ik + d_kj <= d_ij (1 + _SPLIT_REL_TOL).
+
+    The flow over these pairs is the transport cost only on a metric, so
+    this raises ValueError, naming the entry or triple, unless d is finite,
+    zero on the diagonal and meets the triangle inequality, each within
+    _REL_TOL * d_max.  Rows are scanned in blocks of bounded scratch.
+    """
+    if not np.isfinite(d).all():
+        i, j = np.argwhere(~np.isfinite(d))[0]
+        raise ValueError(f"not a metric: non-finite distance at ({i},{j})")
+    tol = _REL_TOL * float(d.max())
+    diag = np.abs(np.diagonal(d))
+    if diag.max() > tol:
+        i = int(np.argmax(diag))
+        raise ValueError(f"not a metric: d[{i},{i}]={float(d[i, i])!r} is not zero")
+    n = d.shape[0]
+    keep = np.empty((n, n), dtype=bool)
+    rows = max(1, _TILE_BYTES // (_TRIPLE_BYTES * n * n))
+    for r0 in range(0, n, rows):
+        target = d[r0:r0 + rows, None, :]      # d_ij, indexed [i, k, j]
+        first = d[r0:r0 + rows, :, None]       # d_ik
+        legs = first + d[None, :, :]           # d_ik + d_kj
+        bad = np.flatnonzero(d[r0:r0 + rows] - legs.min(axis=1) > tol)
+        if bad.size:
+            i, j = divmod(int(bad[0]), n)
+            k = int(np.argmin(legs[i, :, j]))
+            i += r0
+            raise ValueError(
+                f"not a metric: d[{i},{j}]={float(d[i, j])!r} exceeds "
+                f"d[{i},{k}] + d[{k},{j}]={float(d[i, k] + d[k, j])!r}")
+        split = (first < target) & (d[None, :, :] < target)
+        split &= legs <= target * (1.0 + _SPLIT_REL_TOL)
+        keep[r0:r0 + rows] = ~split.any(axis=1)
+    np.fill_diagonal(keep, False)
+    return keep
+
+
+def _certify(d, potential, excess, cost):
+    """Raise RuntimeError unless the potential is 1-Lipschitz on every pair
+    of d and pairs with mu1 - mu2 to the cost, both within _REL_TOL * d_max.
+    By Kantorovich duality such a potential proves that no coupling costs
+    less than cost."""
+    tol = _REL_TOL * float(d.max())
+    stretch = float((potential[:, None] - potential[None, :] - d).max())
+    gap = abs(float(potential @ excess) - cost)
+    if stretch > tol or gap > tol:
+        raise RuntimeError(
+            f"transport certificate failed: potential exceeds the metric by "
+            f"{stretch!r} and misses the cost by {gap!r} (tolerance {tol!r})")
+
+
+def _decompose(tail, head, amount, mu1, mu2):
+    """Coupling carried by an acyclic flow of amount[a] along each arc
+    tail[a] -> head[a]: the mass through a point splits among its out-arcs
+    and its own demand in proportion to their amounts.
+
+    carried[j, s], the mass from source s through point j, solves
+    (I - P^T) carried = diag(mu1) with P[i, j] = flow(i, j) / through[i].
+    The system is triangular in a topological order of the flow, so it is
+    solved by substitution along the arcs, with no dense factorization.
+    """
+    n = mu1.shape[0]
+    used = amount > 0
+    tail, head, amount = tail[used], head[used], amount[used]
+    through = mu2 + np.bincount(tail, weights=amount, minlength=n)
+    share = (amount / through[tail]).tolist()
+    out = [[] for _ in range(n)]
+    for a, i in enumerate(tail.tolist()):
+        out[i].append(a)
+    head = head.tolist()
+    pending = np.bincount(head, minlength=n).tolist()
+    ready = [j for j in range(n) if not pending[j]]
+    carried = np.diag(mu1)
+    settled = 0
+    while ready:
+        i = ready.pop()
+        settled += 1
+        for a in out[i]:
+            j = head[a]
+            carried[j] += carried[i] * share[a]
+            pending[j] -= 1
+            if not pending[j]:
+                ready.append(j)
+    if settled < n:
+        raise RuntimeError("transport flow has a cycle; it is not a basic solution")
+    absorbed = np.divide(mu2, through, out=np.zeros(n), where=through > 0)
+    return np.clip(carried.T * absorbed[None, :], 0.0, None)
 
 
 def emd(space, pair):
     """Exact transportation distance min over couplings of sum nu * d.
 
-    Solved as the transportation linear program with a simplex method, so the
-    witness is a basic solution whose marginals hold to float residual.
-    Zero-mass points are dropped before the solve and reinstated as zero
-    rows/columns of the witness.
+    Solved as a min-cost flow with one arc per essential pair of the metric
+    (no point splits it into two strictly shorter legs, see _essential_pairs)
+    and one balance row mu1 - mu2 per point; zero-mass points stay in as
+    transshipment nodes.  On a metric, mass on a split pair can move along
+    its legs at no extra cost, so the flow's value is the transport cost; a
+    space that is not a metric within _REL_TOL * d_max is refused with
+    ValueError.  The row duals are a potential that must be 1-Lipschitz on
+    every pair and pair to the cost (see _certify), or emd raises
+    RuntimeError.  The witness coupling is the proportional decomposition of
+    the basic (forest) flow.
     """
     import scipy.sparse as sp
     from scipy.optimize import linprog
 
-    if pair.mu1.shape[0] != space.n:
+    n = space.n
+    if pair.mu1.shape[0] != n:
         raise ValueError("measure length does not match the space")
-    rows = np.flatnonzero(pair.mu1 > 0)
-    cols = np.flatnonzero(pair.mu2 > 0)
-    m, k = rows.shape[0], cols.shape[0]
-    cost = space.dist[np.ix_(rows, cols)]
-
-    a_rows = sp.kron(sp.eye(m), np.ones((1, k)), format="csr")
-    a_cols = sp.kron(np.ones((1, m)), sp.eye(k), format="csr")
-    a_eq = sp.vstack([a_rows, a_cols], format="csr")
-    b_eq = np.concatenate([pair.mu1[rows], pair.mu2[cols]])
-
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+    d = space.dist
+    tail, head = np.nonzero(_essential_pairs(d))
+    arcs = tail.shape[0]
+    if not arcs:  # a single point: nothing moves
+        return EmdResult(0.0, Coupling(np.ones((1, 1))), np.zeros(1))
+    # column a leaves tail[a] (+1) and enters head[a] (-1)
+    balance = sp.csc_array((np.tile([1.0, -1.0], arcs),
+                            np.stack([tail, head], axis=1).ravel(),
+                            np.arange(0, 2 * arcs + 1, 2)), shape=(n, arcs))
+    excess = pair.mu1 - pair.mu2
+    res = linprog(d[tail, head], A_eq=balance, b_eq=excess, bounds=(0, None),
                   method="highs-ds")
     if not res.success:
         raise RuntimeError(f"transportation solve failed: {res.message}")
+    potential = np.asarray(res.eqlin.marginals, dtype=float)
+    _certify(d, potential, excess, float(res.fun))
 
-    joint = np.zeros((space.n, space.n))
-    joint[np.ix_(rows, cols)] = np.clip(res.x.reshape(m, k), 0.0, None)
-    witness = Coupling(joint)
+    amount = np.clip(res.x, 0.0, None)
+    witness = Coupling(_decompose(tail, head, amount, pair.mu1, pair.mu2))
     witness.check(pair)
-    return EmdResult(distance=float(res.fun), witness=witness)
+    return EmdResult(distance=float(res.fun), witness=witness, potential=potential)
 
 
 def translate_distance(space, mu, perm):

@@ -2,8 +2,8 @@
 1-Lipschitz data, and random measures, both as hypothesis strategies and as
 plain seeded constructors for the bulk randomized sweeps; step functions from
 cell masses and constants; the Hausdorff me1 distance between finite
-families, pair by pair; and a grid-quantized transport oracle independent of
-the LP solver."""
+families, pair by pair; and two transport oracles independent of the flow
+solver: the full transportation LP and a grid-quantized assignment."""
 
 from dataclasses import dataclass
 
@@ -140,6 +140,27 @@ def _apportion(mu, grid):
         rem = target - base
         base[np.argsort(-rem, kind="stable")[:short]] += 1
     return base
+
+
+def emd_full_lp(space, pair):
+    """Transportation distance as the full transportation LP: one variable
+    per (source, target) pair of positive mass, one row per marginal."""
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
+    rows = np.flatnonzero(pair.mu1 > 0)
+    cols = np.flatnonzero(pair.mu2 > 0)
+    m, k = rows.shape[0], cols.shape[0]
+    cost = space.dist[np.ix_(rows, cols)]
+    a_rows = sp.kron(sp.eye(m), np.ones((1, k)), format="csr")
+    a_cols = sp.kron(np.ones((1, m)), sp.eye(k), format="csr")
+    a_eq = sp.vstack([a_rows, a_cols], format="csr")
+    b_eq = np.concatenate([pair.mu1[rows], pair.mu2[cols]])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs-ds")
+    if not res.success:
+        raise RuntimeError(f"transportation solve failed: {res.message}")
+    return float(res.fun)
 
 
 def emd_oracle(space, pair, grid):

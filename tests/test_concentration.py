@@ -2,12 +2,16 @@
 enumerator, search lower bounds, analytic sphere caps, decay fits, and the
 median tail inequality."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import spaces, spaces_with_lipschitz
+from mmlab import concentration
 from mmlab.concentration import (GaussianFit, LipschitzFunction, SearchConfig,
                                  alpha_lower_bound, concentration_curve,
                                  gaussian_fit, hamming_cube_alpha,
@@ -70,6 +74,48 @@ def test_lower_bound_never_exceeds_exact(space, eps):
 @given(spaces(max_n=8), st.sampled_from([0.2, 0.6, 1.1, 1.7]))
 def test_majority_ball_never_undercuts_exact(space, eps):
     assert majority_ball_upper(space, eps) >= alpha_exact(space, eps) - 1e-12
+
+
+def majority_ball_unblocked(space, eps):
+    """majority_ball_upper as one dense pass over all rows at once."""
+    d = space.dist
+    order = np.argsort(d, axis=1, kind="stable")
+    cum = np.cumsum(np.take_along_axis(
+        np.broadcast_to(space.weight, d.shape), order, axis=1), axis=1)
+    first = np.argmax(cum > 0.5 + 1e-9, axis=1)
+    radii = np.take_along_axis(d, np.take_along_axis(
+        order, first[:, None], axis=1), axis=1)[:, 0]
+    return float(min(max(1.0 - space.weight[radii <= eps].sum(), 0.0), 0.5))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_majority_ball_blocks_do_not_change_the_value(monkeypatch, rows):
+    rng = np.random.default_rng(rows)
+    for n in range(16, 22):
+        pts = rng.integers(-4, 5, size=(n, 2))  # lattice ties at every radius
+        space = FiniteMMSpace(list(range(n)), rng.dirichlet(np.ones(n)),
+                              points=pts, metric="euclidean")
+        want = {eps: majority_ball_unblocked(space, eps) for eps in (1.0, 2.0, 2.5, 4.0)}
+        monkeypatch.setattr(concentration, "_TILE_BYTES",
+                            rows * n * concentration._BALL_PAIR_BYTES)
+        for eps, value in want.items():
+            assert majority_ball_upper(space, eps) == value
+        monkeypatch.undo()
+
+
+def test_majority_ball_memory_is_bounded():
+    # one dense pass holds about four 3000 x 3000 arrays, about 290 MB
+    rng = np.random.default_rng(0)
+    n = 3000
+    space = FiniteMMSpace(list(range(n)), np.full(n, 1.0 / n),
+                          points=rng.normal(size=(n, 3)), metric="euclidean")
+    tracemalloc.start()
+    try:
+        majority_ball_upper(space, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_lower_bound_deterministic():
@@ -263,6 +309,9 @@ def test_lipschitz_check_catches_violations():
     cube = hamming_cube(2)
     bad = LipschitzFunction([0.0, 5.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="violated"):
+        bad.check(cube)
+    # plain floats, not numpy scalar reprs
+    with pytest.raises(ValueError, match=re.escape("|f(0)-f(1)|=5.0 > c*d=0.5")):
         bad.check(cube)
     good = LipschitzFunction(np.bitwise_count(np.arange(4)) / 2.0)
     good.check(cube)

@@ -3,6 +3,7 @@ block-sphere demonstration, and exhaustive monochromatic-subset verification."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,18 @@ def test_leader_empirical_small_run():
     assert res.sample_count == 2000
     again = leader_empirical(30, 2000, 0.12, seed=1)
     assert again.violations == res.violations
+
+
+def test_leader_empirical_memory_is_bounded():
+    # each sample block is freed before the next is drawn
+    tracemalloc.start()
+    try:
+        res = leader_empirical(150, 20000, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.sample_count == 20000
+    assert peak < 48 * 2 ** 20
 
 
 def test_leader_empirical_input_validation():

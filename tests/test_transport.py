@@ -1,23 +1,143 @@
-"""Transportation distance: solver against the quantized assignment oracle,
-metric axioms, witness feasibility, and the dual pairing with 1-Lipschitz
-observables."""
+"""Transportation distance: the flow solver against the full transportation
+LP and the quantized assignment oracle, metric axioms, the essential-pair
+graph, the dual certificate, witness feasibility, and the dual pairing with
+1-Lipschitz observables."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (emd_oracle, mcshane_envelope, measures_on,
-                      random_measure, random_space, spaces)
+from conftest import (cloud_metric, emd_full_lp, emd_oracle, mcshane_envelope,
+                      measures_on, normalized, random_measure, random_space,
+                      spaces)
+from mmlab.cli import main
 from mmlab.generators import hamming_cube
 from mmlab.spaces import FiniteMMSpace
-from mmlab.transport import Coupling, MeasurePair, emd, translate_distance
+from mmlab.transport import (Coupling, MeasurePair, _certify, _essential_pairs,
+                             emd, translate_distance)
 
 
 def delta(n, i):
     v = np.zeros(n)
     v[i] = 1.0
     return v
+
+
+@st.composite
+def lattice_spaces(draw, distinct=True):
+    """Clouds on a 4 x 4 integer grid, rich in collinear triples whose legs
+    sum to the long side exactly or to its last bit.  With distinct=False
+    points may repeat, so some off-diagonal distances are zero."""
+    n = draw(st.integers(2, 8))
+    pts = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                        min_size=n, max_size=n, unique=distinct))
+    raw = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    return FiniteMMSpace(list(range(n)), normalized(raw), dist=cloud_metric(pts))
+
+
+def product_pair(cube, p, q):
+    bits = cube.points.astype(bool)
+    return MeasurePair(*(np.where(bits, r, 1.0 - r).prod(axis=1) for r in (p, q)))
+
+
+def assert_matches_full_lp(space, data):
+    pair = MeasurePair(data.draw(measures_on(space.n)), data.draw(measures_on(space.n)))
+    got = emd(space, pair).distance
+    assert abs(got - emd_full_lp(space, pair)) <= 1e-12 * float(space.dist.max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(spaces(), st.data())
+def test_flow_matches_the_full_lp(space, data):
+    assert_matches_full_lp(space, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_spaces(), st.data())
+def test_flow_matches_the_full_lp_at_exact_ties(space, data):
+    assert_matches_full_lp(space, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_spaces(distinct=False), st.data())
+def test_flow_matches_the_full_lp_with_duplicated_points(space, data):
+    # a pair at distance zero is never split, so duplicates stay connected
+    assert_matches_full_lp(space, data)
+
+
+def test_cube_flow_runs_over_its_edges():
+    cube = hamming_cube(7)
+    # every pair but the adjacent ones splits at a neighbour on a geodesic
+    assert int(_essential_pairs(cube.dist).sum()) == 7 * 2 ** 7
+    rng = np.random.default_rng(9)
+    p, q = rng.uniform(0.05, 0.95, 7), rng.uniform(0.05, 0.95, 7)
+    pair = product_pair(cube, p, q)
+    res = emd(cube, pair)
+    # product measures: mass moves coordinate by coordinate
+    assert res.distance == pytest.approx(float(np.abs(p - q).mean()), abs=1e-12)
+    res.witness.check(pair, atol=1e-12)
+    cost = float((res.witness.joint * cube.dist).sum())
+    assert cost == pytest.approx(res.distance, abs=1e-12)
+
+
+def test_zero_mass_points_carry_flow():
+    # on the path 0 - 1 - 2 the pair (0, 2) splits at 1, which has no mass
+    d = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
+    path = FiniteMMSpace([0, 1, 2], [0.5, 0.0, 0.5], dist=d)
+    assert not _essential_pairs(d)[0, 2]
+    res = emd(path, MeasurePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]))
+    assert res.distance == pytest.approx(2.0, abs=1e-12)
+    assert np.allclose(res.witness.joint, [[0, 0, 1], [0, 0, 0], [0, 0, 0]], atol=1e-12)
+
+
+def test_one_point_space():
+    res = emd(FiniteMMSpace([0], [1.0], dist=[[0.0]]), MeasurePair([1.0], [1.0]))
+    assert res.distance == 0.0
+    assert res.witness.joint.tolist() == [[1.0]]
+
+
+def test_certificate_rejects_a_perturbed_potential():
+    cube = hamming_cube(3)
+    pair = product_pair(cube, np.array([0.2, 0.5, 0.9]), np.array([0.7, 0.4, 0.1]))
+    res = emd(cube, pair)
+    excess = pair.mu1 - pair.mu2
+    _certify(cube.dist, res.potential, excess, res.distance)
+    bumped = res.potential.copy()
+    bumped[int(np.argmax(np.abs(excess)))] += 1e-6
+    with pytest.raises(RuntimeError, match="certificate"):
+        _certify(cube.dist, bumped, excess, res.distance)
+    # a potential that pairs to the cost but is not 1-Lipschitz
+    with pytest.raises(RuntimeError, match="certificate"):
+        _certify(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 2.0]),
+                 np.zeros(2), 0.0)
+
+
+def test_a_space_that_is_not_a_metric_is_refused(tmp_path, capsys):
+    d = [[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]
+    space = FiniteMMSpace([0, 1, 2], [0.25, 0.5, 0.25], dist=d)
+    pair = MeasurePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match=r"d\[0,2\]=3\.0 exceeds d\[0,1\] \+ d\[1,2\]=2\.0"):
+        emd(space, pair)
+    loop = FiniteMMSpace([0, 1], [0.5, 0.5], dist=[[0.5, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"d\[0,0\]=0\.5 is not zero"):
+        emd(loop, MeasurePair([0.5, 0.5], [0.5, 0.5]))
+    # a failure within 1e-9 * d_max is float noise, not a broken metric
+    d[0][2] = d[2][0] = 2.0 + 1e-12
+    emd(FiniteMMSpace([0, 1, 2], [0.25, 0.5, 0.25], dist=d), pair)
+
+    d[0][2] = d[2][0] = 3.0
+    files = {"space.json": {"labels": [0, 1, 2], "weights": [0.25, 0.5, 0.25],
+                            "metric": {"type": "matrix", "data": d}},
+             "mu1.json": [1.0, 0.0, 0.0], "mu2.json": [0.0, 0.0, 1.0]}
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = ["emd", "--space", tmp_path / "space.json", "--mu1", tmp_path / "mu1.json",
+            "--mu2", tmp_path / "mu2.json"]
+    assert main(argv) == 2
+    assert "not a metric: d[0,2]=3.0" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_measure_pair_validation():
