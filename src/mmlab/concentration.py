@@ -19,6 +19,8 @@ _LIPSCHITZ_REL_TOL = 1e-9    # relative slack LipschitzFunction.check allows
 _CUBE_ALPHA_MAX_DIM = 24     # largest cube hamming_cube_alpha evaluates
 _BALL_PAIR_BYTES = 33        # majority_ball_upper's scratch per pair: distance,
                              # order, weight, running mass and threshold flag
+_CHECK_PAIR_BYTES = 33       # LipschitzFunction.check's scratch per pair: gap,
+                             # scaled distance, excess and its sign
 
 
 @dataclass(frozen=True)
@@ -61,13 +63,22 @@ class LipschitzFunction:
         if self.values.shape[0] != space.n:
             raise ValueError("value vector length does not match the space")
         d = space.dist
-        gaps = np.abs(self.values[:, None] - self.values[None, :])
-        excess = gaps - self.constant * d * (1.0 + _LIPSCHITZ_REL_TOL) - 1e-12
-        if (excess > 0).any():
-            i, j = np.unravel_index(np.argmax(excess), excess.shape)
+        v = self.values
+        n = space.n
+        worst, at = 0.0, None  # the first largest excess, in row blocks
+        rows = max(1, _TILE_BYTES // (_CHECK_PAIR_BYTES * n))
+        for r0 in range(0, n, rows):
+            gaps = np.abs(v[r0:r0 + rows, None] - v[None, :])
+            scaled = self.constant * d[r0:r0 + rows] * (1.0 + _LIPSCHITZ_REL_TOL)
+            excess = gaps - scaled - 1e-12
+            k = int(np.argmax(excess))
+            if excess.flat[k] > worst:
+                worst, at = excess.flat[k], (r0 + k // n, k % n)
+        if at is not None:
+            i, j = at
             raise ValueError(
                 f"Lipschitz constant {self.constant} violated at ({i},{j}): "
-                f"|f({i})-f({j})|={float(gaps[i, j])!r} > "
+                f"|f({i})-f({j})|={float(abs(v[i] - v[j]))!r} > "
                 f"c*d={float(self.constant * d[i, j])!r}")
 
 

@@ -1,7 +1,7 @@
 """Transportation (earth mover's) distance between probability measures on a
-shared finite metric space: an exact min-cost flow over the metric's essential
-pairs, with a dual certificate and a witness coupling, and the translate
-distance of a measure under a point permutation."""
+shared finite metric space: an exact min-cost flow on the measures' supports,
+with a dual certificate and a witness coupling, and the translate distance
+of a measure under a point permutation."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ _MARGINAL_TOL = 1e-9
 _REL_TOL = 1e-9         # slack, relative to d_max, of the metric and certificate checks
 _SPLIT_REL_TOL = 1e-12  # two legs this close to d_ij make the pair inessential
 _TRIPLE_BYTES = 20      # scratch one (i, k, j) triple of the pair scan takes
+_PAIR_BYTES = 16        # scratch one pair of the certificate and McShane passes takes
 
 
 @dataclass
@@ -70,52 +71,125 @@ class EmdResult:
     potential: np.ndarray  # the dual certificate: 1-Lipschitz, pairs to distance
 
 
-def _essential_pairs(d):
-    """Mask of the pairs (i, j), i != j, that no point k splits into two
-    strictly shorter legs with d_ik + d_kj <= d_ij (1 + _SPLIT_REL_TOL).
-
-    The flow over these pairs is the transport cost only on a metric, so
-    this raises ValueError, naming the entry or triple, unless d is finite,
-    zero on the diagonal and meets the triangle inequality, each within
-    _REL_TOL * d_max.  Rows are scanned in blocks of bounded scratch.
-    """
+def _check_distances(d, rows, cols):
+    """Raise ValueError unless the distances d from the points rows to the
+    points cols (indices in the space, sorted) are finite and zero where a
+    point meets itself, within _REL_TOL * d_max; return that tolerance."""
     if not np.isfinite(d).all():
         i, j = np.argwhere(~np.isfinite(d))[0]
-        raise ValueError(f"not a metric: non-finite distance at ({i},{j})")
+        raise ValueError(f"not a metric: non-finite distance at ({rows[i]},{cols[j]})")
     tol = _REL_TOL * float(d.max())
-    diag = np.abs(np.diagonal(d))
-    if diag.max() > tol:
-        i = int(np.argmax(diag))
-        raise ValueError(f"not a metric: d[{i},{i}]={float(d[i, i])!r} is not zero")
-    n = d.shape[0]
-    keep = np.empty((n, n), dtype=bool)
-    rows = max(1, _TILE_BYTES // (_TRIPLE_BYTES * n * n))
-    for r0 in range(0, n, rows):
-        target = d[r0:r0 + rows, None, :]      # d_ij, indexed [i, k, j]
-        first = d[r0:r0 + rows, :, None]       # d_ik
-        legs = first + d[None, :, :]           # d_ik + d_kj
-        bad = np.flatnonzero(d[r0:r0 + rows] - legs.min(axis=1) > tol)
+    _, i, j = np.intersect1d(rows, cols, assume_unique=True, return_indices=True)
+    diag = np.abs(d[i, j])
+    if diag.size and diag.max() > tol:
+        k = int(np.argmax(diag))
+        raise ValueError(
+            f"not a metric: d[{rows[i[k]]},{rows[i[k]]}]={float(d[i[k], j[k]])!r} is not zero")
+    return tol
+
+
+def _scan_triples(via, onward, direct, names, tol):
+    """Check d_ij <= d_ik + d_kj within tol over the triples (i, k, j) of
+    rows x mids x cols, where via = d[rows, mids],
+    onward = d[mids, cols] and direct = d[rows, cols], and return the mask
+    of the (i, j) that no k splits into two strictly shorter legs with
+    d_ik + d_kj <= d_ij (1 + _SPLIT_REL_TOL).
+
+    names = (rows, mids, cols) are the points' indices in the space, used
+    to name a failing triple in the ValueError.  Rows and mids are scanned
+    in blocks of at most _TILE_BYTES of scratch.
+    """
+    r, m, c = via.shape[0], via.shape[1], direct.shape[1]
+    triples = max(c, _TILE_BYTES // _TRIPLE_BYTES)
+    step_r = max(1, min(r, triples // max(m * c, 1)))
+    step_m = max(1, min(m, triples // max(step_r * c, 1)))
+    keep = np.ones((r, c), dtype=bool)
+    for r0 in range(0, r, step_r):
+        target = direct[r0:r0 + step_r]
+        shortest = np.full(target.shape, np.inf)
+        for m0 in range(0, m, step_m):
+            first = via[r0:r0 + step_r, m0:m0 + step_m, None]   # d_ik, [i, k, j]
+            second = onward[None, m0:m0 + step_m, :]           # d_kj
+            legs = first + second
+            np.minimum(shortest, legs.min(axis=1), out=shortest)
+            split = (first < target[:, None]) & (second < target[:, None])
+            split &= legs <= target[:, None] * (1.0 + _SPLIT_REL_TOL)
+            keep[r0:r0 + step_r] &= ~split.any(axis=1)
+        bad = np.flatnonzero(target - shortest > tol)
         if bad.size:
-            i, j = divmod(int(bad[0]), n)
-            k = int(np.argmin(legs[i, :, j]))
+            i, j = divmod(int(bad[0]), c)
             i += r0
+            k = int(np.argmin(via[i] + onward[:, j]))
+            rows, mids, cols = names
             raise ValueError(
-                f"not a metric: d[{i},{j}]={float(d[i, j])!r} exceeds "
-                f"d[{i},{k}] + d[{k},{j}]={float(d[i, k] + d[k, j])!r}")
-        split = (first < target) & (d[None, :, :] < target)
-        split &= legs <= target * (1.0 + _SPLIT_REL_TOL)
-        keep[r0:r0 + rows] = ~split.any(axis=1)
+                f"not a metric: d[{rows[i]},{cols[j]}]={float(direct[i, j])!r} "
+                f"exceeds d[{rows[i]},{mids[k]}] + d[{mids[k]},{cols[j]}]="
+                f"{float(via[i, k] + onward[k, j])!r}")
+    return keep
+
+
+def _essential_pairs(d, names=None):
+    """Mask of the pairs (i, j), i != j, of the metric d that no point k
+    splits into two strictly shorter legs with
+    d_ik + d_kj <= d_ij (1 + _SPLIT_REL_TOL).
+
+    The flow over these pairs is the transport cost only on a metric, so
+    this raises ValueError, naming the entry or triple (by names, the
+    points' indices in the space), unless d is finite, zero on the diagonal
+    and meets the triangle inequality, each within _REL_TOL * d_max.
+    """
+    if names is None:
+        names = np.arange(d.shape[0])
+    tol = _check_distances(d, names, names)
+    keep = _scan_triples(d, d, d, (names, names, names), tol)
     np.fill_diagonal(keep, False)
     return keep
 
 
-def _certify(d, potential, excess, cost):
-    """Raise RuntimeError unless the potential is 1-Lipschitz on every pair
-    of d and pairs with mu1 - mu2 to the cost, both within _REL_TOL * d_max.
-    By Kantorovich duality such a potential proves that no coupling costs
-    less than cost."""
-    tol = _REL_TOL * float(d.max())
-    stretch = float((potential[:, None] - potential[None, :] - d).max())
+def _arcs(d, s, t, names):
+    """Arcs (tail, head) of a min-cost flow whose value, on a metric, is the
+    transport cost between measures supported on the points s and t, sorted
+    positions among the points of d, which they cover together.
+
+    When both supports are large (the direct pairs s x t number at least
+    half of all pairs) the arcs are the essential pairs of d, found by a
+    scan over every triple.  Otherwise they are the direct pairs, as in the
+    transportation LP, and only the distances s x t are read: the points in
+    both supports are the only ones that can relay mass, so the triangle
+    inequality is checked on the triples (i, k, j) in s x (s & t) x t.
+    """
+    n = d.shape[0]
+    _, bs, bt = np.intersect1d(s, t, assume_unique=True, return_indices=True)
+    if 2 * (s.shape[0] * t.shape[0] - bs.shape[0]) >= n * (n - 1):
+        return np.nonzero(_essential_pairs(d, names))
+    block = d[np.ix_(s, t)]
+    tol = _check_distances(block, names[s], names[t])
+    _scan_triples(block[:, bt], block[bs], block, (names[s], names[s[bs]], names[t]), tol)
+    tail, head = np.repeat(s, t.shape[0]), np.tile(t, s.shape[0])
+    apart = tail != head
+    return tail[apart], head[apart]
+
+
+def _row_blocks(rows, cols, pair_bytes):
+    """Slices of at least one row covering range(rows), each holding at most
+    _TILE_BYTES of scratch at pair_bytes a (row, column) pair."""
+    step = max(1, _TILE_BYTES // (pair_bytes * max(cols, 1)))
+    return [slice(r0, r0 + step) for r0 in range(0, rows, step)]
+
+
+def _certify(d, rows, cols, potential, excess, cost):
+    """Raise RuntimeError unless the potential u has u_i - u_j <= d_ij for
+    every i in rows and j in cols, the supports of mu1 and mu2 and so the
+    only pairs a coupling can charge, and pairs with mu1 - mu2 to the cost,
+    both within _REL_TOL * d_max over those pairs.  By Kantorovich duality
+    such a potential proves that no coupling costs less than cost."""
+    stretch = d_max = -np.inf
+    for r in _row_blocks(rows.shape[0], cols.shape[0], _PAIR_BYTES):
+        block = d[np.ix_(rows[r], cols)]
+        d_max = max(d_max, float(block.max()))
+        stretch = max(stretch, float(
+            (potential[rows[r], None] - potential[None, cols] - block).max()))
+    tol = _REL_TOL * d_max
     gap = abs(float(potential @ excess) - cost)
     if stretch > tol or gap > tol:
         raise RuntimeError(
@@ -126,7 +200,8 @@ def _certify(d, potential, excess, cost):
 def _decompose(tail, head, amount, mu1, mu2):
     """Coupling carried by an acyclic flow of amount[a] along each arc
     tail[a] -> head[a]: the mass through a point splits among its out-arcs
-    and its own demand in proportion to their amounts.
+    and its own demand in proportion to their amounts.  Returns the rows of
+    the coupling that belong to the sources, the points with mu1 > 0.
 
     carried[j, s], the mass from source s through point j, solves
     (I - P^T) carried = diag(mu1) with P[i, j] = flow(i, j) / through[i].
@@ -134,6 +209,7 @@ def _decompose(tail, head, amount, mu1, mu2):
     solved by substitution along the arcs, with no dense factorization.
     """
     n = mu1.shape[0]
+    sources = np.flatnonzero(mu1 > 0)
     used = amount > 0
     tail, head, amount = tail[used], head[used], amount[used]
     through = mu2 + np.bincount(tail, weights=amount, minlength=n)
@@ -144,7 +220,8 @@ def _decompose(tail, head, amount, mu1, mu2):
     head = head.tolist()
     pending = np.bincount(head, minlength=n).tolist()
     ready = [j for j in range(n) if not pending[j]]
-    carried = np.diag(mu1)
+    carried = np.zeros((n, sources.shape[0]))
+    carried[sources, np.arange(sources.shape[0])] = mu1[sources]
     settled = 0
     while ready:
         i = ready.pop()
@@ -158,22 +235,25 @@ def _decompose(tail, head, amount, mu1, mu2):
     if settled < n:
         raise RuntimeError("transport flow has a cycle; it is not a basic solution")
     absorbed = np.divide(mu2, through, out=np.zeros(n), where=through > 0)
-    return np.clip(carried.T * absorbed[None, :], 0.0, None)
+    joint = carried.T * absorbed[None, :]
+    return np.clip(joint, 0.0, None, out=joint)
 
 
 def emd(space, pair):
     """Exact transportation distance min over couplings of sum nu * d.
 
-    Solved as a min-cost flow with one arc per essential pair of the metric
-    (no point splits it into two strictly shorter legs, see _essential_pairs)
-    and one balance row mu1 - mu2 per point; zero-mass points stay in as
-    transshipment nodes.  On a metric, mass on a split pair can move along
-    its legs at no extra cost, so the flow's value is the transport cost; a
-    space that is not a metric within _REL_TOL * d_max is refused with
-    ValueError.  The row duals are a potential that must be 1-Lipschitz on
-    every pair and pair to the cost (see _certify), or emd raises
-    RuntimeError.  The witness coupling is the proportional decomposition of
-    the basic (forest) flow.
+    Solved on the points with mass in either measure, as a min-cost flow
+    with one balance row mu1 - mu2 per point and one arc per pair from
+    _arcs: the essential pairs of the metric (no point splits them into two
+    strictly shorter legs) when both supports are large, else the direct
+    pairs from the first support to the second.  On a metric the flow's
+    value is the transport cost; a space that is not a metric where the
+    flow could use it is refused with ValueError.  The row duals are a
+    potential that must be 1-Lipschitz from the first support to the second
+    and pair to the cost (see _certify), or emd raises RuntimeError; it is
+    extended to the zero-mass points by the McShane formula
+    min_y u_y + d(x, y).  The witness coupling is the proportional
+    decomposition of the basic (forest) flow.
     """
     import scipy.sparse as sp
     from scipy.optimize import linprog
@@ -181,27 +261,41 @@ def emd(space, pair):
     n = space.n
     if pair.mu1.shape[0] != n:
         raise ValueError("measure length does not match the space")
-    d = space.dist
-    tail, head = np.nonzero(_essential_pairs(d))
+    support = np.flatnonzero((pair.mu1 > 0) | (pair.mu2 > 0))
+    dist = space.dist
+    d = dist if support.shape[0] == n else dist[np.ix_(support, support)]
+    mu1, mu2 = pair.mu1[support], pair.mu2[support]
+    src, dst = np.flatnonzero(mu1 > 0), np.flatnonzero(mu2 > 0)
+    tail, head = _arcs(d, src, dst, support)
     arcs = tail.shape[0]
-    if not arcs:  # a single point: nothing moves
-        return EmdResult(0.0, Coupling(np.ones((1, 1))), np.zeros(1))
-    # column a leaves tail[a] (+1) and enters head[a] (-1)
-    balance = sp.csc_array((np.tile([1.0, -1.0], arcs),
-                            np.stack([tail, head], axis=1).ravel(),
-                            np.arange(0, 2 * arcs + 1, 2)), shape=(n, arcs))
-    excess = pair.mu1 - pair.mu2
-    res = linprog(d[tail, head], A_eq=balance, b_eq=excess, bounds=(0, None),
-                  method="highs-ds")
-    if not res.success:
-        raise RuntimeError(f"transportation solve failed: {res.message}")
-    potential = np.asarray(res.eqlin.marginals, dtype=float)
-    _certify(d, potential, excess, float(res.fun))
-
-    amount = np.clip(res.x, 0.0, None)
-    witness = Coupling(_decompose(tail, head, amount, pair.mu1, pair.mu2))
+    potential = np.zeros(n)
+    joint = np.zeros((n, n))
+    if arcs:
+        # column a leaves tail[a] (+1) and enters head[a] (-1)
+        balance = sp.csc_array((np.tile([1.0, -1.0], arcs),
+                                np.stack([tail, head], axis=1).ravel(),
+                                np.arange(0, 2 * arcs + 1, 2)),
+                               shape=(support.shape[0], arcs))
+        excess = mu1 - mu2
+        res = linprog(d[tail, head], A_eq=balance, b_eq=excess, bounds=(0, None),
+                      method="highs-ds")
+        if not res.success:
+            raise RuntimeError(f"transportation solve failed: {res.message}")
+        distance = float(res.fun)
+        u = np.asarray(res.eqlin.marginals, dtype=float)
+        _certify(d, src, dst, u, excess, distance)
+        joint[np.ix_(support[src], support)] = _decompose(
+            tail, head, np.clip(res.x, 0.0, None), mu1, mu2)
+    else:  # both measures are the same point mass: nothing moves
+        distance, u = 0.0, np.zeros(1)
+        joint[support, support] = 1.0
+    outside = np.flatnonzero((pair.mu1 <= 0) & (pair.mu2 <= 0))
+    for r in _row_blocks(outside.shape[0], support.shape[0], _PAIR_BYTES):
+        potential[outside[r]] = (u[None, :] + dist[np.ix_(outside[r], support)]).min(axis=1)
+    potential[support] = u
+    witness = Coupling(joint)
     witness.check(pair)
-    return EmdResult(distance=float(res.fun), witness=witness, potential=potential)
+    return EmdResult(distance=distance, witness=witness, potential=potential)
 
 
 def translate_distance(space, mu, perm):

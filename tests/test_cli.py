@@ -9,6 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import emd_full_lp
+from mmlab.generators import hamming_cube
+from mmlab.transport import MeasurePair
+
 
 def run_cli(*argv, env_extra=None):
     env = dict(os.environ)
@@ -167,6 +171,28 @@ def test_emd_roundtrip(cube3, tmp_path):
     mu_bad.write_text(json.dumps([0.5, 0.5]))
     r = run_cli("emd", "--space", cube3, "--mu1", mu_bad, "--mu2", mu2)
     assert r.returncode == 2
+
+
+def test_emd_coupling_payload_is_an_optimal_coupling(cube3, tmp_path):
+    # the payload is one optimal coupling among many: pin its marginals and
+    # cost, not its entries
+    mu1 = np.array([4, 1, 1, 0, 2, 0, 0, 0]) / 8.0
+    mu2 = np.array([0, 1, 0, 2, 0, 1, 1, 3]) / 8.0
+    files = []
+    for name, mu in (("mu1.json", mu1), ("mu2.json", mu2)):
+        files.append(tmp_path / name)
+        files[-1].write_text(json.dumps(mu.tolist()))
+    r = run_cli("emd", "--space", cube3, "--mu1", files[0], "--mu2", files[1], "--coupling")
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    joint = np.asarray(out["coupling"])
+    assert np.allclose(joint.sum(axis=1), mu1, atol=1e-12)
+    assert np.allclose(joint.sum(axis=0), mu2, atol=1e-12)
+    assert (joint >= 0).all()
+    cube = hamming_cube(3)
+    assert float((joint * cube.dist).sum()) == pytest.approx(out["distance"], abs=1e-12)
+    assert out["distance"] == pytest.approx(
+        emd_full_lp(cube, MeasurePair(mu1, mu2)), abs=1e-12)
 
 
 def test_obsdist_output(cube3, tmp_path):

@@ -103,12 +103,26 @@ def test_majority_ball_blocks_do_not_change_the_value(monkeypatch, rows):
         monkeypatch.undo()
 
 
-def test_majority_ball_memory_is_bounded():
-    # one dense pass holds about four 3000 x 3000 arrays, about 290 MB
+def test_tail_check_memory_is_the_distance_matrix():
+    # tail_check caches the 3000 x 3000 distance matrix (about 69 MiB) for the
+    # Lipschitz check; the check and majority_ball_upper then work in row
+    # blocks.  One dense pass of either held about four such arrays.
     rng = np.random.default_rng(0)
     n = 3000
     space = FiniteMMSpace(list(range(n)), np.full(n, 1.0 / n),
                           points=rng.normal(size=(n, 3)), metric="euclidean")
+    f = LipschitzFunction(space.points[:, 0])
+    tracemalloc.start()
+    try:
+        res = tail_check(space, f, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.bound_kind == "majority_ball"
+    assert peak < 8 * n * n + 64 * 2 ** 20
+    # called on its own, majority_ball_upper never builds the dense matrix
+    space = FiniteMMSpace(list(range(n)), np.full(n, 1.0 / n),
+                          points=space.points, metric="euclidean")
     tracemalloc.start()
     try:
         majority_ball_upper(space, 1.0)
@@ -315,6 +329,22 @@ def test_lipschitz_check_catches_violations():
         bad.check(cube)
     good = LipschitzFunction(np.bitwise_count(np.arange(4)) / 2.0)
     good.check(cube)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_lipschitz_check_blocks_name_the_same_pair(monkeypatch, rows):
+    # row 0 has a smaller violation at (0,3); the largest excess, 4 across
+    # one bit, sits at (2,3), (2,6), (3,2), ... and the first one is named
+    cube = hamming_cube(3)
+    bad = LipschitzFunction([0.0, 1.0, 0.0, 4.0, 0.0, 0.0, 4.0, 3.0])
+    with pytest.raises(ValueError) as dense:
+        bad.check(cube)
+    assert "violated at (2,3)" in str(dense.value)
+    monkeypatch.setattr(concentration, "_TILE_BYTES",
+                        rows * 8 * concentration._CHECK_PAIR_BYTES)
+    with pytest.raises(ValueError) as blocked:
+        bad.check(cube)
+    assert str(blocked.value) == str(dense.value)
 
 
 # -- generic curve driver ---------------------------------------------------------

@@ -4,6 +4,8 @@ graph, the dual certificate, witness feasibility, and the dual pairing with
 1-Lipschitz observables."""
 
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import (cloud_metric, emd_full_lp, emd_oracle, mcshane_envelope,
                       measures_on, normalized, random_measure, random_space,
                       spaces)
+from mmlab import transport
 from mmlab.cli import main
 from mmlab.generators import hamming_cube
 from mmlab.spaces import FiniteMMSpace
@@ -39,6 +42,18 @@ def lattice_spaces(draw, distinct=True):
     return FiniteMMSpace(list(range(n)), normalized(raw), dist=cloud_metric(pts))
 
 
+@st.composite
+def sparse_measures_on(draw, n):
+    """Measures on at most half of the n points, so that the flow often
+    ships straight from one support to the other."""
+    where = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                          max_size=max(1, n // 2), unique=True))
+    raw = np.zeros(n)
+    raw[where] = draw(st.lists(st.integers(1, 9), min_size=len(where),
+                               max_size=len(where)))
+    return normalized(raw)
+
+
 def product_pair(cube, p, q):
     bits = cube.points.astype(bool)
     return MeasurePair(*(np.where(bits, r, 1.0 - r).prod(axis=1) for r in (p, q)))
@@ -49,7 +64,8 @@ def product_pair(cube, p, q):
 def test_flow_matches_the_full_lp(space, data):
     # lattice clouds tie exactly on collinear triples; a pair at distance zero
     # is never split, so duplicated points stay connected
-    pair = MeasurePair(data.draw(measures_on(space.n)), data.draw(measures_on(space.n)))
+    measures = st.one_of(measures_on(space.n), sparse_measures_on(space.n))
+    pair = MeasurePair(data.draw(measures), data.draw(measures))
     got = emd(space, pair).distance
     assert abs(got - emd_full_lp(space, pair)) <= 1e-12 * float(space.dist.max())
 
@@ -69,14 +85,63 @@ def test_cube_flow_runs_over_its_edges():
     assert cost == pytest.approx(res.distance, abs=1e-12)
 
 
-def test_zero_mass_points_carry_flow():
-    # on the path 0 - 1 - 2 the pair (0, 2) splits at 1, which has no mass
+@pytest.mark.parametrize("tile", [1, 20 * 16 * 3, 20 * 16 * 16 * 2])
+def test_scan_blocks_do_not_change_the_pairs(monkeypatch, tile):
+    # 1 row and 1 mid a block, 3 mids of one row, 2 full rows
+    cube = hamming_cube(4)
+    rng = np.random.default_rng(2)
+    cloud = cloud_metric(rng.integers(0, 4, size=(16, 2)))
+    want = [_essential_pairs(cube.dist), _essential_pairs(cloud)]
+    broken = cloud.copy()
+    broken[0, 15] = broken[15, 0] = float(cloud.max()) * 3
+    with pytest.raises(ValueError) as unblocked:
+        _essential_pairs(broken)
+    monkeypatch.setattr(transport, "_TILE_BYTES", tile)
+    assert np.array_equal(_essential_pairs(cube.dist), want[0])
+    assert np.array_equal(_essential_pairs(cloud), want[1])
+    with pytest.raises(ValueError) as blocked:
+        _essential_pairs(broken)
+    assert str(blocked.value) == str(unblocked.value)
+
+
+def test_zero_mass_points_stay_out_of_the_flow():
+    # on the path 0 - 1 - 2 the pair (0, 2) splits at 1, which has no mass:
+    # the flow runs on {0, 2} alone and the potential reaches 1 by McShane
     d = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
     path = FiniteMMSpace([0, 1, 2], [0.5, 0.0, 0.5], dist=d)
     assert not _essential_pairs(d)[0, 2]
     res = emd(path, MeasurePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]))
     assert res.distance == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(res.witness.joint, [[0, 0, 1], [0, 0, 0], [0, 0, 0]], atol=1e-12)
+    u = res.potential
+    assert u[0] - u[2] == pytest.approx(2.0, abs=1e-12)
+    assert u[1] == pytest.approx(min(u[0] + 1.0, u[2] + 1.0), abs=1e-12)
+
+
+def test_small_supports_on_a_large_cloud_stay_cheap():
+    # the flow and its checks see the supports, not the 3000 points; a point
+    # mass against the uniform measure ships along 2999 direct pairs
+    rng = np.random.default_rng(4)
+    n = 3000
+    cloud = FiniteMMSpace(list(range(n)), np.full(n, 1.0 / n),
+                          points=rng.normal(size=(n, 3)), metric="euclidean")
+    cloud.dist  # the dense matrix the space caches
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        far = emd(cloud, MeasurePair(delta(n, 0), delta(n, n - 1))).distance
+        fan = emd(cloud, MeasurePair(delta(n, 0), np.full(n, 1.0 / n))).distance
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert far == cloud.dist[0, n - 1]
+    assert fan == pytest.approx(float(cloud.dist[0].mean()), abs=1e-12)
+    # each call builds one 3000 x 3000 witness (72 MB) and holds nothing else
+    # of that size; a scan over all triples of the supports would take
+    # minutes and gigabytes for the second call
+    assert peak < 100 * 2 ** 20
+    assert elapsed < 10.0
 
 
 def test_one_point_space():
@@ -90,15 +155,22 @@ def test_certificate_rejects_a_perturbed_potential(monkeypatch):
     pair = product_pair(cube, np.array([0.2, 0.5, 0.9]), np.array([0.7, 0.4, 0.1]))
     res = emd(cube, pair)
     excess = pair.mu1 - pair.mu2
-    _certify(cube.dist, res.potential, excess, res.distance)
+    every = np.arange(8)
+    _certify(cube.dist, every, every, res.potential, excess, res.distance)
     bumped = res.potential.copy()
     bumped[int(np.argmax(np.abs(excess)))] += 1e-6
     with pytest.raises(RuntimeError, match="certificate"):
-        _certify(cube.dist, bumped, excess, res.distance)
-    # a potential that pairs to the cost but is not 1-Lipschitz
+        _certify(cube.dist, every, every, bumped, excess, res.distance)
+    # a potential that pairs to the cost but is not 1-Lipschitz from 1 to 0
+    both = np.arange(2)
     with pytest.raises(RuntimeError, match="certificate"):
-        _certify(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 2.0]),
+        _certify(np.array([[0.0, 1.0], [1.0, 0.0]]), both, both, np.array([0.0, 2.0]),
                  np.zeros(2), 0.0)
+    # only pairs from the first support to the second are ever charged: on
+    # the path 0 - 1 - 2 this potential stretches (1, 2) but proves d[0, 2]
+    line = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
+    _certify(line, np.array([0]), np.array([2]), np.array([2.0, 3.0, 0.0]),
+             np.array([1.0, 0.0, -1.0]), 2.0)
 
     # emd itself checks the duals the solver returns
     solve = scipy.optimize.linprog
@@ -116,12 +188,25 @@ def test_certificate_rejects_a_perturbed_potential(monkeypatch):
 def test_a_space_that_is_not_a_metric_is_refused(tmp_path, capsys):
     d = [[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]
     space = FiniteMMSpace([0, 1, 2], [0.25, 0.5, 0.25], dist=d)
-    pair = MeasurePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    pair = MeasurePair([0.5, 0.25, 0.25], [0.25, 0.25, 0.5])
     with pytest.raises(ValueError, match=r"d\[0,2\]=3\.0 exceeds d\[0,1\] \+ d\[1,2\]=2\.0"):
         emd(space, pair)
-    loop = FiniteMMSpace([0, 1], [0.5, 0.5], dist=[[0.5, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValueError, match=r"d\[0,0\]=0\.5 is not zero"):
-        emd(loop, MeasurePair([0.5, 0.5], [0.5, 0.5]))
+    # off the supports the broken triangle is never used: point masses on
+    # 0 and 2 cost d[0, 2], the transport cost on the sub-space {0, 2}
+    masses = MeasurePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    assert emd(space, masses).distance == 3.0
+    # small supports ship directly; only a point in both supports relays.
+    # Point 0 has no mass, so the supports are points 1-4 of the space.
+    relay = np.ones((5, 5)) - np.eye(5)
+    relay[1, 3] = relay[3, 1] = 3.0
+    five = FiniteMMSpace(list(range(5)), np.full(5, 0.2), dist=relay)
+    with pytest.raises(ValueError, match=r"d\[1,3\]=3\.0 exceeds d\[1,2\] \+ d\[2,3\]=2\.0"):
+        emd(five, MeasurePair([0.0, 0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.25, 0.5, 0.25]))
+    # entries are named by their points in the space, not in the supports
+    loop = FiniteMMSpace([0, 1, 2], np.full(3, 1 / 3),
+                         dist=[[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.5]])
+    with pytest.raises(ValueError, match=r"d\[2,2\]=0\.5 is not zero"):
+        emd(loop, MeasurePair([0.0, 0.5, 0.5], [0.0, 0.5, 0.5]))
     # a failure within 1e-9 * d_max is float noise, not a broken metric
     d[0][2] = d[2][0] = 2.0 + 1e-12
     emd(FiniteMMSpace([0, 1, 2], [0.25, 0.5, 0.25], dist=d), pair)
@@ -129,7 +214,7 @@ def test_a_space_that_is_not_a_metric_is_refused(tmp_path, capsys):
     d[0][2] = d[2][0] = 3.0
     files = {"space.json": {"labels": [0, 1, 2], "weights": [0.25, 0.5, 0.25],
                             "metric": {"type": "matrix", "data": d}},
-             "mu1.json": [1.0, 0.0, 0.0], "mu2.json": [0.0, 0.0, 1.0]}
+             "mu1.json": pair.mu1.tolist(), "mu2.json": pair.mu2.tolist()}
     for name, doc in files.items():
         (tmp_path / name).write_text(json.dumps(doc))
     argv = ["emd", "--space", tmp_path / "space.json", "--mu1", tmp_path / "mu1.json",
