@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .concentration import (LipschitzFunction, SearchConfig, concentration_curve,
-                            gaussian_fit, levy_check, median, tail_check)
+from .concentration import (LipschitzFunction, SearchConfig, alpha_lower_bound,
+                            concentration_curve, gaussian_fit, levy_check, median,
+                            tail_check)
 from .dynamics import (IsometricAction, is_essential, leader_certificate,
                        leader_empirical, ramsey_verify)
 from .generators import build_space
@@ -26,7 +27,6 @@ from .observable import obs_distance
 from .spaces import (_EXHAUSTIVE_CAP, ConcentrationCurve, alpha_exact,
                      space_from_json, space_to_json, validate_space)
 from .transport import MeasurePair, emd
-from .concentration import alpha_lower_bound
 
 
 class InputError(Exception):
@@ -127,15 +127,14 @@ def _generate_descriptor(args):
         if args.p is None:
             raise InputError("sl2 needs --p")
         return {"family": "sl2", "p": args.p}
-    if fam == "product":
-        if args.base is None or args.n is None:
-            raise InputError("product needs --base and --n")
-        try:
-            base = [float(x) for x in args.base.split(",")]
-        except ValueError:
-            raise InputError(f"--base must be comma-separated numbers, got {args.base!r}")
-        return {"family": "product", "base": base, "n": args.n}
-    raise InputError(f"unknown family {fam!r}")
+    # "product", the last of _FAMILIES, which argparse enforces
+    if args.base is None or args.n is None:
+        raise InputError("product needs --base and --n")
+    try:
+        base = [float(x) for x in args.base.split(",")]
+    except ValueError:
+        raise InputError(f"--base must be comma-separated numbers, got {args.base!r}")
+    return {"family": "product", "base": base, "n": args.n}
 
 
 def _cmd_generate(args, argv):

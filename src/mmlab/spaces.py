@@ -151,7 +151,7 @@ class FiniteMMSpace:
         rows = np.arange(self.n)
         out = np.full(self.n, np.inf)
         for r, c in _tiles(self._kernel, rows, members):
-            out[r] = np.minimum(out[r], self._kernel.nearest(rows[r], members[c]))
+            out[r] = np.minimum(out[r], self._kernel.block(rows[r], members[c]).min(axis=1))
         return out
 
     def thickened(self, mask, eps):
@@ -209,19 +209,15 @@ class _Kernel:
 
     block(rows, cols) is the exact distance formula, applied to each pair on
     its own, so an entry never depends on the tile it is computed in; dense
-    matrices and diameter use it.  within and nearest may use faster
-    arithmetic, but leave every pair their rounding could misjudge to the
+    matrices, diameter and dist_to_set use it.  within may use faster
+    arithmetic, but leaves every pair its rounding could misjudge to the
     exact formula, so all paths agree with the dense matrix, ties included.
-    pair_bytes is the scratch one pair of block, within or nearest takes.
+    pair_bytes is the scratch one pair of block or within takes.
     """
 
     def within(self, rows, cols, eps):
         """Whether each row has a column within eps."""
         return (self.block(rows, cols) <= eps).any(axis=1)
-
-    def nearest(self, rows, cols):
-        """Distance from each row to its nearest column."""
-        return self.block(rows, cols).min(axis=1)
 
 
 class _Hamming(_Kernel):
@@ -266,11 +262,10 @@ class _Coordinates(_Kernel):
     coordinates one at a time, in the same order for every pair, so a pair's
     distance is the same in a tile and alone (a BLAS product rounds by tile
     shape), and it holds two floats a pair rather than a (rows, cols, d)
-    broadcast.  When indexed, within and nearest screen a tile by squared
-    euclidean distance through one BLAS product.  That does not round like
-    dist does, so within settles only pairs whose squared distance lies
-    outside the band [lo, hi] of band(eps), and nearest only drops pairs
-    clearly farther than the row's least; dist decides the rest.
+    broadcast.  When indexed, within screens a tile by squared euclidean
+    distance through one BLAS product.  That does not round like dist does,
+    so within settles only pairs whose squared distance lies outside the
+    band [lo, hi] of band(eps); dist decides the rest.
     """
 
     def __init__(self, points, params):
@@ -317,20 +312,6 @@ class _Coordinates(_Kernel):
         r = unsure[r]
         hit[r[self.pair_dist(rows[r], cols[c]) <= eps]] = True
         return hit
-
-    def nearest(self, rows, cols):
-        if not self.indexed:
-            return super().nearest(rows, cols)
-        near = self.lifted[rows] @ self.dropped[cols].T
-        # the band's bound on squared-distance errors, without the radius
-        slack = _INDEX_MARGIN * 4.0 * self.sq_max
-        # a pair farther than 4 slack past its row's least is farther than
-        # the nearest pair by more than any rounding, so cannot be the least
-        close = np.flatnonzero(near <= near.min(axis=1)[:, None] + 4.0 * slack)
-        r, c = np.divmod(close, cols.shape[0])  # 2-d nonzero is several times slower
-        out = np.full(rows.shape[0], np.inf)
-        np.minimum.at(out, r, self.pair_dist(rows[r], cols[c]))
-        return out
 
     def pair_dist(self, i, j):
         """dist of the pairs (i[k], j[k]), in chunks of bounded scratch."""

@@ -13,7 +13,7 @@ from .spaces import _TILE_BYTES
 
 _MARGINAL_TOL = 1e-9
 _REL_TOL = 1e-9         # slack, relative to d_max, of the metric and certificate checks
-_SPLIT_REL_TOL = 1e-12  # two legs this close to d_ij make the pair inessential
+_SPLIT_REL_TOL = 1e-12  # two legs this close to d_ij split the pair
 _TRIPLE_BYTES = 20      # scratch one (i, k, j) triple of the pair scan takes
 _PAIR_BYTES = 16        # scratch one pair of the certificate and McShane passes takes
 
@@ -128,46 +128,29 @@ def _scan_triples(via, onward, direct, names, tol):
     return keep
 
 
-def _essential_pairs(d, names=None):
-    """Mask of the pairs (i, j), i != j, of the metric d that no point k
-    splits into two strictly shorter legs with
-    d_ik + d_kj <= d_ij (1 + _SPLIT_REL_TOL).
-
-    The flow over these pairs is the transport cost only on a metric, so
-    this raises ValueError, naming the entry or triple (by names, the
-    points' indices in the space), unless d is finite, zero on the diagonal
-    and meets the triangle inequality, each within _REL_TOL * d_max.
-    """
-    if names is None:
-        names = np.arange(d.shape[0])
-    tol = _check_distances(d, names, names)
-    keep = _scan_triples(d, d, d, (names, names, names), tol)
-    np.fill_diagonal(keep, False)
-    return keep
-
-
 def _arcs(d, s, t, names):
     """Arcs (tail, head) of a min-cost flow whose value, on a metric, is the
     transport cost between measures supported on the points s and t, sorted
     positions among the points of d, which they cover together.
 
-    When both supports are large (the direct pairs s x t number at least
-    half of all pairs) the arcs are the essential pairs of d, found by a
-    scan over every triple.  Otherwise they are the direct pairs, as in the
-    transportation LP, and only the distances s x t are read: the points in
-    both supports are the only ones that can relay mass, so the triangle
-    inequality is checked on the triples (i, k, j) in s x (s & t) x t.
+    The arcs are the pairs (i, j) of s x t, i != j, that no point k of both
+    supports splits into two strictly shorter legs with
+    d_ik + d_kj <= d_ij (1 + _SPLIT_REL_TOL).  Only such a k can relay mass
+    (it needs an arc in, head in t, and one out, tail in s), and both legs
+    of a split pair lie in s x t again.  Only the distances s x t are read;
+    this raises ValueError, naming the entry or the triple (by names, the
+    points' indices in the space), unless they are finite, zero where a
+    point meets itself, and meet the triangle inequality on the triples
+    s x (s & t) x t, each within _REL_TOL * d_max.
     """
-    n = d.shape[0]
     _, bs, bt = np.intersect1d(s, t, assume_unique=True, return_indices=True)
-    if 2 * (s.shape[0] * t.shape[0] - bs.shape[0]) >= n * (n - 1):
-        return np.nonzero(_essential_pairs(d, names))
     block = d[np.ix_(s, t)]
     tol = _check_distances(block, names[s], names[t])
-    _scan_triples(block[:, bt], block[bs], block, (names[s], names[s[bs]], names[t]), tol)
-    tail, head = np.repeat(s, t.shape[0]), np.tile(t, s.shape[0])
-    apart = tail != head
-    return tail[apart], head[apart]
+    keep = _scan_triples(block[:, bt], block[bs], block,
+                         (names[s], names[s[bs]], names[t]), tol)
+    keep &= s[:, None] != t[None, :]
+    i, j = np.nonzero(keep)
+    return s[i], t[j]
 
 
 def _row_blocks(rows, cols, pair_bytes):
@@ -244,9 +227,8 @@ def emd(space, pair):
 
     Solved on the points with mass in either measure, as a min-cost flow
     with one balance row mu1 - mu2 per point and one arc per pair from
-    _arcs: the essential pairs of the metric (no point splits them into two
-    strictly shorter legs) when both supports are large, else the direct
-    pairs from the first support to the second.  On a metric the flow's
+    _arcs: the pairs from the first support to the second that no point of
+    both splits into two strictly shorter legs.  On a metric the flow's
     value is the transport cost; a space that is not a metric where the
     flow could use it is refused with ValueError.  The row duals are a
     potential that must be 1-Lipschitz from the first support to the second

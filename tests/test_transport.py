@@ -1,7 +1,8 @@
 """Transportation distance: the flow solver against the full transportation
-LP and the quantized assignment oracle, metric axioms, the essential-pair
-graph, the dual certificate, witness feasibility, and the dual pairing with
-1-Lipschitz observables."""
+LP and the quantized assignment oracle, metric axioms, the flow's arcs (the
+pairs from one support to the other that no point of both splits), the dual
+certificate, witness feasibility, and the dual pairing with 1-Lipschitz
+observables."""
 
 import json
 import time
@@ -20,8 +21,8 @@ from mmlab import transport
 from mmlab.cli import main
 from mmlab.generators import hamming_cube
 from mmlab.spaces import FiniteMMSpace
-from mmlab.transport import (Coupling, MeasurePair, _certify, _essential_pairs,
-                             emd, translate_distance)
+from mmlab.transport import (Coupling, MeasurePair, _arcs, _certify, emd,
+                             translate_distance)
 
 
 def delta(n, i):
@@ -54,6 +55,15 @@ def sparse_measures_on(draw, n):
     return normalized(raw)
 
 
+def arc_mask(d):
+    """The flow's arcs between two measures of full support on the metric d,
+    as a mask over its pairs."""
+    every = np.arange(d.shape[0])
+    keep = np.zeros(d.shape, dtype=bool)
+    keep[_arcs(d, every, every, every)] = True
+    return keep
+
+
 def product_pair(cube, p, q):
     bits = cube.points.astype(bool)
     return MeasurePair(*(np.where(bits, r, 1.0 - r).prod(axis=1) for r in (p, q)))
@@ -73,7 +83,7 @@ def test_flow_matches_the_full_lp(space, data):
 def test_cube_flow_runs_over_its_edges():
     cube = hamming_cube(7)
     # every pair but the adjacent ones splits at a neighbour on a geodesic
-    assert int(_essential_pairs(cube.dist).sum()) == 7 * 2 ** 7
+    assert int(arc_mask(cube.dist).sum()) == 7 * 2 ** 7
     rng = np.random.default_rng(9)
     p, q = rng.uniform(0.05, 0.95, 7), rng.uniform(0.05, 0.95, 7)
     pair = product_pair(cube, p, q)
@@ -91,16 +101,16 @@ def test_scan_blocks_do_not_change_the_pairs(monkeypatch, tile):
     cube = hamming_cube(4)
     rng = np.random.default_rng(2)
     cloud = cloud_metric(rng.integers(0, 4, size=(16, 2)))
-    want = [_essential_pairs(cube.dist), _essential_pairs(cloud)]
+    want = [arc_mask(cube.dist), arc_mask(cloud)]
     broken = cloud.copy()
     broken[0, 15] = broken[15, 0] = float(cloud.max()) * 3
     with pytest.raises(ValueError) as unblocked:
-        _essential_pairs(broken)
+        arc_mask(broken)
     monkeypatch.setattr(transport, "_TILE_BYTES", tile)
-    assert np.array_equal(_essential_pairs(cube.dist), want[0])
-    assert np.array_equal(_essential_pairs(cloud), want[1])
+    assert np.array_equal(arc_mask(cube.dist), want[0])
+    assert np.array_equal(arc_mask(cloud), want[1])
     with pytest.raises(ValueError) as blocked:
-        _essential_pairs(broken)
+        arc_mask(broken)
     assert str(blocked.value) == str(unblocked.value)
 
 
@@ -109,13 +119,30 @@ def test_zero_mass_points_stay_out_of_the_flow():
     # the flow runs on {0, 2} alone and the potential reaches 1 by McShane
     d = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
     path = FiniteMMSpace([0, 1, 2], [0.5, 0.0, 0.5], dist=d)
-    assert not _essential_pairs(d)[0, 2]
+    assert not arc_mask(d)[0, 2]
     res = emd(path, MeasurePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]))
     assert res.distance == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(res.witness.joint, [[0, 0, 1], [0, 0, 0], [0, 0, 0]], atol=1e-12)
     u = res.potential
     assert u[0] - u[2] == pytest.approx(2.0, abs=1e-12)
     assert u[1] == pytest.approx(min(u[0] + 1.0, u[2] + 1.0), abs=1e-12)
+
+
+def test_a_common_point_splits_pairs_between_partial_supports():
+    # on the path 0 - 1 - 2 - 3 with mu1 on {0, 1} and mu2 on {1, 3}, the
+    # pair (0, 3) splits at 1, which is in both supports: the arcs are
+    # (0, 1) and (1, 3), positions 0 -> 1 and 1 -> 2 among the points {0, 1, 3}
+    d = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
+    support = np.array([0, 1, 3])
+    tail, head = _arcs(d[np.ix_(support, support)], np.array([0, 1]), np.array([1, 2]),
+                       support)
+    assert tail.tolist() == [0, 1] and head.tolist() == [1, 2]
+    path = FiniteMMSpace([0, 1, 2, 3], np.full(4, 0.25), dist=d)
+    pair = MeasurePair([0.25, 0.75, 0.0, 0.0], [0.0, 0.5, 0.0, 0.5])
+    res = emd(path, pair)
+    assert abs(res.distance - emd_full_lp(path, pair)) <= 1e-12 * 3.0
+    assert res.distance == pytest.approx(1.25, abs=1e-12)
+    res.witness.check(pair, atol=1e-12)
 
 
 def test_small_supports_on_a_large_cloud_stay_cheap():
