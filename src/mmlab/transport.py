@@ -14,6 +14,9 @@ from .spaces import _TILE_BYTES
 _MARGINAL_TOL = 1e-9
 _REL_TOL = 1e-9         # slack, relative to d_max, of the metric and certificate checks
 _SPLIT_REL_TOL = 1e-12  # two legs this close to d_ij split the pair
+# HiGHS' dual feasibility, absolute on costs scaled to d_max = 1; its default
+# 1e-7 lets the duals break the certificate's 1e-9 on valid inputs
+_DUAL_FEAS_TOL = 1e-10
 _TRIPLE_BYTES = 20      # scratch one (i, k, j) triple of the pair scan takes
 _PAIR_BYTES = 16        # scratch one pair of the certificate and McShane passes takes
 
@@ -230,10 +233,12 @@ def emd(space, pair):
     _arcs: the pairs from the first support to the second that no point of
     both splits into two strictly shorter legs.  On a metric the flow's
     value is the transport cost; a space that is not a metric where the
-    flow could use it is refused with ValueError.  The row duals are a
-    potential that must be 1-Lipschitz from the first support to the second
-    and pair to the cost (see _certify), or emd raises RuntimeError; it is
-    extended to the zero-mass points by the McShane formula
+    flow could use it is refused with ValueError.  The LP is solved on arc
+    costs divided by their largest, with HiGHS' dual feasibility at
+    _DUAL_FEAS_TOL, and its value and duals are scaled back.  The row duals
+    are a potential that must be 1-Lipschitz from the first support to the
+    second and pair to the cost (see _certify), or emd raises RuntimeError;
+    it is extended to the zero-mass points by the McShane formula
     min_y u_y + d(x, y).  The witness coupling is the proportional
     decomposition of the basic (forest) flow.
     """
@@ -259,12 +264,15 @@ def emd(space, pair):
                                 np.arange(0, 2 * arcs + 1, 2)),
                                shape=(support.shape[0], arcs))
         excess = mu1 - mu2
-        res = linprog(d[tail, head], A_eq=balance, b_eq=excess, bounds=(0, None),
-                      method="highs-ds")
+        cost = d[tail, head]
+        scale = float(cost.max()) or 1.0
+        res = linprog(cost / scale, A_eq=balance, b_eq=excess, bounds=(0, None),
+                      method="highs-ds",
+                      options={"dual_feasibility_tolerance": _DUAL_FEAS_TOL})
         if not res.success:
             raise RuntimeError(f"transportation solve failed: {res.message}")
-        distance = float(res.fun)
-        u = np.asarray(res.eqlin.marginals, dtype=float)
+        distance = float(res.fun) * scale
+        u = np.asarray(res.eqlin.marginals, dtype=float) * scale
         _certify(d, src, dst, u, excess, distance)
         joint[np.ix_(support[src], support)] = _decompose(
             tail, head, np.clip(res.x, 0.0, None), mu1, mu2)

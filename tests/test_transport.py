@@ -20,7 +20,7 @@ from conftest import (cloud_metric, emd_full_lp, emd_oracle, mcshane_envelope,
 from mmlab import transport
 from mmlab.cli import main
 from mmlab.generators import hamming_cube
-from mmlab.spaces import FiniteMMSpace
+from mmlab.spaces import FiniteMMSpace, space_to_json
 from mmlab.transport import (Coupling, MeasurePair, _arcs, _certify, emd,
                              translate_distance)
 
@@ -210,6 +210,28 @@ def test_certificate_rejects_a_perturbed_potential(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "linprog", solve_with_bumped_dual)
     with pytest.raises(RuntimeError, match="certificate"):
         emd(cube, pair)
+
+
+def test_solver_duals_pass_the_certificate(tmp_path, capsys):
+    # HiGHS' default dual feasibility (1e-7, absolute) once left a dual that
+    # stretched this cloud's metric by 8.6e-8, past the certificate's 1e-9
+    # d_max, so a valid input raised RuntimeError and the CLI exited 1
+    rng = np.random.default_rng(2397)
+    n = int(rng.integers(4, 16))
+    cloud = FiniteMMSpace(list(range(n)), np.full(n, 1.0 / n),
+                          points=rng.normal(size=(n, 2)), metric="euclidean")
+    pair = MeasurePair(normalized(rng.integers(1, 10, n)), normalized(rng.integers(1, 10, n)))
+    got = emd(cloud, pair).distance
+    assert abs(got - emd_full_lp(cloud, pair)) <= 1e-12 * float(cloud.dist.max())
+
+    files = {"space.json": space_to_json(cloud), "mu1.json": pair.mu1.tolist(),
+             "mu2.json": pair.mu2.tolist()}
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = ["emd", "--space", tmp_path / "space.json", "--mu1", tmp_path / "mu1.json",
+            "--mu2", tmp_path / "mu2.json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["distance"] == got
 
 
 def test_a_space_that_is_not_a_metric_is_refused(tmp_path, capsys):
