@@ -177,6 +177,14 @@ def test_one_point_space():
     assert res.witness.joint.tolist() == [[1.0]]
 
 
+def test_duplicated_points_cost_nothing():
+    # the one arc costs 0, so the LP's costs cannot be scaled by their largest
+    twins = FiniteMMSpace([0, 1], [0.5, 0.5], dist=[[0.0, 0.0], [0.0, 0.0]])
+    res = emd(twins, MeasurePair([1.0, 0.0], [0.0, 1.0]))
+    assert res.distance == 0.0
+    assert res.witness.joint.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+
+
 def test_certificate_rejects_a_perturbed_potential(monkeypatch):
     cube = hamming_cube(3)
     pair = product_pair(cube, np.array([0.2, 0.5, 0.9]), np.array([0.7, 0.4, 0.1]))
