@@ -36,7 +36,6 @@ class SearchConfig:
     restarts: int = 8
     ball_anchors: int = 4
     anchor_budget: int = 8
-    coupling_exhaustive_limit: int = 720
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ class IsometricAction:
                 raise ValueError(f"element {idx} is not a permutation of {n} points")
             moved = d[np.ix_(p, p)]
             ok = np.array_equal(moved, d) if self.atol == 0.0 \
-                else np.allclose(moved, d, atol=self.atol)
+                else np.allclose(moved, d, rtol=0, atol=self.atol)
             if not ok:
                 raise ValueError(f"element {idx} does not preserve the metric")
         if self.names is None:

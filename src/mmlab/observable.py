@@ -22,10 +22,12 @@ import numpy as np
 
 from .concentration import SearchConfig
 from .spaces import _MATERIALIZE_CAP, point_space
+from .transport import _SUPPORT_TOL, _nw_corner
 
-_SUPPORT_TOL = 1e-15
 _COUPLING_TOL = 1e-12  # couplings this close entrywise are one candidate
 _MERGE_TOL = 1e-12     # family members this close pointwise are one member
+_PAIR_POOL_LIMIT = 12  # extreme families add distances to point pairs up to this size
+_EXHAUSTIVE_COUPLINGS = 720  # order pairs searched exhaustively up to this many
 
 
 # -- step functions and the me1 metric ---------------------------------------
@@ -145,16 +147,17 @@ def best_constant_me1(h):
 
 # -- anchored Lipschitz families ----------------------------------------------
 
-def lipschitz_extremes(space, anchor, pair_limit=12):
+def lipschitz_extremes(space, anchor):
     """Finite spanning family of 1-Lipschitz value vectors vanishing at anchor,
     one member per row of a (members, points) matrix.
 
     Members are x -> d(x, S) - d(anchor, S) for S in a subset pool (all
-    singletons; all pairs when the space has at most pair_limit points), their
-    negatives, and the zero vector.  Distance functions to sets are exactly
-    1-Lipschitz.  Members agreeing within _MERGE_TOL at every point are one
-    member (the first seen), so rounding copies such as d(., y') - d(a, y')
-    and -(d(., y) - d(a, y)) for antipodes y, y' of a cube count once.
+    singletons; all pairs when the space has at most _PAIR_POOL_LIMIT
+    points), their negatives, and the zero vector.  Distance functions to
+    sets are exactly 1-Lipschitz.  Members agreeing within _MERGE_TOL at
+    every point are one member (the first seen), so rounding copies such as
+    d(., y') - d(a, y') and -(d(., y) - d(a, y)) for antipodes y, y' of a
+    cube count once.
 
     Adding a constant changes neither membership nor any me1 fit, so the
     family at another anchor b is this matrix minus its column b.
@@ -168,7 +171,7 @@ def lipschitz_extremes(space, anchor, pair_limit=12):
     d = space.dist
 
     pools = d.T  # row y: distance to {y}
-    if n <= pair_limit:
+    if n <= _PAIR_POOL_LIMIT:
         y, z = np.triu_indices(n, 1)
         pools = np.concatenate([pools, np.minimum(d[:, y], d[:, z]).T])
     fam = np.zeros((1 + 2 * pools.shape[0], n))
@@ -186,37 +189,13 @@ def lipschitz_extremes(space, anchor, pair_limit=12):
     return fam[keep]
 
 
-@dataclass
-class Parametrization:
-    """Map from a cell partition of [0,1] onto a space's points.
-
-    breaks are the cell boundaries; owner[i] is the point owning cell i.  The
-    pushforward of Lebesgue measure must reproduce the space's weights.
-    """
-    space: object
-    breaks: np.ndarray
-    owner: np.ndarray
-
-    def __post_init__(self):
-        self.breaks = np.asarray(self.breaks, dtype=float).reshape(-1)
-        self.owner = np.asarray(self.owner, dtype=np.intp).reshape(-1)
-        if self.owner.shape[0] != self.breaks.shape[0] - 1:
-            raise ValueError("need one owner per cell")
-        push = np.zeros(self.space.n)
-        np.add.at(push, self.owner, np.diff(self.breaks))
-        if not np.allclose(push, self.space.weight, atol=1e-9):
-            raise ValueError("pushforward of cell lengths does not match weights")
-
-
 # -- observable distance estimator --------------------------------------------
 
 @dataclass(frozen=True)
 class ObsDistanceResult:
     upper: float
-    parametrization_x: Parametrization
-    parametrization_y: Parametrization
     coupling: np.ndarray
-    anchor: tuple
+    anchor: tuple  # the points of the anchor cell, in X and in Y
 
 
 @dataclass(frozen=True)
@@ -224,28 +203,6 @@ class LevyConvergenceResult:
     dists: np.ndarray
     decreasing_trend: bool
     slack: float
-
-
-def _nw_corner(wx, wy, order_x, order_y):
-    """Greedy coupling filling cells along the two point orders."""
-    pi = np.zeros((wx.shape[0], wy.shape[0]))
-    rx = wx[order_x].astype(float).copy()
-    ry = wy[order_y].astype(float).copy()
-    i = j = 0
-    while i < rx.shape[0] and j < ry.shape[0]:
-        step = min(rx[i], ry[j])
-        if step > 0:
-            pi[order_x[i], order_y[j]] += step
-        rx[i] -= step
-        ry[j] -= step
-        if rx[i] <= _SUPPORT_TOL:
-            i += 1
-        if ry[j] <= _SUPPORT_TOL:
-            j += 1
-    s = pi.sum()
-    if s > 0:
-        pi /= s
-    return pi
 
 
 def _candidate_couplings(X, Y, cfg):
@@ -258,23 +215,26 @@ def _candidate_couplings(X, Y, cfg):
         if not gaps or min(gaps) > _COUPLING_TOL:
             out.append(pi)
 
-    if nx == ny and np.allclose(X.weight, Y.weight, atol=1e-12):
+    def corner(order_x, order_y):
+        # the north-west-corner plan along the two orders, rescaled to mass 1
+        pi = np.zeros((nx, ny))
+        rows, cols, mass = _nw_corner(X.weight, Y.weight, order_x, order_y)
+        pi[rows, cols] = mass
+        push(pi / pi.sum())
+
+    if nx == ny and np.allclose(X.weight, Y.weight, rtol=0, atol=1e-12):
         push(np.diag(X.weight.astype(float)))
     push(np.outer(X.weight, Y.weight))
-    ix, iy = np.arange(nx), np.arange(ny)
-    push(_nw_corner(X.weight, Y.weight, ix, iy))
-    push(_nw_corner(X.weight, Y.weight,
-                    np.argsort(-X.weight, kind="stable"),
-                    np.argsort(-Y.weight, kind="stable")))
-    if math.factorial(nx) * math.factorial(ny) <= cfg.coupling_exhaustive_limit:
+    corner(np.arange(nx), np.arange(ny))
+    corner(np.argsort(-X.weight, kind="stable"), np.argsort(-Y.weight, kind="stable"))
+    if math.factorial(nx) * math.factorial(ny) <= _EXHAUSTIVE_COUPLINGS:
         for px in itertools.permutations(range(nx)):
             for py in itertools.permutations(range(ny)):
-                push(_nw_corner(X.weight, Y.weight, np.array(px), np.array(py)))
+                corner(np.array(px), np.array(py))
     else:
         for r in range(cfg.restarts):
             rng = np.random.default_rng([cfg.seed, 100 + r])
-            push(_nw_corner(X.weight, Y.weight,
-                            rng.permutation(nx), rng.permutation(ny)))
+            corner(rng.permutation(nx), rng.permutation(ny))
     return out
 
 
@@ -298,12 +258,13 @@ def _family_hausdorff(masses, A, B, fit_a, fit_b):
 def obs_distance(X, Y, cfg=None):
     """Upper estimate of the observable distance between two finite spaces.
 
-    Searches parametrization pairs induced by couplings of the weight vectors
-    (several deterministic constructions, exhaustive order pairs on tiny
-    instances, seeded restarts otherwise) and anchor cells up to the budget,
-    evaluating the Hausdorff me1 distance between the constant-augmented
-    extreme families on the common cell partition.  Enlarging the budget only
-    adds candidates, so the reported value never increases with budget.
+    Searches couplings of the weight vectors (several deterministic
+    constructions, north-west corners along every order pair on tiny
+    instances, seeded restarts otherwise) and, in each, anchor cells up to
+    the budget.  A coupling's cells partition [0, 1] by their masses, and the
+    Hausdorff me1 distance between the constant-augmented extreme families
+    is evaluated on that partition.  Enlarging the budget only adds
+    candidates, so the reported value never increases with budget.
 
     Each space's extreme family is built once; an anchor only shifts every
     member by its value there.  The constant fit is shift-invariant, so it
@@ -325,29 +286,20 @@ def obs_distance(X, Y, cfg=None):
         fit_x, fit_y = _best_const_rows(masses, lx), _best_const_rows(masses, ly)
         by_mass = np.lexsort((cj, ci, -masses))
         if to_point:
-            best = (float(max(fit_x.max(), fit_y.max())), pi, ci, cj, masses, by_mass[0])
+            best = (float(max(fit_x.max(), fit_y.max())), pi, ci, cj, by_mass[0])
             break
         for cell in by_mass[:max(1, cfg.anchor_budget)]:
             h = _family_hausdorff(masses, lx - lx[:, cell, None], ly - ly[:, cell, None],
                                   fit_x, fit_y)
             if best is None or h < best[0]:
-                best = (h, pi, ci, cj, masses, cell)
+                best = (h, pi, ci, cj, cell)
                 if h <= 0.0:
                     break
         if best is not None and best[0] <= 0.0:
             break
 
-    h, pi, ci, cj, masses, cell = best
-    # anchor cell first so the anchor point owns the interval at 0
-    order = np.concatenate([[cell], np.delete(np.arange(ci.shape[0]), cell)])
-    breaks = np.concatenate([[0.0], np.cumsum(masses[order])])
-    breaks[-1] = 1.0
-    return ObsDistanceResult(
-        upper=h,
-        parametrization_x=Parametrization(X, breaks, ci[order]),
-        parametrization_y=Parametrization(Y, breaks, cj[order]),
-        coupling=pi,
-        anchor=(int(ci[cell]), int(cj[cell])))
+    h, pi, ci, cj, cell = best
+    return ObsDistanceResult(upper=h, coupling=pi, anchor=(int(ci[cell]), int(cj[cell])))
 
 
 def levy_convergence_test(spaces, *, slack=0.02):

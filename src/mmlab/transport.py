@@ -1,7 +1,8 @@
 """Transportation (earth mover's) distance between probability measures on a
 shared finite metric space: an exact min-cost flow on the measures' supports,
-with a dual certificate and a witness coupling, and the translate distance
-of a measure under a point permutation."""
+grown arc by arc until its dual certificate holds on every pair, with a
+witness coupling, and the translate distance of a measure under a point
+permutation."""
 
 from __future__ import annotations
 
@@ -12,13 +13,15 @@ import numpy as np
 from .spaces import _TILE_BYTES
 
 _MARGINAL_TOL = 1e-9
-_REL_TOL = 1e-9         # slack, relative to d_max, of the metric and certificate checks
-_SPLIT_REL_TOL = 1e-12  # two legs this close to d_ij split the pair
-# HiGHS' dual feasibility, absolute on costs scaled to d_max = 1; its default
-# 1e-7 lets the duals break the certificate's 1e-9 on valid inputs
-_DUAL_FEAS_TOL = 1e-10
-_TRIPLE_BYTES = 20      # scratch one (i, k, j) triple of the pair scan takes
-_PAIR_BYTES = 16        # scratch one pair of the certificate and McShane passes takes
+_REL_TOL = 1e-9         # slack, relative to d_max, of the metric, pricing and certificate checks
+# HiGHS' primal and dual feasibility, absolute on masses and on costs scaled
+# to d_max = 1.  At its default 1e-7 the duals can break the certificate's
+# 1e-9 on valid inputs, and the flow can overdraw a point by 2e-8 and come
+# out 2e-9 cheaper than the transport cost
+_FEAS_TOL = 1e-10
+_PAIR_BYTES = 16        # scratch one pair of a row-block pass takes
+_SEED_NEAREST = 9       # nearest targets of each source, itself included, in the first arcs
+_SUPPORT_TOL = 1e-15    # mass the north-west corner leaves at or below this is spent
 
 
 @dataclass
@@ -61,9 +64,9 @@ class Coupling:
 
     def check(self, pair, atol=_MARGINAL_TOL):
         """Raise unless the marginals match the pair within atol."""
-        if not np.allclose(self.row_marginal, pair.mu1, atol=atol):
+        if not np.allclose(self.row_marginal, pair.mu1, rtol=0, atol=atol):
             raise ValueError("row marginal does not match mu1")
-        if not np.allclose(self.col_marginal, pair.mu2, atol=atol):
+        if not np.allclose(self.col_marginal, pair.mu2, rtol=0, atol=atol):
             raise ValueError("column marginal does not match mu2")
 
 
@@ -74,93 +77,110 @@ class EmdResult:
     potential: np.ndarray  # the dual certificate: 1-Lipschitz, pairs to distance
 
 
-def _check_distances(d, rows, cols):
-    """Raise ValueError unless the distances d from the points rows to the
-    points cols (indices in the space, sorted) are finite and zero where a
-    point meets itself, within _REL_TOL * d_max; return that tolerance."""
-    if not np.isfinite(d).all():
-        i, j = np.argwhere(~np.isfinite(d))[0]
-        raise ValueError(f"not a metric: non-finite distance at ({rows[i]},{cols[j]})")
-    tol = _REL_TOL * float(d.max())
-    _, i, j = np.intersect1d(rows, cols, assume_unique=True, return_indices=True)
-    diag = np.abs(d[i, j])
-    if diag.size and diag.max() > tol:
-        k = int(np.argmax(diag))
-        raise ValueError(
-            f"not a metric: d[{rows[i[k]]},{rows[i[k]]}]={float(d[i[k], j[k]])!r} is not zero")
-    return tol
-
-
-def _scan_triples(via, onward, direct, names, tol):
-    """Check d_ij <= d_ik + d_kj within tol over the triples (i, k, j) of
-    rows x mids x cols, where via = d[rows, mids],
-    onward = d[mids, cols] and direct = d[rows, cols], and return the mask
-    of the (i, j) that no k splits into two strictly shorter legs with
-    d_ik + d_kj <= d_ij (1 + _SPLIT_REL_TOL).
-
-    names = (rows, mids, cols) are the points' indices in the space, used
-    to name a failing triple in the ValueError.  Rows and mids are scanned
-    in blocks of at most _TILE_BYTES of scratch.
-    """
-    r, m, c = via.shape[0], via.shape[1], direct.shape[1]
-    triples = max(c, _TILE_BYTES // _TRIPLE_BYTES)
-    step_r = max(1, min(r, triples // max(m * c, 1)))
-    step_m = max(1, min(m, triples // max(step_r * c, 1)))
-    keep = np.ones((r, c), dtype=bool)
-    for r0 in range(0, r, step_r):
-        target = direct[r0:r0 + step_r]
-        shortest = np.full(target.shape, np.inf)
-        for m0 in range(0, m, step_m):
-            first = via[r0:r0 + step_r, m0:m0 + step_m, None]   # d_ik, [i, k, j]
-            second = onward[None, m0:m0 + step_m, :]           # d_kj
-            legs = first + second
-            np.minimum(shortest, legs.min(axis=1), out=shortest)
-            split = (first < target[:, None]) & (second < target[:, None])
-            split &= legs <= target[:, None] * (1.0 + _SPLIT_REL_TOL)
-            keep[r0:r0 + step_r] &= ~split.any(axis=1)
-        bad = np.flatnonzero(target - shortest > tol)
-        if bad.size:
-            i, j = divmod(int(bad[0]), c)
-            i += r0
-            k = int(np.argmin(via[i] + onward[:, j]))
-            rows, mids, cols = names
-            raise ValueError(
-                f"not a metric: d[{rows[i]},{cols[j]}]={float(direct[i, j])!r} "
-                f"exceeds d[{rows[i]},{mids[k]}] + d[{mids[k]},{cols[j]}]="
-                f"{float(via[i, k] + onward[k, j])!r}")
-    return keep
-
-
-def _arcs(d, s, t, names):
-    """Arcs (tail, head) of a min-cost flow whose value, on a metric, is the
-    transport cost between measures supported on the points s and t, sorted
-    positions among the points of d, which they cover together.
-
-    The arcs are the pairs (i, j) of s x t, i != j, that no point k of both
-    supports splits into two strictly shorter legs with
-    d_ik + d_kj <= d_ij (1 + _SPLIT_REL_TOL).  Only such a k can relay mass
-    (it needs an arc in, head in t, and one out, tail in s), and both legs
-    of a split pair lie in s x t again.  Only the distances s x t are read;
-    this raises ValueError, naming the entry or the triple (by names, the
-    points' indices in the space), unless they are finite, zero where a
-    point meets itself, and meet the triangle inequality on the triples
-    s x (s & t) x t, each within _REL_TOL * d_max.
-    """
-    _, bs, bt = np.intersect1d(s, t, assume_unique=True, return_indices=True)
-    block = d[np.ix_(s, t)]
-    tol = _check_distances(block, names[s], names[t])
-    keep = _scan_triples(block[:, bt], block[bs], block,
-                         (names[s], names[s[bs]], names[t]), tol)
-    keep &= s[:, None] != t[None, :]
-    i, j = np.nonzero(keep)
-    return s[i], t[j]
-
-
 def _row_blocks(rows, cols, pair_bytes):
     """Slices of at least one row covering range(rows), each holding at most
     _TILE_BYTES of scratch at pair_bytes a (row, column) pair."""
     step = max(1, _TILE_BYTES // (pair_bytes * max(cols, 1)))
     return [slice(r0, r0 + step) for r0 in range(0, rows, step)]
+
+
+def _nw_corner(wx, wy, order_x, order_y):
+    """North-west-corner plan of the weights wx against wy, filled along the
+    point orders order_x and order_y: the cells (rows, cols) it fills, in
+    filling order, and their masses.  Mass left at or below _SUPPORT_TOL
+    counts as spent, so each step moves on to the next point of one order
+    or of both, and the filled cells form a staircase."""
+    rx, ry = wx[order_x].tolist(), wy[order_y].tolist()
+    rows, cols, mass = [], [], []
+    i = j = 0
+    while i < len(rx) and j < len(ry):
+        step = min(rx[i], ry[j])
+        if step > 0:
+            rows.append(order_x[i])
+            cols.append(order_y[j])
+            mass.append(step)
+        rx[i] -= step
+        ry[j] -= step
+        if rx[i] <= _SUPPORT_TOL:
+            i += 1
+        if ry[j] <= _SUPPORT_TOL:
+            j += 1
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(mass)
+
+
+def _seed(d, src, dst, mu1, mu2, names):
+    """The flow's first arcs, as sorted keys tail * m + head over the m points
+    of d, and d_max over the pairs from the sources src to the targets dst.
+    The arcs are the cells of the north-west-corner plan of mu1 against mu2,
+    which carry a feasible flow, and the pairs from each source to its
+    _SEED_NEAREST nearest targets (all of them when there are no more), less
+    the pairs of a point with itself.  The scan raises ValueError unless the
+    distances from src to dst are finite and zero where a point meets
+    itself, within _REL_TOL * d_max, naming the entry by names, the points'
+    indices in the space."""
+    m = d.shape[0]
+    tail, head, _ = _nw_corner(mu1, mu2, src, dst)
+    keys, d_max = [tail * m + head], 0.0
+    near = min(_SEED_NEAREST, dst.shape[0])
+    for r in _row_blocks(src.shape[0], dst.shape[0], _PAIR_BYTES):
+        block = d[np.ix_(src[r], dst)]
+        if not np.isfinite(block).all():
+            i, j = np.argwhere(~np.isfinite(block))[0]
+            raise ValueError(
+                f"not a metric: non-finite distance at ({names[src[r][i]]},{names[dst[j]]})")
+        d_max = max(d_max, float(block.max()))
+        nearest = np.argpartition(block, near - 1, axis=1)[:, :near]
+        keys.append((src[r, None] * m + dst[nearest]).ravel())
+    both = np.intersect1d(src, dst, assume_unique=True)
+    diag = np.abs(d[both, both])
+    if diag.size and diag.max() > _REL_TOL * d_max:
+        k = both[int(np.argmax(diag))]
+        raise ValueError(f"not a metric: d[{names[k]},{names[k]}]={float(d[k, k])!r} is not zero")
+    keys = np.unique(np.concatenate(keys))
+    return keys[keys // m != keys % m], d_max
+
+
+def _solve(d, tail, head, excess, scale):
+    """Min-cost flow of the balance excess along the arcs tail -> head at
+    costs d[tail, head]: the amount on each arc, the flow's value and the
+    row duals.  The LP runs on costs divided by scale (d_max), with HiGHS'
+    feasibility tolerances at _FEAS_TOL, and its value and duals are scaled
+    back."""
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
+    arcs = tail.shape[0]
+    # column a leaves tail[a] (+1) and enters head[a] (-1)
+    balance = sp.csc_array((np.tile([1.0, -1.0], arcs),
+                            np.stack([tail, head], axis=1).ravel(),
+                            np.arange(0, 2 * arcs + 1, 2)),
+                           shape=(excess.shape[0], arcs))
+    res = linprog(d[tail, head] / scale, A_eq=balance, b_eq=excess, bounds=(0, None),
+                  method="highs-ds",
+                  options={"dual_feasibility_tolerance": _FEAS_TOL,
+                           "primal_feasibility_tolerance": _FEAS_TOL})
+    if not res.success:
+        raise RuntimeError(f"transportation solve failed: {res.message}")
+    return (np.clip(res.x, 0.0, None), float(res.fun) * scale,
+            np.asarray(res.eqlin.marginals, dtype=float) * scale)
+
+
+def _price(d, rows, cols, potential):
+    """Pricing scan of the potential u over rows x cols (positions in d):
+    for each i in rows, the position in cols of the j with the largest
+    stretch u_i - u_j - d_ij and that stretch; and _REL_TOL * d_max over
+    the pairs.  Rows are scanned in blocks of at most _TILE_BYTES."""
+    worst = np.empty(rows.shape[0], dtype=np.intp)
+    stretch = np.empty(rows.shape[0])
+    d_max = 0.0
+    for r in _row_blocks(rows.shape[0], cols.shape[0], _PAIR_BYTES):
+        block = d[np.ix_(rows[r], cols)]
+        d_max = max(d_max, float(block.max()))
+        over = potential[rows[r], None] - potential[None, cols]
+        over -= block
+        worst[r] = over.argmax(axis=1)
+        stretch[r] = np.take_along_axis(over, worst[r, None], axis=1)[:, 0]
+    return worst, stretch, _REL_TOL * d_max
 
 
 def _certify(d, rows, cols, potential, excess, cost):
@@ -169,18 +189,32 @@ def _certify(d, rows, cols, potential, excess, cost):
     only pairs a coupling can charge, and pairs with mu1 - mu2 to the cost,
     both within _REL_TOL * d_max over those pairs.  By Kantorovich duality
     such a potential proves that no coupling costs less than cost."""
-    stretch = d_max = -np.inf
-    for r in _row_blocks(rows.shape[0], cols.shape[0], _PAIR_BYTES):
-        block = d[np.ix_(rows[r], cols)]
-        d_max = max(d_max, float(block.max()))
-        stretch = max(stretch, float(
-            (potential[rows[r], None] - potential[None, cols] - block).max()))
-    tol = _REL_TOL * d_max
+    _, stretch, tol = _price(d, rows, cols, potential)
+    stretch = float(stretch.max())
     gap = abs(float(potential @ excess) - cost)
     if stretch > tol or gap > tol:
         raise RuntimeError(
             f"transport certificate failed: potential exceeds the metric by "
             f"{stretch!r} and misses the cost by {gap!r} (tolerance {tol!r})")
+
+
+def _refuse_broken_relays(d, rows, mids, cols, names, tol):
+    """Raise ValueError naming the first pair (i, j) of rows x cols, in
+    row-major order, with d_ij > d_ik + d_kj + tol for a k in mids, and the
+    k with the shortest legs, if there is such a triple."""
+    for r in _row_blocks(rows.shape[0], cols.shape[0], 2 * _PAIR_BYTES):
+        shortest = np.full((rows[r].shape[0], cols.shape[0]), np.inf)
+        for k in mids:
+            np.minimum(shortest, d[rows[r], k][:, None] + d[k, cols], out=shortest)
+        bad = np.flatnonzero(d[np.ix_(rows[r], cols)] - shortest > tol)
+        if bad.size:
+            i, j = divmod(int(bad[0]), cols.shape[0])
+            i, j = rows[r][i], cols[j]
+            legs = d[i, mids] + d[mids, j]
+            k = mids[int(np.argmin(legs))]
+            raise ValueError(
+                f"not a metric: d[{names[i]},{names[j]}]={float(d[i, j])!r} exceeds "
+                f"d[{names[i]},{names[k]}] + d[{names[k]},{names[j]}]={float(legs.min())!r}")
 
 
 def _decompose(tail, head, amount, mu1, mu2):
@@ -229,53 +263,64 @@ def emd(space, pair):
     """Exact transportation distance min over couplings of sum nu * d.
 
     Solved on the points with mass in either measure, as a min-cost flow
-    with one balance row mu1 - mu2 per point and one arc per pair from
-    _arcs: the pairs from the first support to the second that no point of
-    both splits into two strictly shorter legs.  On a metric the flow's
-    value is the transport cost; a space that is not a metric where the
-    flow could use it is refused with ValueError.  The LP is solved on arc
-    costs divided by their largest, with HiGHS' dual feasibility at
-    _DUAL_FEAS_TOL, and its value and duals are scaled back.  The row duals
-    are a potential that must be 1-Lipschitz from the first support to the
-    second and pair to the cost (see _certify), or emd raises RuntimeError;
-    it is extended to the zero-mass points by the McShane formula
-    min_y u_y + d(x, y).  The witness coupling is the proportional
-    decomposition of the basic (forest) flow.
-    """
-    import scipy.sparse as sp
-    from scipy.optimize import linprog
+    with one balance row mu1 - mu2 per point and one arc per pair of an arc
+    set grown by delayed column generation.  The set starts from _seed;
+    each round solves the flow on it, prices every pair from the first
+    support to the second against the flow's row duals u (see _price), and
+    adds each source's most stretched pair, one with u_i - u_j > d_ij +
+    _REL_TOL * d_max, until no pair is stretched.  The last duals are then
+    a certificate (see _certify): 1-Lipschitz on every pair a coupling can
+    charge, and pairing to the flow's value, or emd raises RuntimeError.
+    They are extended to the zero-mass points by the McShane formula
+    min_y u_y + d(x, y).
 
+    The witness coupling is the proportional decomposition of the basic
+    (forest) flow.  By weak duality its cost is at least the transport cost,
+    which is at least the dual value, the flow's value; a witness within
+    _REL_TOL * d_max of that value proves it on any cost matrix.  A larger
+    gap means the flow relayed mass through a point of both supports along
+    a broken triangle, and the space is refused with ValueError naming one.
+    Only the distances from the first support to the second are read, and
+    they must be finite and zero where a point meets itself.
+    """
     n = space.n
     if pair.mu1.shape[0] != n:
         raise ValueError("measure length does not match the space")
     support = np.flatnonzero((pair.mu1 > 0) | (pair.mu2 > 0))
     dist = space.dist
     d = dist if support.shape[0] == n else dist[np.ix_(support, support)]
-    mu1, mu2 = pair.mu1[support], pair.mu2[support]
+    # each measure is rescaled to mass 1, so that the balance rows agree to
+    # rounding: they must hold to _FEAS_TOL, and the measures' sums to 1e-9
+    mu1, mu2 = (mu[support] / mu[support].sum() for mu in (pair.mu1, pair.mu2))
     src, dst = np.flatnonzero(mu1 > 0), np.flatnonzero(mu2 > 0)
-    tail, head = _arcs(d, src, dst, support)
-    arcs = tail.shape[0]
+    keys, d_max = _seed(d, src, dst, mu1, mu2, support)
+    tol, m = _REL_TOL * d_max, support.shape[0]
     potential = np.zeros(n)
     joint = np.zeros((n, n))
-    if arcs:
-        # column a leaves tail[a] (+1) and enters head[a] (-1)
-        balance = sp.csc_array((np.tile([1.0, -1.0], arcs),
-                                np.stack([tail, head], axis=1).ravel(),
-                                np.arange(0, 2 * arcs + 1, 2)),
-                               shape=(support.shape[0], arcs))
+    if keys.size:
         excess = mu1 - mu2
-        cost = d[tail, head]
-        scale = float(cost.max()) or 1.0
-        res = linprog(cost / scale, A_eq=balance, b_eq=excess, bounds=(0, None),
-                      method="highs-ds",
-                      options={"dual_feasibility_tolerance": _DUAL_FEAS_TOL})
-        if not res.success:
-            raise RuntimeError(f"transportation solve failed: {res.message}")
-        distance = float(res.fun) * scale
-        u = np.asarray(res.eqlin.marginals, dtype=float) * scale
+        while True:
+            tail, head = np.divmod(keys, m)
+            amount, distance, u = _solve(d, tail, head, excess, d_max or 1.0)
+            worst, stretch, _ = _price(d, src, dst, u)
+            grow = stretch > tol
+            new = src[grow] * m + dst[worst[grow]]
+            # a stretched pair the flow already has fails the certificate below
+            if not new.size or np.isin(new, keys).any():
+                break
+            keys = np.union1d(keys, new)
         _certify(d, src, dst, u, excess, distance)
-        joint[np.ix_(support[src], support)] = _decompose(
-            tail, head, np.clip(res.x, 0.0, None), mu1, mu2)
+        block = _decompose(tail, head, amount, mu1, mu2)
+        spent = sum(float(np.vdot(block[r], d[src[r]]))
+                    for r in _row_blocks(src.shape[0], m, _PAIR_BYTES))
+        if spent - distance > tol:
+            used = amount > 0
+            _refuse_broken_relays(d, src, np.intersect1d(tail[used], head[used]), dst,
+                                  support, tol)
+            raise RuntimeError(
+                f"transport certificate failed: the witness costs {spent - distance!r} "
+                f"more than the flow (tolerance {tol!r})")
+        joint[np.ix_(support[src], support)] = block
     else:  # both measures are the same point mass: nothing moves
         distance, u = 0.0, np.zeros(1)
         joint[support, support] = 1.0

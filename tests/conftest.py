@@ -2,14 +2,16 @@
 1-Lipschitz data, and random measures, both as hypothesis strategies and as
 plain seeded constructors for the bulk randomized sweeps; step functions from
 cell masses and constants; the Hausdorff me1 distance between finite
-families, pair by pair; and two transport oracles independent of the flow
-solver: the full transportation LP and a grid-quantized assignment."""
+families, pair by pair; two transport oracles independent of the flow
+solver: the full transportation LP and a grid-quantized assignment; and a
+counter of the flow's pricing rounds."""
 
 from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 
+from mmlab import transport
 from mmlab.observable import StepFunction, me1
 from mmlab.spaces import FiniteMMSpace
 
@@ -140,6 +142,18 @@ def _apportion(mu, grid):
         rem = target - base
         base[np.argsort(-rem, kind="stable")[:short]] += 1
     return base
+
+
+def count_solves(monkeypatch):
+    """A list that gains one entry, the number of arcs, per flow solve of emd."""
+    solves, solve = [], transport._solve
+
+    def counted(*args):
+        solves.append(args[1].shape[0])
+        return solve(*args)
+
+    monkeypatch.setattr(transport, "_solve", counted)
+    return solves
 
 
 def emd_full_lp(space, pair):

@@ -9,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import emd_full_lp
+from conftest import count_solves, emd_full_lp, normalized
 from mmlab.generators import hamming_cube
-from mmlab.transport import MeasurePair
+from mmlab.spaces import FiniteMMSpace, save_space
+from mmlab.transport import MeasurePair, emd
 
 
 def run_cli(*argv, env_extra=None):
@@ -193,6 +194,33 @@ def test_emd_coupling_payload_is_an_optimal_coupling(cube3, tmp_path):
     assert float((joint * cube.dist).sum()) == pytest.approx(out["distance"], abs=1e-12)
     assert out["distance"] == pytest.approx(
         emd_full_lp(cube, MeasurePair(mu1, mu2)), abs=1e-12)
+
+
+def test_emd_over_pricing_rounds_replays_byte_for_byte(tmp_path, monkeypatch):
+    # a 40-point cloud whose flow grows its arcs over several pricing rounds
+    rng = np.random.default_rng(7)
+    cloud = FiniteMMSpace(list(range(40)), normalized(rng.integers(1, 10, 40)),
+                          points=rng.normal(size=(40, 3)), metric="euclidean")
+    pair = MeasurePair(normalized(rng.integers(1, 10, 40)), normalized(rng.integers(1, 10, 40)))
+    solves = count_solves(monkeypatch)
+    emd(cloud, pair)
+    assert len(solves) > 1
+
+    space = tmp_path / "cloud.json"
+    save_space(cloud, space)
+    argv = ["emd", "--space", space, "--coupling", "--out", tmp_path / "emd.json"]
+    for name, mu in (("mu1", pair.mu1), ("mu2", pair.mu2)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(mu.tolist()))
+        argv += [f"--{name}", tmp_path / f"{name}.json"]
+    assert run_cli(*argv).returncode == 0
+    original = (tmp_path / "emd.json").read_bytes()
+    (tmp_path / "emd.json").unlink()
+    r = run_cli("replay", "--manifest", tmp_path / "emd.json.manifest.json")
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "emd.json").read_bytes() == original
+    out = json.loads(original)
+    assert abs(out["distance"] - emd_full_lp(cloud, pair)) <= 1e-12 * float(cloud.dist.max())
+    assert np.allclose(np.asarray(out["coupling"]).sum(axis=0), pair.mu2, rtol=0, atol=1e-12)
 
 
 def test_obsdist_output(cube3, tmp_path):

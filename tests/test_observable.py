@@ -189,16 +189,17 @@ def test_extremes_at_another_anchor_are_shifts(space, data):
     assert _same_sets(fa, fb - fb[:, a, None], 1e-12)
 
 
-def test_extremes_lose_no_member_to_merging():
+def test_extremes_lose_no_member_to_merging(monkeypatch):
     # d(0, 1) = M in [1e4, 1e5), d(1, 2) = 1 and d(0, 2) one ulp above M - 1:
     # d(., 0) and -(d(., 1) - M) differ at point 2 by that ulp, 2e-12 to
     # 1.5e-11, just over the 1e-12 merge tolerance, so both must survive
+    monkeypatch.setattr(observable, "_PAIR_POOL_LIMIT", 0)  # singletons only
     rng = np.random.default_rng(3)
     for far in rng.uniform(1e4, 1e5, 200):
         near = np.nextafter(far - 1.0, np.inf)
         d = np.array([[0.0, far, near], [far, 0.0, 1.0], [near, 1.0, 0.0]])
         space = FiniteMMSpace([0, 1, 2], np.full(3, 1 / 3), dist=d)
-        fam = lipschitz_extremes(space, 0, pair_limit=0)
+        fam = lipschitz_extremes(space, 0)
         v = d.T - d[0][:, None]
         assert _same_sets(fam, np.concatenate([np.zeros((1, 3)), v, -v]), 1e-12)
 
@@ -284,9 +285,9 @@ def test_obs_distance_result_geometry():
     assert res.coupling.shape == (x.n, y.n)
     assert np.allclose(res.coupling.sum(axis=1), x.weight, atol=1e-9)
     assert np.allclose(res.coupling.sum(axis=0), y.weight, atol=1e-9)
-    # parametrizations validated on construction; cells must cover [0,1]
-    assert res.parametrization_x.breaks[0] == 0.0
-    assert res.parametrization_x.breaks[-1] == 1.0
+    # the coupling's cells partition [0, 1], and the anchor is one of them
+    assert (res.coupling >= 0).all() and res.coupling.sum() == pytest.approx(1.0, abs=1e-12)
+    assert res.coupling[res.anchor] > 0
 
 
 def test_obs_distance_budget_is_antimonotone():
@@ -313,6 +314,20 @@ def test_near_identical_couplings_are_one_candidate():
         assert len(cands) == 1
 
 
+def test_candidate_couplings_have_the_weights_as_marginals():
+    # weights 2e-6 apart are not the same: the diagonal of X's weights would
+    # miss Y's by a margin numpy's default rtol of 1e-5 lets through, and
+    # the search would report 0.0 on a plan that is not a coupling of X and Y
+    x = FiniteMMSpace([0, 1], [0.5, 0.5], dist=[[0.0, 1.0], [1.0, 0.0]])
+    y = FiniteMMSpace([0, 1], [0.5 + 2e-6, 0.5 - 2e-6], dist=[[0.0, 1.0], [1.0, 0.0]])
+    for pi in _candidate_couplings(x, y, SearchConfig()):
+        assert np.allclose(pi.sum(axis=1), x.weight, rtol=0, atol=1e-12)
+        assert np.allclose(pi.sum(axis=0), y.weight, rtol=0, atol=1e-12)
+    res = obs_distance(x, y)
+    assert np.allclose(res.coupling.sum(axis=0), y.weight, rtol=0, atol=1e-12)
+    assert res.upper > 0.0
+
+
 def _search_with_a_family_per_anchor(X, Y, cfg):
     """The estimator's search, with the extreme families rebuilt and the
     constants fitted at every anchor pair."""
@@ -328,13 +343,13 @@ def _search_with_a_family_per_anchor(X, Y, cfg):
     return best
 
 
-def test_anchors_as_shifts_match_a_family_per_anchor():
+def test_anchors_as_shifts_match_a_family_per_anchor(monkeypatch):
+    monkeypatch.setattr(observable, "_EXHAUSTIVE_COUPLINGS", 0)  # seeded restarts only
     rng = np.random.default_rng(11)
     for k in range(12):
         X = random_space(rng, int(rng.integers(2, 9)))
         Y = random_space(rng, int(rng.integers(2, 9)))
-        cfg = SearchConfig(seed=k, restarts=2, anchor_budget=int(rng.integers(1, 4)),
-                           coupling_exhaustive_limit=0)
+        cfg = SearchConfig(seed=k, restarts=2, anchor_budget=int(rng.integers(1, 4)))
         want = _search_with_a_family_per_anchor(X, Y, cfg)
         assert obs_distance(X, Y, cfg).upper == pytest.approx(want, abs=1e-12)
 
@@ -368,8 +383,10 @@ def test_distance_to_point_is_the_closed_form(monkeypatch):
         assert res.anchor == (int(np.argmax(X.weight)), 0)
         back = obs_distance(pt, X)
         assert back.upper == res.upper and back.anchor == (0, res.anchor[0])
-        # a massless point owns no cell
-        assert sorted(res.parametrization_x.owner) == list(np.flatnonzero(X.weight > 0))
+        # the coupling's marginals are the weights, and a massless point owns
+        # no cell: its row is zero
+        assert np.allclose(res.coupling.sum(axis=1), X.weight, rtol=0, atol=1e-15)
+        assert np.array_equal(res.coupling[:, 0] > 0, X.weight > 0)
     assert obs_distance(pt, pt).upper == 0.0
 
 

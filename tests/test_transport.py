@@ -1,8 +1,8 @@
 """Transportation distance: the flow solver against the full transportation
-LP and the quantized assignment oracle, metric axioms, the flow's arcs (the
-pairs from one support to the other that no point of both splits), the dual
-certificate, witness feasibility, and the dual pairing with 1-Lipschitz
-observables."""
+LP and the quantized assignment oracle, metric axioms, the pricing rounds
+that grow the flow's arcs, the dual certificate, the refusal of a flow that
+relays along a broken triangle, witness feasibility, and the dual pairing
+with 1-Lipschitz observables."""
 
 import json
 import time
@@ -14,14 +14,14 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (cloud_metric, emd_full_lp, emd_oracle, mcshane_envelope,
-                      measures_on, normalized, random_measure, random_space,
-                      spaces)
+from conftest import (cloud_metric, count_solves, emd_full_lp, emd_oracle,
+                      mcshane_envelope, measures_on, normalized, random_measure,
+                      random_space, spaces)
 from mmlab import transport
 from mmlab.cli import main
 from mmlab.generators import hamming_cube
 from mmlab.spaces import FiniteMMSpace, space_to_json
-from mmlab.transport import (Coupling, MeasurePair, _arcs, _certify, emd,
+from mmlab.transport import (Coupling, MeasurePair, _certify, emd,
                              translate_distance)
 
 
@@ -55,13 +55,14 @@ def sparse_measures_on(draw, n):
     return normalized(raw)
 
 
-def arc_mask(d):
-    """The flow's arcs between two measures of full support on the metric d,
-    as a mask over its pairs."""
-    every = np.arange(d.shape[0])
-    keep = np.zeros(d.shape, dtype=bool)
-    keep[_arcs(d, every, every, every)] = True
-    return keep
+def gaussian_cloud(seed, n, dim=3):
+    """n gaussian points in R^dim with integer weights 1-9, and two more such
+    measures of full support."""
+    rng = np.random.default_rng(seed)
+    cloud = FiniteMMSpace(list(range(n)), normalized(rng.integers(1, 10, n)),
+                          points=rng.normal(size=(n, dim)), metric="euclidean")
+    return cloud, MeasurePair(normalized(rng.integers(1, 10, n)),
+                              normalized(rng.integers(1, 10, n)))
 
 
 def product_pair(cube, p, q):
@@ -80,14 +81,16 @@ def test_flow_matches_the_full_lp(space, data):
     assert abs(got - emd_full_lp(space, pair)) <= 1e-12 * float(space.dist.max())
 
 
-def test_cube_flow_runs_over_its_edges():
+def test_cube_flow_runs_over_its_edges(monkeypatch):
     cube = hamming_cube(7)
-    # every pair but the adjacent ones splits at a neighbour on a geodesic
-    assert int(arc_mask(cube.dist).sum()) == 7 * 2 ** 7
     rng = np.random.default_rng(9)
     p, q = rng.uniform(0.05, 0.95, 7), rng.uniform(0.05, 0.95, 7)
     pair = product_pair(cube, p, q)
+    solves = count_solves(monkeypatch)
     res = emd(cube, pair)
+    # each point's nearest targets are itself and its 7 neighbours, and the
+    # flow along those edges already passes the certificate
+    assert len(solves) == 1
     # product measures: mass moves coordinate by coordinate
     assert res.distance == pytest.approx(float(np.abs(p - q).mean()), abs=1e-12)
     res.witness.check(pair, atol=1e-12)
@@ -95,22 +98,67 @@ def test_cube_flow_runs_over_its_edges():
     assert cost == pytest.approx(res.distance, abs=1e-12)
 
 
-@pytest.mark.parametrize("tile", [1, 20 * 16 * 3, 20 * 16 * 16 * 2])
-def test_scan_blocks_do_not_change_the_pairs(monkeypatch, tile):
-    # 1 row and 1 mid a block, 3 mids of one row, 2 full rows
-    cube = hamming_cube(4)
-    rng = np.random.default_rng(2)
-    cloud = cloud_metric(rng.integers(0, 4, size=(16, 2)))
-    want = [arc_mask(cube.dist), arc_mask(cloud)]
-    broken = cloud.copy()
-    broken[0, 15] = broken[15, 0] = float(cloud.max()) * 3
+def test_ten_cube_needs_pricing_rounds(monkeypatch):
+    cube = hamming_cube(10)
+    rng = np.random.default_rng(10)
+    p, q = rng.uniform(0.05, 0.95, 10), rng.uniform(0.05, 0.95, 10)
+    solves = count_solves(monkeypatch)
+    res = emd(cube, product_pair(cube, p, q))
+    assert len(solves) > 1
+    assert abs(res.distance - float(np.abs(p - q).mean())) <= 1e-12
+
+
+def test_pricing_rounds_reach_the_full_lp(monkeypatch):
+    cloud, pair = gaussian_cloud(200, 200)
+    solves = count_solves(monkeypatch)
+    got = emd(cloud, pair).distance
+    assert len(solves) > 1
+    assert abs(got - emd_full_lp(cloud, pair)) <= 1e-12 * float(cloud.dist.max())
+
+
+def test_a_large_full_support_cloud_is_fast():
+    # 1,440,000 pairs, of which the rounds price in only a few percent
+    cloud, pair = gaussian_cloud(1200, 1200)
+    cloud.dist  # the dense matrix the space caches
+    start = time.perf_counter()
+    res = emd(cloud, pair)
+    assert time.perf_counter() - start < 10.0
+    res.witness.check(pair, atol=1e-12)
+    assert float(np.vdot(res.witness.joint, cloud.dist)) == pytest.approx(
+        res.distance, abs=1e-9 * float(cloud.dist.max()))
+
+
+def broken_cloud(cloud, pair):
+    """The cloud with its two most distant points pulled three diameters
+    apart, and a pair of measures that ships between them."""
+    d = cloud.dist.copy()
+    i, j = np.unravel_index(np.argmax(d), d.shape)
+    d[i, j] = d[j, i] = 3.0 * float(d.max())
+    mu1, mu2 = pair.mu1.copy(), pair.mu2.copy()
+    mu1[i] += 1.0
+    mu2[j] += 1.0
+    return (FiniteMMSpace(cloud.labels, cloud.weight, dist=d),
+            MeasurePair(mu1 / 2.0, mu2 / 2.0))
+
+
+@pytest.mark.parametrize("tile", [1, 48, 4096])
+def test_pricing_blocks_change_nothing(monkeypatch, tile):
+    # at 16 bytes a pair: one row a block at 1 and 48 bytes; at 4096 the
+    # whole cube and 6 of the cloud's 40 rows
+    cases = [(hamming_cube(4), product_pair(hamming_cube(4), np.array([0.1, 0.3, 0.6, 0.8]),
+                                            np.array([0.7, 0.2, 0.5, 0.4]))),
+             gaussian_cloud(3, 40, dim=2)]
+    want = [emd(space, pair) for space, pair in cases]
     with pytest.raises(ValueError) as unblocked:
-        arc_mask(broken)
+        emd(*broken_cloud(*cases[1]))
     monkeypatch.setattr(transport, "_TILE_BYTES", tile)
-    assert np.array_equal(arc_mask(cube.dist), want[0])
-    assert np.array_equal(arc_mask(cloud), want[1])
+    for (space, pair), res in zip(cases, want):
+        got = emd(space, pair)
+        assert got.distance == res.distance
+        assert np.array_equal(got.witness.joint, res.witness.joint)
+        assert np.array_equal(got.potential, res.potential)
     with pytest.raises(ValueError) as blocked:
-        arc_mask(broken)
+        emd(*broken_cloud(*cases[1]))
     assert str(blocked.value) == str(unblocked.value)
 
 
@@ -119,7 +167,6 @@ def test_zero_mass_points_stay_out_of_the_flow():
     # the flow runs on {0, 2} alone and the potential reaches 1 by McShane
     d = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
     path = FiniteMMSpace([0, 1, 2], [0.5, 0.0, 0.5], dist=d)
-    assert not arc_mask(d)[0, 2]
     res = emd(path, MeasurePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]))
     assert res.distance == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(res.witness.joint, [[0, 0, 1], [0, 0, 0], [0, 0, 0]], atol=1e-12)
@@ -130,19 +177,16 @@ def test_zero_mass_points_stay_out_of_the_flow():
 
 def test_a_common_point_splits_pairs_between_partial_supports():
     # on the path 0 - 1 - 2 - 3 with mu1 on {0, 1} and mu2 on {1, 3}, the
-    # pair (0, 3) splits at 1, which is in both supports: the arcs are
-    # (0, 1) and (1, 3), positions 0 -> 1 and 1 -> 2 among the points {0, 1, 3}
+    # pair (0, 3) splits at 1, which is in both supports: mass from 0 may
+    # relay through 1 at no extra cost, and the witness still charges d[0, 3]
     d = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
-    support = np.array([0, 1, 3])
-    tail, head = _arcs(d[np.ix_(support, support)], np.array([0, 1]), np.array([1, 2]),
-                       support)
-    assert tail.tolist() == [0, 1] and head.tolist() == [1, 2]
     path = FiniteMMSpace([0, 1, 2, 3], np.full(4, 0.25), dist=d)
     pair = MeasurePair([0.25, 0.75, 0.0, 0.0], [0.0, 0.5, 0.0, 0.5])
     res = emd(path, pair)
     assert abs(res.distance - emd_full_lp(path, pair)) <= 1e-12 * 3.0
     assert res.distance == pytest.approx(1.25, abs=1e-12)
     res.witness.check(pair, atol=1e-12)
+    assert float((res.witness.joint * d).sum()) == pytest.approx(1.25, abs=1e-12)
 
 
 def test_small_supports_on_a_large_cloud_stay_cheap():
@@ -385,6 +429,14 @@ def test_coupling_marginals():
     c.check(MeasurePair([0.5, 0.5], [0.25, 0.75]), atol=1e-12)
     with pytest.raises(ValueError):
         c.check(MeasurePair([0.9, 0.1], [0.25, 0.75]), atol=1e-9)
+
+
+def test_coupling_check_has_no_relative_slack():
+    # numpy's allclose adds rtol * |mu| to atol by default: 1e-5 * 0.5 would
+    # let marginals off by 4e-6 through a check at atol 1e-9
+    c = Coupling(np.array([[0.5 + 4e-6, 0.0], [0.0, 0.5 - 4e-6]]))
+    with pytest.raises(ValueError, match="row marginal"):
+        c.check(MeasurePair([0.5, 0.5], [0.5 + 4e-6, 0.5 - 4e-6]), atol=1e-9)
 
 
 def test_translate_distance():
