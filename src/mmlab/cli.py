@@ -321,7 +321,7 @@ def _cmd_ramsey(args, argv):
 
 def _cmd_replay(args, argv):
     doc = _read_json(args.manifest)
-    stored = doc.get("argv")
+    stored = doc.get("argv") if isinstance(doc, dict) else None
     if not isinstance(stored, list) or not all(isinstance(a, str) for a in stored):
         raise InputError(f"{args.manifest} has no usable argv list")
     if stored and stored[0] == "replay":
@@ -391,7 +391,9 @@ def _build_parser():
     common(p)
     p.set_defaults(handler=_cmd_emd)
 
-    p = sub.add_parser("obsdist", help="observable distance upper estimate")
+    about = ("observable distance estimate: a lower bound against the one-point "
+             "space, certified neither way for other pairs")
+    p = sub.add_parser("obsdist", help=about, description=about)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--budget", type=int, default=8)

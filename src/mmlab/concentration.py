@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import (_EXHAUSTIVE_CAP, _MATERIALIZE_CAP, _TILE_BYTES, HALF_TOL,
-                     ConcentrationCurve, alpha_exact, measure, neighborhood)
+from .spaces import (_EXHAUSTIVE_CAP, _MATERIALIZE_CAP, HALF_TOL, ConcentrationCurve,
+                     _row_blocks, alpha_exact, measure, neighborhood)
 
 _EXHAUSTIVE_BALL_LIMIT = 64  # spaces this small try a ball around every point
 _LIPSCHITZ_ANCHORS = 3       # points under each random 1-Lipschitz restart score
@@ -65,14 +65,13 @@ class LipschitzFunction:
         v = self.values
         n = space.n
         worst, at = 0.0, None  # the first largest excess, in row blocks
-        rows = max(1, _TILE_BYTES // (_CHECK_PAIR_BYTES * n))
-        for r0 in range(0, n, rows):
-            gaps = np.abs(v[r0:r0 + rows, None] - v[None, :])
-            scaled = self.constant * d[r0:r0 + rows] * (1.0 + _LIPSCHITZ_REL_TOL)
+        for r in _row_blocks(n, n, _CHECK_PAIR_BYTES):
+            gaps = np.abs(v[r, None] - v[None, :])
+            scaled = self.constant * d[r] * (1.0 + _LIPSCHITZ_REL_TOL)
             excess = gaps - scaled - 1e-12
             k = int(np.argmax(excess))
             if excess.flat[k] > worst:
-                worst, at = excess.flat[k], (r0 + k // n, k % n)
+                worst, at = excess.flat[k], (r.start + k // n, k % n)
         if at is not None:
             i, j = at
             raise ValueError(
@@ -234,13 +233,12 @@ def majority_ball_upper(space, eps):
     n = space.n
     all_idx = np.arange(n)
     radii = np.empty(n)
-    rows = max(1, _TILE_BYTES // (_BALL_PAIR_BYTES * n))
-    for r0 in range(0, n, rows):
-        d = space.pairwise(all_idx[r0:r0 + rows], all_idx)
+    for r in _row_blocks(n, n, _BALL_PAIR_BYTES):
+        d = space.pairwise(all_idx[r], all_idx)
         order = np.argsort(d, axis=1, kind="stable")
         cum = np.cumsum(space.weight[order], axis=1)
         first = np.argmax(cum > 0.5 + 1e-9, axis=1)
-        radii[r0:r0 + rows] = np.take_along_axis(d, np.take_along_axis(
+        radii[r] = np.take_along_axis(d, np.take_along_axis(
             order, first[:, None], axis=1), axis=1)[:, 0]
     return float(min(max(1.0 - space.weight[radii <= eps].sum(), 0.0), 0.5))
 

@@ -1,6 +1,6 @@
 """Convergence-in-measure metric on step functions, anchored 1-Lipschitz
-function families, Hausdorff distance between families, and an upper
-estimator of the observable distance between finite mm-spaces.
+function families, Hausdorff distance between families, and an estimator
+of the observable distance between finite mm-spaces.
 
 The estimator compares finite families: anchored extreme functions of each
 space (distance functions to small point sets, shifted to vanish at the
@@ -21,13 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import SearchConfig
-from .spaces import _MATERIALIZE_CAP, point_space
+from .spaces import _MATERIALIZE_CAP, _row_blocks, _tiles, point_space
 from .transport import _SUPPORT_TOL, _nw_corner
 
 _COUPLING_TOL = 1e-12  # couplings this close entrywise are one candidate
 _MERGE_TOL = 1e-12     # family members this close pointwise are one member
 _PAIR_POOL_LIMIT = 12  # extreme families add distances to point pairs up to this size
 _EXHAUSTIVE_COUPLINGS = 720  # order pairs searched exhaustively up to this many
+_FIT_CELL_BYTES = 106  # tracemalloc peak of one (row, cell) of _best_const_rows
+_HAUSDORFF_CELL_BYTES = 83  # and of one (member, member, cell) of _family_hausdorff
 
 
 # -- step functions and the me1 metric ---------------------------------------
@@ -112,32 +114,36 @@ def _best_const_rows(masses, vals):
     term grows with j and the second shrinks; they cross at the first j with
     v_j/2 + cum[j+1] >= v_i/2 + cum[i] + total, where both sides are
     nondecreasing, so one searchsorted per row and the costs at j and j - 1
-    give the exact value.
+    give the exact value.  Rows are independent, so they are fitted in
+    blocks of bounded scratch.
     """
     vals = np.asarray(vals, dtype=float)
     if vals.ndim == 1:
         vals = vals[None, :]
-    order = np.argsort(vals, axis=1, kind="stable")
-    v = np.take_along_axis(vals, order, axis=1)
-    m = np.asarray(masses, dtype=float)[order]
-    k, c = v.shape
-    cum = np.concatenate([np.zeros((k, 1)), np.cumsum(m, axis=1)], axis=1)
-    total = cum[:, -1:]
-
-    key = 0.5 * v + cum[:, 1:]
-    target = 0.5 * v + cum[:, :-1] + total
-    cross = np.empty((k, c), dtype=np.intp)
-    for r in range(k):
-        cross[r] = np.searchsorted(key[r], target[r])
+    c = vals.shape[1]
     i = np.arange(c)
-    j = np.clip(cross, i, c - 1)
+    out = np.empty(vals.shape[0])
+    for r in _row_blocks(vals.shape[0], c, _FIT_CELL_BYTES):
+        order = np.argsort(vals[r], axis=1, kind="stable")
+        v = np.take_along_axis(vals[r], order, axis=1)
+        m = np.asarray(masses, dtype=float)[order]
+        cum = np.concatenate([np.zeros((v.shape[0], 1)), np.cumsum(m, axis=1)], axis=1)
+        total = cum[:, -1:]
 
-    def cost(end):
-        width = 0.5 * (np.take_along_axis(v, end, axis=1) - v)
-        outside = total - (np.take_along_axis(cum, end + 1, axis=1) - cum[:, :-1])
-        return np.maximum(width, outside)
+        key = 0.5 * v + cum[:, 1:]
+        target = 0.5 * v + cum[:, :-1] + total
+        cross = np.empty(v.shape, dtype=np.intp)
+        for k in range(v.shape[0]):
+            cross[k] = np.searchsorted(key[k], target[k])
+        j = np.clip(cross, i, c - 1)
 
-    return np.minimum(cost(j), cost(np.maximum(j - 1, i))).min(axis=1)
+        def cost(end):
+            width = 0.5 * (np.take_along_axis(v, end, axis=1) - v)
+            outside = total - (np.take_along_axis(cum, end + 1, axis=1) - cum[:, :-1])
+            return np.maximum(width, outside)
+
+        out[r] = np.minimum(cost(j), cost(np.maximum(j - 1, i))).min(axis=1)
+    return out
 
 
 def best_constant_me1(h):
@@ -193,7 +199,7 @@ def lipschitz_extremes(space, anchor):
 
 @dataclass(frozen=True)
 class ObsDistanceResult:
-    upper: float
+    upper: float  # certified only as a lower bound, against the one-point space
     coupling: np.ndarray
     anchor: tuple  # the points of the anchor cell, in X and in Y
 
@@ -242,21 +248,20 @@ def _family_hausdorff(masses, A, B, fit_a, fit_b):
     """Hausdorff me1 between two lifted families (rows of A and B), each
     augmented with all constant functions.  Constants are shared, so each
     member only needs its best cross-family match and its best constant fit,
-    given as fit_a and fit_b.  Each (a, b) pair's me1 is evaluated once and
-    read by both sides: row minima for A, column minima for B."""
+    given as fit_a and fit_b.  Each (a, b) pair's me1 is evaluated once, in
+    tiles, and read by both sides: row minima for A, column minima for B."""
     near_a = fit_a.copy()
     near_b = fit_b.copy()
-    block = max(1, (1 << 22) // max(1, B.shape[0] * masses.shape[0]))
-    for p0 in range(0, A.shape[0], block):
-        gaps = np.abs(A[p0:p0 + block, None, :] - B[None, :, :])
-        vals = _me1_rows(masses, gaps.reshape(-1, masses.shape[0])).reshape(-1, B.shape[0])
-        np.minimum(near_a[p0:p0 + block], vals.min(axis=1), out=near_a[p0:p0 + block])
-        np.minimum(near_b, vals.min(axis=0), out=near_b)
+    for r, c in _tiles(A.shape[0], B.shape[0], _HAUSDORFF_CELL_BYTES * masses.shape[0]):
+        gaps = np.abs(A[r, None, :] - B[None, c, :])
+        vals = _me1_rows(masses, gaps.reshape(-1, masses.shape[0])).reshape(gaps.shape[:2])
+        np.minimum(near_a[r], vals.min(axis=1), out=near_a[r])
+        np.minimum(near_b[c], vals.min(axis=0), out=near_b[c])
     return float(max(near_a.max(), near_b.max()))
 
 
 def obs_distance(X, Y, cfg=None):
-    """Upper estimate of the observable distance between two finite spaces.
+    """Estimate of the observable distance between two finite spaces.
 
     Searches couplings of the weight vectors (several deterministic
     constructions, north-west corners along every order pair on tiny
@@ -270,6 +275,12 @@ def obs_distance(X, Y, cfg=None):
     member by its value there.  The constant fit is shift-invariant, so it
     runs once per coupling, on the lifted rows.  Against the one-point space
     it is the whole answer (module docstring): no search runs.
+
+    The value is reported as `upper` but certifies no upper bound.  Against
+    the one-point space it is a max of inf_c me1(f, c) over a finite family
+    of 1-Lipschitz f, whereas the observable distance takes the sup over all
+    of them, so it is a lower bound.  For general pairs the Hausdorff value
+    between finite families certifies no bound either way.
     """
     cfg = cfg or SearchConfig()
     to_point = X.n == 1 or Y.n == 1

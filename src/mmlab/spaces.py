@@ -2,9 +2,9 @@
 and the exhaustive concentration oracle.
 
 A space is a finite set of labeled points, a metric, and a probability
-weight vector.  The metric is either an explicit dense matrix or a point
+weight vector.  The metric, an explicit dense matrix or a point
 representation (bit vectors, coordinates on a sphere, flattened rotation
-matrices) read through one kernel per metric kind.  The lazy form is what
+matrices), is read through one kernel per metric kind.  The lazy form is what
 makes 1e5-sample spaces usable: the full matrix would not fit in memory, but
 thickenings and min-distance-to-set scans stream over tiles of bounded size,
 and point clouds screen those tiles with one BLAS product each.
@@ -113,6 +113,8 @@ class FiniteMMSpace:
 
     @functools.cached_property
     def _kernel(self):
+        if self.metric == "matrix":
+            return _Matrix(self._dist)
         return _KERNELS[self.metric](self.points, self.metric_params)
 
     # -- distance access -------------------------------------------------
@@ -124,7 +126,7 @@ class FiniteMMSpace:
         if self._dist is not None:
             return self._dist[np.ix_(rows, cols)]
         out = np.empty((rows.shape[0], cols.shape[0]))
-        for r, c in _tiles(self._kernel, rows, cols):
+        for r, c in _tiles(rows.shape[0], cols.shape[0], self._kernel.pair_bytes):
             out[r, c] = self._kernel.block(rows[r], cols[c])
         return out
 
@@ -141,35 +143,30 @@ class FiniteMMSpace:
         return self._dist
 
     def dist_to_set(self, mask):
-        """For every point, min distance to the masked set, streamed in tiles."""
-        mask = _as_mask(self, mask)
-        if not mask.any():
+        """For every point, min distance to the masked set, scanned in kernel tiles."""
+        members = _as_mask(self, mask).nonzero()[0]
+        if members.shape[0] == 0:
             raise ValueError("empty set has no neighborhood")
-        members = np.flatnonzero(mask)
-        if self._dist is not None:
-            return self._dist[:, members].min(axis=1)
         rows = np.arange(self.n)
         out = np.full(self.n, np.inf)
-        for r, c in _tiles(self._kernel, rows, members):
+        for r, c in _tiles(self.n, members.shape[0], self._kernel.pair_bytes):
             out[r] = np.minimum(out[r], self._kernel.block(rows[r], members[c]).min(axis=1))
         return out
 
     def thickened(self, mask, eps):
         """Boolean mask of the closed eps-thickening of the masked set.
 
-        Same points as dist_to_set(mask) <= eps but cheaper on lazy spaces:
-        each tile asks the kernel only whether a row has a member within
-        eps, which point clouds screen with one BLAS product, and a row
-        stops being scanned once it is marked.
+        Same points as dist_to_set(mask) <= eps, with members in at any
+        eps >= 0, but cheaper: each tile asks the kernel only whether a row
+        has a member within eps, which point clouds screen with one BLAS
+        product, and a row stops being scanned once it is marked.
         """
         mask = _as_mask(self, mask)
-        if not mask.any():
+        members = mask.nonzero()[0]
+        if members.shape[0] == 0:
             raise ValueError("empty set has no neighborhood")
-        members = np.flatnonzero(mask)
-        if self._dist is not None:
-            return self._dist[:, members].min(axis=1) <= eps
         out = mask & (0.0 <= eps)  # a member is at distance 0 from the set
-        todo = np.flatnonzero(~mask)
+        todo = (~mask).nonzero()[0]
         rows, cols = _tile_shape(todo.shape[0], members.shape[0], self._kernel.pair_bytes)
         for r0 in range(0, todo.shape[0], rows):
             left = todo[r0:r0 + rows]
@@ -177,7 +174,7 @@ class FiniteMMSpace:
                 if left.shape[0] == 0:
                     break
                 hit = self._within_block(left, members[c0:c0 + cols], eps)
-                out[left[hit]] = True
+                out[left] = hit  # the rows left are unmarked
                 left = left[~hit]
         return out
 
@@ -191,21 +188,29 @@ class FiniteMMSpace:
 
 def _tile_shape(n_rows, n_cols, pair_bytes):
     """Row and column counts of a tile whose scratch fits in _TILE_BYTES."""
-    pairs = max(1, _TILE_BYTES // pair_bytes)
-    rows = max(1, min(n_rows, max(math.isqrt(pairs), pairs // max(n_cols, 1))))
-    return rows, max(1, pairs // rows)
+    # "x or 1" is max(x, 1) on counts, and cheaper: every thickening calls this
+    pairs = _TILE_BYTES // pair_bytes or 1
+    rows = min(n_rows, max(math.isqrt(pairs), pairs // (n_cols or 1))) or 1
+    return rows, pairs // rows or 1
 
 
-def _tiles(kernel, rows, cols):
-    """Yield (row slice, column slice) pairs of tiles covering rows x cols."""
-    step_r, step_c = _tile_shape(rows.shape[0], cols.shape[0], kernel.pair_bytes)
-    for r0 in range(0, rows.shape[0], step_r):
-        for c0 in range(0, cols.shape[0], step_c):
+def _row_blocks(rows, cols, pair_bytes):
+    """Slices of at least one row covering range(rows), each holding at most
+    _TILE_BYTES of scratch at pair_bytes a (row, column) pair."""
+    step = max(1, _TILE_BYTES // (pair_bytes * max(cols, 1)))
+    return [slice(r0, r0 + step) for r0 in range(0, rows, step)]
+
+
+def _tiles(n_rows, n_cols, pair_bytes):
+    """Yield (row slice, column slice) pairs of tiles covering n_rows x n_cols."""
+    step_r, step_c = _tile_shape(n_rows, n_cols, pair_bytes)
+    for r0 in range(0, n_rows, step_r):
+        for c0 in range(0, n_cols, step_c):
             yield slice(r0, r0 + step_r), slice(c0, c0 + step_c)
 
 
 class _Kernel:
-    """Distances of one metric kind, computed from a space's point array.
+    """Distances of one metric kind, read from a matrix or computed from points.
 
     block(rows, cols) is the exact distance formula, applied to each pair on
     its own, so an entry never depends on the tile it is computed in; dense
@@ -218,6 +223,17 @@ class _Kernel:
     def within(self, rows, cols, eps):
         """Whether each row has a column within eps."""
         return (self.block(rows, cols) <= eps).any(axis=1)
+
+
+class _Matrix(_Kernel):
+    """Entries of an explicit distance matrix."""
+    pair_bytes = 9  # the entry read and its within flag
+
+    def __init__(self, dist):
+        self.dist = dist
+
+    def block(self, rows, cols):
+        return self.dist[rows[:, None], cols]
 
 
 class _Hamming(_Kernel):
@@ -316,9 +332,8 @@ class _Coordinates(_Kernel):
     def pair_dist(self, i, j):
         """dist of the pairs (i[k], j[k]), in chunks of bounded scratch."""
         out = np.empty(i.shape[0])
-        step = max(1, _TILE_BYTES // self.pair_bytes)
-        for k in range(0, i.shape[0], step):
-            out[k:k + step] = self.dist(i[k:k + step], j[k:k + step])
+        for k in _row_blocks(i.shape[0], 1, self.pair_bytes):
+            out[k] = self.dist(i[k], j[k])
         return out
 
 
@@ -417,15 +432,11 @@ def validate_space(space):
     """
     out = []
     n = space.n
-    # all metric checks run on a submatrix: the whole space when it is small
-    # enough to materialize, a seeded point sample otherwise
-    if n <= _TRIANGLE_SAMPLE_CAP and (space._dist is not None or n <= _MATERIALIZE_CAP):
-        idx = np.arange(n)
-        sub = space.dist
-    else:
-        take = min(n, _TRIANGLE_SAMPLE_CAP)
-        idx = np.sort(np.random.default_rng(0).choice(n, take, replace=False))
-        sub = space.pairwise(idx, idx)
+    # all metric checks run on a submatrix: the whole space up to
+    # _TRIANGLE_SAMPLE_CAP points, a seeded point sample beyond
+    idx = np.arange(n) if n <= _TRIANGLE_SAMPLE_CAP else np.sort(
+        np.random.default_rng(0).choice(n, _TRIANGLE_SAMPLE_CAP, replace=False))
+    sub = space.pairwise(idx, idx)
 
     for i, j in np.argwhere(~np.isfinite(sub))[:5]:
         out.append(f"non-finite distance at ({idx[i]},{idx[j]})")
@@ -459,12 +470,10 @@ def validate_space(space):
 
 
 def diameter(space):
-    """Largest pairwise distance."""
-    if space._dist is not None or space.n <= _MATERIALIZE_CAP:
-        return float(space.dist.max())
+    """Largest pairwise distance, scanned in kernel tiles."""
     idx = np.arange(space.n)
-    return max(float(space._kernel.block(idx[r], idx[c]).max())
-               for r, c in _tiles(space._kernel, idx, idx))
+    return float(np.max([space._kernel.block(idx[r], idx[c]).max()
+                         for r, c in _tiles(space.n, space.n, space._kernel.pair_bytes)]))
 
 
 def alpha_exact(space, eps, exhaustive_cap=_EXHAUSTIVE_CAP):
@@ -556,13 +565,15 @@ class ConcentrationCurve:
     @classmethod
     def from_csv_text(cls, text):
         rd = csv.reader(io.StringIO(text))
-        header = next(rd)
+        header = next(rd, [])  # an empty file has no header row
         if header != ["eps", "alpha", "kind"]:
             raise ValueError(f"bad curve header {header!r}")
         eps, alpha, kinds = [], [], set()
         for row in rd:
             if not row:
                 continue
+            if len(row) != 3:
+                raise ValueError(f"curve row {row!r} does not have 3 fields")
             eps.append(float(row[0]))
             alpha.append(float(row[1]))
             kinds.add(row[2])

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import _TILE_BYTES
+from .spaces import _row_blocks
 
 _MARGINAL_TOL = 1e-9
 _REL_TOL = 1e-9         # slack, relative to d_max, of the metric, pricing and certificate checks
@@ -75,13 +75,6 @@ class EmdResult:
     distance: float
     witness: Coupling
     potential: np.ndarray  # the dual certificate: 1-Lipschitz, pairs to distance
-
-
-def _row_blocks(rows, cols, pair_bytes):
-    """Slices of at least one row covering range(rows), each holding at most
-    _TILE_BYTES of scratch at pair_bytes a (row, column) pair."""
-    step = max(1, _TILE_BYTES // (pair_bytes * max(cols, 1)))
-    return [slice(r0, r0 + step) for r0 in range(0, rows, step)]
 
 
 def _nw_corner(wx, wy, order_x, order_y):
@@ -169,7 +162,7 @@ def _price(d, rows, cols, potential):
     """Pricing scan of the potential u over rows x cols (positions in d):
     for each i in rows, the position in cols of the j with the largest
     stretch u_i - u_j - d_ij and that stretch; and _REL_TOL * d_max over
-    the pairs.  Rows are scanned in blocks of at most _TILE_BYTES."""
+    the pairs.  Rows are scanned in blocks of bounded scratch (spaces._row_blocks)."""
     worst = np.empty(rows.shape[0], dtype=np.intp)
     stretch = np.empty(rows.shape[0])
     d_max = 0.0

@@ -1,10 +1,11 @@
 """Shared test instances and oracles: random finite metric-measure spaces,
 1-Lipschitz data, and random measures, both as hypothesis strategies and as
-plain seeded constructors for the bulk randomized sweeps; step functions from
-cell masses and constants; the Hausdorff me1 distance between finite
-families, pair by pair; two transport oracles independent of the flow
-solver: the full transportation LP and a grid-quantized assignment; and a
-counter of the flow's pricing rounds."""
+plain seeded constructors for the bulk randomized sweeps; thickenings and
+distances to sets by dense matrix reads; step functions from cell masses and
+constants; the Hausdorff me1 distance between finite families, pair by
+pair; two transport oracles independent of the flow solver: the full
+transportation LP and a grid-quantized assignment; and a counter of the
+flow's pricing rounds."""
 
 from dataclasses import dataclass
 
@@ -93,6 +94,18 @@ def random_measure(rng, n):
 
 
 # -- oracles -------------------------------------------------------------------
+
+def dense_dist_to_set(dist, mask):
+    """Min distance from every point to the masked set, by one dense read of
+    the matrix's member columns."""
+    return dist[:, np.flatnonzero(mask)].min(axis=1)
+
+
+def dense_thickening(dist, mask, eps):
+    """Closed eps-thickening of the masked set by the dense rule
+    min over members of d(x, y) <= eps."""
+    return dense_dist_to_set(dist, mask) <= eps
+
 
 def step_from_cells(masses, values):
     """Step function from cell masses (zero-mass cells dropped)."""

@@ -341,6 +341,30 @@ def test_replay_refuses_a_manifest_that_replays(tmp_path):
     assert "replay" in json.loads(r.stderr)["error"]
 
 
+def test_replay_refuses_a_manifest_that_is_not_an_object(tmp_path):
+    man = tmp_path / "m.json"
+    man.write_text(json.dumps(["alpha", "--eps", "0.5"]))
+    r = run_cli("replay", "--manifest", man)
+    assert r.returncode == 2
+    assert "no usable argv" in json.loads(r.stderr)["error"]
+
+
+def test_fit_refuses_an_empty_curve_file(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    r = run_cli("fit", "--curves", empty, "--indices", 1)
+    assert r.returncode == 2
+    assert "bad curve header" in json.loads(r.stderr)["error"]
+
+
+def test_levy_refuses_a_curve_row_with_too_few_fields(tmp_path):
+    curve = tmp_path / "short.csv"
+    curve.write_text("eps,alpha,kind\n0.1,0.25,exact\n0.2,0.1\n")
+    r = run_cli("levy", "--curves", curve)
+    assert r.returncode == 2
+    assert "does not have 3 fields" in json.loads(r.stderr)["error"]
+
+
 def test_alpha_cap_beyond_memory_budget_is_an_input_error(tmp_path):
     from mmlab.spaces import FiniteMMSpace, space_to_json
     pos = np.arange(26, dtype=float)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import spaces, spaces_with_lipschitz
-from mmlab import concentration
+from mmlab import concentration, spaces as spaces_module
 from mmlab.concentration import (GaussianFit, LipschitzFunction, SearchConfig,
                                  alpha_lower_bound, concentration_curve,
                                  gaussian_fit, hamming_cube_alpha,
@@ -96,7 +96,7 @@ def test_majority_ball_blocks_do_not_change_the_value(monkeypatch, rows):
         space = FiniteMMSpace(list(range(n)), rng.dirichlet(np.ones(n)),
                               points=pts, metric="euclidean")
         want = {eps: majority_ball_unblocked(space, eps) for eps in (1.0, 2.0, 2.5, 4.0)}
-        monkeypatch.setattr(concentration, "_TILE_BYTES",
+        monkeypatch.setattr(spaces_module, "_TILE_BYTES",
                             rows * n * concentration._BALL_PAIR_BYTES)
         for eps, value in want.items():
             assert majority_ball_upper(space, eps) == value
@@ -340,7 +340,7 @@ def test_lipschitz_check_blocks_name_the_same_pair(monkeypatch, rows):
     with pytest.raises(ValueError) as dense:
         bad.check(cube)
     assert "violated at (2,3)" in str(dense.value)
-    monkeypatch.setattr(concentration, "_TILE_BYTES",
+    monkeypatch.setattr(spaces_module, "_TILE_BYTES",
                         rows * 8 * concentration._CHECK_PAIR_BYTES)
     with pytest.raises(ValueError) as blocked:
         bad.check(cube)

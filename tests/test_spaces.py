@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import spaces
+from conftest import dense_dist_to_set, dense_thickening, spaces
 from mmlab import spaces as spaces_module
 from mmlab.concentration import SearchConfig, alpha_lower_bound
 from mmlab.generators import (hamming_cube, hamming_cube_sampled, sphere_sampled,
                               SamplerConfig)
+from mmlab.observable import _best_const_rows, _family_hausdorff, lipschitz_extremes
 from mmlab.spaces import (ConcentrationCurve, FiniteMMSpace, alpha_exact,
                           diameter, load_space, measure, neighborhood,
                           point_space, save_space, space_from_json,
@@ -103,34 +104,58 @@ def test_lazy_thickening_agrees_with_materialized():
     # every metric kind on lattice data, at every distance that occurs (ties),
     # one float step either side, radii no distance meets (negative, nan),
     # and radii every distance meets (1e200, whose square overflows, and inf):
-    # the lazy kernels, screens included, give the dense matrix's masks
+    # the lazy kernels, screens included, the explicit matrix's kernel and a
+    # materialized cloud, which keeps its own kernel, all give the dense rule
+    # min over members <= eps
     rng = np.random.default_rng(1)
     for name, (pts, metric, params) in lattice_points().items():
         lazy = lazy_space(pts, metric, params)
-        dense = FiniteMMSpace(lazy.labels, lazy.weight,
-                              dist=lazy_space(pts, metric, params).dist)
+        materialized = lazy_space(pts, metric, params)
+        dist = materialized.dist
+        explicit = FiniteMMSpace(lazy.labels, lazy.weight, dist=dist)
         radii = [-0.5, np.nan, 1e200, np.inf]
-        for d in np.unique(dense.dist):
+        for d in np.unique(dist):
             radii += [d, np.nextafter(d, 0.0), np.nextafter(d, np.inf)]
         for share in (0.05, 0.3, 0.5, 0.9):
             mask = rng.random(lazy.n) < share
             mask[rng.integers(lazy.n)] = True
-            assert np.array_equal(lazy.dist_to_set(mask), dense.dist_to_set(mask)), name
-            for eps in radii:
-                assert np.array_equal(lazy.thickened(mask, eps),
-                                      dense.thickened(mask, eps)), (name, eps)
+            for space in (lazy, explicit, materialized):
+                assert np.array_equal(space.dist_to_set(mask),
+                                      dense_dist_to_set(dist, mask)), name
+                for eps in radii:
+                    assert np.array_equal(space.thickened(mask, eps),
+                                          dense_thickening(dist, mask, eps)), (name, eps)
         assert lazy._dist is None, name
 
     # sampled spheres, built unmaterialized
     for metric in ("euclidean", "sphere_geodesic"):
         pts = sphere_sampled(2, SamplerConfig(seed=3, sample_count=300)).points
         lazy = lazy_space(pts, metric)
-        dense = FiniteMMSpace(lazy.labels, lazy.weight, dist=lazy_space(pts, metric).dist)
+        dist = lazy_space(pts, metric).dist
         mask = np.zeros(lazy.n, dtype=bool)
         mask[[0, 17, 101]] = True
         for eps in (0.05, 0.3, 1.0, 3.5):
-            assert np.array_equal(lazy.thickened(mask, eps), dense.thickened(mask, eps))
+            assert np.array_equal(lazy.thickened(mask, eps), dense_thickening(dist, mask, eps))
         assert lazy._dist is None
+
+
+def test_matrix_thickening_scratch_stays_within_the_tile_budget(monkeypatch):
+    import tracemalloc
+    cloud = sphere_sampled(2, SamplerConfig(seed=0, sample_count=2000))
+    explicit = FiniteMMSpace(cloud.labels, cloud.weight, dist=cloud.dist)
+    mask = np.zeros(explicit.n, dtype=bool)
+    mask[::2] = True
+    monkeypatch.setattr(spaces_module, "_TILE_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        explicit.thickened(mask, 0.3)
+        explicit.dist_to_set(mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one tile plus a few vectors of one entry per point; the dense rule
+    # reads 2000 x 1000 floats (16 MB) at once
+    assert peak < (1 << 20) + 64 * explicit.n
 
 
 def test_dist_to_set_picks_the_exact_nearest_among_near_ties():
@@ -179,15 +204,25 @@ def test_tile_budget_and_point_order_do_not_change_results(monkeypatch):
         return thick, space.dist_to_set(masks[0]), diameter(space), [
             alpha_lower_bound(lazy_space(pts, metric, params), eps, cfg) for eps in (0.3, 1.0)]
 
+    def fits(pts, metric, params):
+        # the constant fit and the Hausdorff me1 of the observable search
+        space = lazy_space(pts, metric, params)
+        fam = lipschitz_extremes(space, 0)
+        fit = _best_const_rows(space.weight, fam)
+        return fit, _family_hausdorff(space.weight, fam, -fam[::3], fit, fit[::3])
+
     for name, (pts, metric, params) in lattice_points().items():
         masks = [rng.random(pts.shape[0]) < 0.5 for _ in range(3)]
         want = run(pts, metric, params, masks)
+        want_fit, want_hausdorff = fits(pts, metric, params)
         with monkeypatch.context() as m:
             m.setattr(spaces_module, "_TILE_BYTES", 256)  # a few pairs per tile
             got = run(pts, metric, params, masks)
+            got_fit, got_hausdorff = fits(pts, metric, params)
         for a, b in zip(want[0], got[0]):
             assert np.array_equal(a, b), name
         assert np.array_equal(want[1], got[1]) and want[2:] == got[2:], name
+        assert np.array_equal(want_fit, got_fit) and want_hausdorff == got_hausdorff, name
 
         # reversed point order: the same masks, reversed
         rev = run(pts[::-1], metric, params, [m[::-1] for m in masks])

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import (cloud_metric, count_solves, emd_full_lp, emd_oracle,
                       mcshane_envelope, measures_on, normalized, random_measure,
                       random_space, spaces)
-from mmlab import transport
+from mmlab import spaces as spaces_module
 from mmlab.cli import main
 from mmlab.generators import hamming_cube
 from mmlab.spaces import FiniteMMSpace, space_to_json
@@ -151,7 +151,7 @@ def test_pricing_blocks_change_nothing(monkeypatch, tile):
     want = [emd(space, pair) for space, pair in cases]
     with pytest.raises(ValueError) as unblocked:
         emd(*broken_cloud(*cases[1]))
-    monkeypatch.setattr(transport, "_TILE_BYTES", tile)
+    monkeypatch.setattr(spaces_module, "_TILE_BYTES", tile)
     for (space, pair), res in zip(cases, want):
         got = emd(space, pair)
         assert got.distance == res.distance
