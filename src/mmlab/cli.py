@@ -191,8 +191,8 @@ def _cmd_alpha(args, argv):
               inputs=[args.space], parameters=params)
         return 0
     grid = _parse_grid(args.grid)
-    curve = concentration_curve(space, grid, mode="exact" if args.mode == "exact"
-                                else "lower", cfg=cfg, exhaustive_cap=args.cap)
+    curve = concentration_curve(space, grid, mode=args.mode, cfg=cfg,
+                                exhaustive_cap=args.cap)
     params["grid"] = args.grid
     _emit(args, argv, curve.to_csv_text(), inputs=[args.space], parameters=params)
     return 0
@@ -337,12 +337,11 @@ def _build_parser():
                                   description="finite metric-measure space laboratory")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--out", help="output file (stdout when omitted)")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for batch symmetry; results never depend on it")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("generate", help="emit a generated space as JSON")
     p.add_argument("--family", required=True, choices=_FAMILIES)

@@ -109,10 +109,6 @@ def _prefix_mask(weight, scores):
     return mask
 
 
-def _eval_candidate(space, mask, eps):
-    return measure(space, neighborhood(space, mask, eps))
-
-
 def _greedy_refine(space, mask, eps):
     """Local removals and swaps on a dense-matrix space.  Accepts strict
     lexicographic improvements in (thickened mass, set size), so it stops."""
@@ -195,7 +191,7 @@ def alpha_lower_bound(space, eps, cfg=None):
     for a in anchors:
         row = space.pairwise(np.array([a]), all_idx)[0]
         mask = _prefix_mask(w, row)
-        mu = _eval_candidate(space, mask, eps)
+        mu = measure(space, neighborhood(space, mask, eps))
         if mu < best:
             best, best_mask = mu, mask
 
@@ -209,7 +205,7 @@ def alpha_lower_bound(space, eps, cfg=None):
         offsets = rng.uniform(0.0, scale, size=picks.shape[0])
         f = (rows + offsets[:, None]).min(axis=0)
         mask = _prefix_mask(w, f)
-        mu = _eval_candidate(space, mask, eps)
+        mu = measure(space, neighborhood(space, mask, eps))
         if mu < best:
             best, best_mask = mu, mask
 

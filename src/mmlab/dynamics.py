@@ -1,7 +1,7 @@
 """Finite group actions on mm-spaces: essential sets, the concentration
 property as a certificate check, fixed points, the coordinate-block
-reconstruction of inessential sets on high-dimensional spheres, and an
-exhaustive Ramsey engine."""
+reconstruction of inessential sets on high-dimensional spheres, and a
+finite Ramsey engine."""
 
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ import numpy as np
 from .generators import _blocks, _unit_vectors
 from .spaces import _as_mask, neighborhood
 
-_ENUMERATION_CAP = 1 << 22  # most pruned colorings ramsey_verify enumerates
+_ENUMERATION_CAP = 1 << 22  # most pinned colorings ramsey_verify sweeps
+_SWEEP_CHUNK = 1 << 16  # colorings one step of ramsey_verify's sweep decides
 
 LEADER_THRESHOLD = math.sqrt(2.0) / 2.0 - math.sqrt(3.0) / 3.0
 
@@ -261,62 +262,49 @@ class RamseyResult:
     counterexample: object  # ColoredHypergraph or None
 
 
-def _ramsey_graph_two_colors(l, n, sets):
-    """Vectorized sweep over all 2-colorings of the edges of K_n with the
-    first edge's color fixed (color swap maps any counterexample to one of
-    this form, so the sweep is exhaustive up to renaming).  Colorings are
-    integers whose bit for subset index i sits at position C-1-i, making
-    ascending integers the ascending lexicographic color strings."""
-    c = len(sets)
-    index = {s: i for i, s in enumerate(sets)}
-    codes = np.arange(1 << (c - 1), dtype=np.uint64)
-    has_mono = np.zeros(codes.shape[0], dtype=bool)
-    for group in itertools.combinations(range(n), l):
-        edges = [index[p] for p in itertools.combinations(group, 2)]
-        first = np.uint64(c - 1 - edges[0])
-        same = np.ones(codes.shape[0], dtype=bool)
-        for e in edges[1:]:
-            shift = np.uint64(c - 1 - e)
-            same &= ((codes >> first) ^ (codes >> shift)) & np.uint64(1) == 0
-        has_mono |= same
-    if has_mono.all():
-        return None
-    bad = int(codes[~has_mono][0])
-    return np.array([(bad >> (c - 1 - i)) & 1 for i in range(c)], dtype=np.int64)
-
-
 def ramsey_verify(k, l, r, n):
-    """Exhaustively checks whether every r-coloring of the k-subsets of
-    range(n) contains a monochromatic l-subset; reports the lexicographically
-    smallest counterexample coloring otherwise.
+    """Whether every r-coloring of the k-subsets of range(n) contains a
+    monochromatic l-subset; reports the lexicographically smallest
+    counterexample coloring otherwise.
 
-    The first subset's color is pinned to 0: relabeling colors by first
+    Closed forms: if l > n, the all-zero coloring is a counterexample; if
+    r = 1 or l = k, every coloring contains one; if k = 1 (pigeonhole),
+    every coloring contains one iff n > r(l - 1), and otherwise the
+    smallest counterexample gives point i the color i // (l - 1).
+
+    Every other instance is swept in ascending order of the colorings' codes:
+    the colors of the subsets, in lexicographic order, as base-r digits, with
+    the first subset's color pinned to 0 (relabeling colors by first
     occurrence maps any counterexample to one of that form without changing
-    monochromatic sets, and the lexicographically smallest counterexample is
-    already of that form."""
+    monochromatic sets).  Each chunk of _SWEEP_CHUNK codes colors every
+    subset once, marks the codes that some l-subset leaves monochromatic,
+    and stops at the first unmarked one.  Only the sweep is capped: more
+    than _ENUMERATION_CAP pinned colorings, r^(C(n, k) - 1), raise ValueError."""
     if k < 1 or l < k or r < 1 or n < 1:
         raise ValueError("need k >= 1, l >= k, r >= 1, n >= 1")
-    sets = list(itertools.combinations(range(n), k))
-    c = len(sets)
+    c = math.comb(n, k)
     if l > n:
         return RamseyResult(False, ColoredHypergraph(n, k, r, np.zeros(c, dtype=np.int64)))
-    if c >= 1 and r ** (c - 1) > _ENUMERATION_CAP:
+    if r == 1 or l == k or (k == 1 and n > r * (l - 1)):
+        return RamseyResult(True, None)
+    if k == 1:
+        return RamseyResult(False, ColoredHypergraph(n, k, r, np.arange(n) // (l - 1)))
+    total = r ** (c - 1)
+    if total > _ENUMERATION_CAP:
         raise ValueError(
             f"{r}^{c - 1} pruned colorings exceed the enumeration cap {_ENUMERATION_CAP}")
-
-    if r == 1:
-        h = ColoredHypergraph(n, k, r, np.zeros(c, dtype=np.int64))
-        found = find_monochromatic(h, l)
-        return RamseyResult(found is not None, None if found is not None else h)
-
-    if k == 2 and r == 2:
-        bad = _ramsey_graph_two_colors(l, n, sets)
-        if bad is None:
-            return RamseyResult(True, None)
-        return RamseyResult(False, ColoredHypergraph(n, k, r, bad))
-
-    for tail in itertools.product(range(r), repeat=c - 1):
-        h = ColoredHypergraph(n, k, r, np.array((0,) + tail, dtype=np.int64))
-        if find_monochromatic(h, l) is None:
-            return RamseyResult(False, h)
+    index = {s: i for i, s in enumerate(itertools.combinations(range(n), k))}
+    groups = [[index[s] for s in itertools.combinations(g, k)]
+              for g in itertools.combinations(range(n), l)]
+    for start in range(0, total, _SWEEP_CHUNK):
+        code = np.arange(start, min(start + _SWEEP_CHUNK, total))
+        color = np.zeros((c, code.shape[0]), dtype=np.min_scalar_type(r - 1))
+        for i in range(c - 1, 0, -1):  # the last subset is the lowest digit
+            code, color[i] = np.divmod(code, r)
+        mono = np.zeros(color.shape[1], dtype=bool)
+        for g in groups:
+            mono |= (color[g] == color[g[0]]).all(axis=0)
+        free = np.flatnonzero(~mono)
+        if free.size:
+            return RamseyResult(False, ColoredHypergraph(n, k, r, color[:, free[0]]))
     return RamseyResult(True, None)

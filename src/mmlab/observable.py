@@ -65,8 +65,6 @@ def _me1_rows(masses, gaps):
     windows, evaluated here for all rows at once.
     """
     gaps = np.abs(np.asarray(gaps, dtype=float))
-    if gaps.ndim == 1:
-        gaps = gaps[None, :]
     order = np.argsort(gaps, axis=1, kind="stable")
     g = np.take_along_axis(gaps, order, axis=1)
     m = np.asarray(masses, dtype=float)[order]
@@ -118,8 +116,6 @@ def _best_const_rows(masses, vals):
     blocks of bounded scratch.
     """
     vals = np.asarray(vals, dtype=float)
-    if vals.ndim == 1:
-        vals = vals[None, :]
     c = vals.shape[1]
     i = np.arange(c)
     out = np.empty(vals.shape[0])

@@ -326,15 +326,9 @@ class _Coordinates(_Kernel):
         unsure = np.flatnonzero((least >= lo) & (least <= hi))
         r, c = np.nonzero(near[unsure] <= hi)
         r = unsure[r]
-        hit[r[self.pair_dist(rows[r], cols[c]) <= eps]] = True
+        # unsure pairs are pairs of the tile, so dist's scratch fits its budget
+        hit[r[self.dist(rows[r], cols[c]) <= eps]] = True
         return hit
-
-    def pair_dist(self, i, j):
-        """dist of the pairs (i[k], j[k]), in chunks of bounded scratch."""
-        out = np.empty(i.shape[0])
-        for k in _row_blocks(i.shape[0], 1, self.pair_bytes):
-            out[k] = self.dist(i[k], j[k])
-        return out
 
 
 class _Euclidean(_Coordinates):

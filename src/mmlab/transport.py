@@ -161,34 +161,16 @@ def _solve(d, tail, head, excess, scale):
 def _price(d, rows, cols, potential):
     """Pricing scan of the potential u over rows x cols (positions in d):
     for each i in rows, the position in cols of the j with the largest
-    stretch u_i - u_j - d_ij and that stretch; and _REL_TOL * d_max over
-    the pairs.  Rows are scanned in blocks of bounded scratch (spaces._row_blocks)."""
+    stretch u_i - u_j - d_ij and that stretch.  Rows are scanned in blocks
+    of bounded scratch (spaces._row_blocks)."""
     worst = np.empty(rows.shape[0], dtype=np.intp)
     stretch = np.empty(rows.shape[0])
-    d_max = 0.0
     for r in _row_blocks(rows.shape[0], cols.shape[0], _PAIR_BYTES):
-        block = d[np.ix_(rows[r], cols)]
-        d_max = max(d_max, float(block.max()))
         over = potential[rows[r], None] - potential[None, cols]
-        over -= block
+        over -= d[np.ix_(rows[r], cols)]
         worst[r] = over.argmax(axis=1)
         stretch[r] = np.take_along_axis(over, worst[r, None], axis=1)[:, 0]
-    return worst, stretch, _REL_TOL * d_max
-
-
-def _certify(d, rows, cols, potential, excess, cost):
-    """Raise RuntimeError unless the potential u has u_i - u_j <= d_ij for
-    every i in rows and j in cols, the supports of mu1 and mu2 and so the
-    only pairs a coupling can charge, and pairs with mu1 - mu2 to the cost,
-    both within _REL_TOL * d_max over those pairs.  By Kantorovich duality
-    such a potential proves that no coupling costs less than cost."""
-    _, stretch, tol = _price(d, rows, cols, potential)
-    stretch = float(stretch.max())
-    gap = abs(float(potential @ excess) - cost)
-    if stretch > tol or gap > tol:
-        raise RuntimeError(
-            f"transport certificate failed: potential exceeds the metric by "
-            f"{stretch!r} and misses the cost by {gap!r} (tolerance {tol!r})")
+    return worst, stretch
 
 
 def _refuse_broken_relays(d, rows, mids, cols, names, tol):
@@ -261,10 +243,11 @@ def emd(space, pair):
     each round solves the flow on it, prices every pair from the first
     support to the second against the flow's row duals u (see _price), and
     adds each source's most stretched pair, one with u_i - u_j > d_ij +
-    _REL_TOL * d_max, until no pair is stretched.  The last duals are then
-    a certificate (see _certify): 1-Lipschitz on every pair a coupling can
-    charge, and pairing to the flow's value, or emd raises RuntimeError.
-    They are extended to the zero-mass points by the McShane formula
+    _REL_TOL * d_max, until no pair is stretched.  The last round's scan is
+    the certificate: the last duals must be 1-Lipschitz on every pair a
+    coupling can charge and pair with mu1 - mu2 to the flow's value, both
+    within _REL_TOL * d_max, or emd raises RuntimeError.  By Kantorovich
+    duality they then prove that no coupling costs less.  They are extended to the zero-mass points by the McShane formula
     min_y u_y + d(x, y).
 
     The witness coupling is the proportional decomposition of the basic
@@ -295,14 +278,18 @@ def emd(space, pair):
         while True:
             tail, head = np.divmod(keys, m)
             amount, distance, u = _solve(d, tail, head, excess, d_max or 1.0)
-            worst, stretch, _ = _price(d, src, dst, u)
+            worst, stretch = _price(d, src, dst, u)
             grow = stretch > tol
             new = src[grow] * m + dst[worst[grow]]
             # a stretched pair the flow already has fails the certificate below
             if not new.size or np.isin(new, keys).any():
                 break
             keys = np.union1d(keys, new)
-        _certify(d, src, dst, u, excess, distance)
+        stretch, gap = float(stretch.max()), abs(float(u @ excess) - distance)
+        if stretch > tol or gap > tol:
+            raise RuntimeError(
+                f"transport certificate failed: potential exceeds the metric by "
+                f"{stretch!r} and misses the cost by {gap!r} (tolerance {tol!r})")
         block = _decompose(tail, head, amount, mu1, mu2)
         spent = sum(float(np.vdot(block[r], d[src[r]]))
                     for r in _row_blocks(src.shape[0], m, _PAIR_BYTES))

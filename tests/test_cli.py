@@ -303,6 +303,11 @@ def test_ramsey_command():
     assert out["all_colorings_contain"] is True
     assert out["counterexample"] is None
 
+    # the pigeonhole principle answers past the sweep's cap of 2^22 colorings
+    r = run_cli("ramsey", "--k", 1, "--l", 6, "--r", 3, "--n", 16)
+    assert r.returncode == 0
+    assert json.loads(r.stdout) == {"all_colorings_contain": True, "counterexample": None}
+
 
 def test_replay_is_byte_identical(tmp_path):
     out = tmp_path / "sphere.json"

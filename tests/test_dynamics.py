@@ -1,6 +1,7 @@
 """Isometric actions, essential sets under translated thickenings, the
 block-sphere demonstration, and exhaustive monochromatic-subset verification."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -257,14 +258,32 @@ def test_leader_empirical_input_validation():
 
 # -- monochromatic subsets -------------------------------------------------------------
 
+@functools.cache
+def subset_groups(n, k, l):
+    """Each l-subset of range(n) as the bitmask of the lexicographic indices
+    of its k-subsets."""
+    index = {s: i for i, s in enumerate(itertools.combinations(range(n), k))}
+    return [sum(1 << index[s] for s in itertools.combinations(big, k))
+            for big in itertools.combinations(range(n), l)]
+
+
 def brute_monochromatic_exists(n, k, colors, l):
-    subsets = list(itertools.combinations(range(n), k))
-    cmap = dict(zip(subsets, colors))
-    for big in itertools.combinations(range(n), l):
-        seen = {cmap[s] for s in itertools.combinations(big, k)}
-        if len(seen) == 1:
-            return True
-    return False
+    """Whether some l-subset has all its k-subsets in one color class."""
+    classes = [0] * (max(colors) + 1)
+    for i, c in enumerate(colors):
+        classes[c] |= 1 << i
+    return any(g & m == g for m in classes for g in subset_groups(n, k, l))
+
+
+def brute_ramsey(k, l, r, n):
+    """ramsey_verify's answer by trying the colorings in lexicographic order.
+    Only those with the first subset's color 0 are tried: relabeling colors
+    by first occurrence maps every coloring to one of them, and the smallest
+    counterexample is one of them."""
+    for tail in itertools.product(range(r), repeat=math.comb(n, k) - 1):
+        if not brute_monochromatic_exists(n, k, (0,) + tail, l):
+            return False, [0, *tail]
+    return True, None
 
 
 def test_colored_hypergraph_basics():
@@ -330,6 +349,41 @@ def test_ramsey_pigeonhole_case():
     # k=1 is the pigeonhole principle: r(l-1)+1 points force l alike
     assert ramsey_verify(1, 3, 2, 5).all_colorings_contain
     assert not ramsey_verify(1, 3, 2, 4).all_colorings_contain
+
+
+def test_ramsey_agrees_with_brute_force():
+    # every instance with r <= 64 and at most 4096 colorings to try, so
+    # n <= 13; this reaches k >= 3, r = 3 and beyond, and l = n + 1
+    for n in range(1, 14):
+        for k in range(1, n + 1):
+            c = math.comb(n, k)
+            for r in (r for r in range(2, 65) if r ** (c - 1) <= 4096):
+                for l in range(k, n + 2):
+                    res = ramsey_verify(k, l, r, n)
+                    cx = res.counterexample
+                    got = (res.all_colorings_contain,
+                           None if cx is None else cx.colors.tolist())
+                    assert got == brute_ramsey(k, l, r, n), (k, l, r, n)
+                    assert cx is None or (cx.n, cx.k, cx.r) == (n, k, r)
+
+
+def test_ramsey_closed_forms_need_no_enumeration():
+    # each of these has more than 2^22 colorings to sweep
+    assert ramsey_verify(1, 6, 3, 16).all_colorings_contain  # 16 > 3 * 5
+    cx = ramsey_verify(1, 6, 3, 15).counterexample
+    assert cx.colors.tolist() == [0] * 5 + [1] * 5 + [2] * 5
+    assert ramsey_verify(3, 3, 2, 7).all_colorings_contain   # l = k
+
+
+def test_ramsey_sweep_memory_is_bounded():
+    # 2^20 colorings of the 21 edges of K_7, decided 2^16 at a time
+    tracemalloc.start()
+    try:
+        assert ramsey_verify(2, 3, 2, 7).all_colorings_contain
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_ramsey_degenerate_cases():

@@ -18,11 +18,11 @@ from conftest import (cloud_metric, count_solves, emd_full_lp, emd_oracle,
                       mcshane_envelope, measures_on, normalized, random_measure,
                       random_space, spaces)
 from mmlab import spaces as spaces_module
+from mmlab import transport
 from mmlab.cli import main
 from mmlab.generators import hamming_cube
 from mmlab.spaces import FiniteMMSpace, space_to_json
-from mmlab.transport import (Coupling, MeasurePair, _certify, emd,
-                             translate_distance)
+from mmlab.transport import Coupling, MeasurePair, emd, translate_distance
 
 
 def delta(n, i):
@@ -114,6 +114,24 @@ def test_pricing_rounds_reach_the_full_lp(monkeypatch):
     got = emd(cloud, pair).distance
     assert len(solves) > 1
     assert abs(got - emd_full_lp(cloud, pair)) <= 1e-12 * float(cloud.dist.max())
+
+
+def test_the_last_pricing_scan_is_the_certificate(monkeypatch):
+    # one scan of s x t per solve: the round that adds no pair certifies
+    scans, price = [], transport._price
+
+    def counted(*args):
+        scans.append(args[1].shape[0])
+        return price(*args)
+
+    monkeypatch.setattr(transport, "_price", counted)
+    solves = count_solves(monkeypatch)
+    cube = hamming_cube(7)
+    rng = np.random.default_rng(9)
+    emd(cube, product_pair(cube, rng.uniform(0.05, 0.95, 7), rng.uniform(0.05, 0.95, 7)))
+    assert len(solves) == len(scans) == 1
+    emd(*gaussian_cloud(200, 200))
+    assert len(solves) > 2 and len(scans) == len(solves)
 
 
 def test_a_large_full_support_cloud_is_fast():
@@ -233,23 +251,36 @@ def test_certificate_rejects_a_perturbed_potential(monkeypatch):
     cube = hamming_cube(3)
     pair = product_pair(cube, np.array([0.2, 0.5, 0.9]), np.array([0.7, 0.4, 0.1]))
     res = emd(cube, pair)
-    excess = pair.mu1 - pair.mu2
-    every = np.arange(8)
-    _certify(cube.dist, every, every, res.potential, excess, res.distance)
+    solve_flow = transport._solve
+
+    def certify(potential):
+        """emd's own flows, with potential in place of their duals"""
+        def patched(*args):
+            amount, distance, _ = solve_flow(*args)
+            return amount, distance, np.array(potential, dtype=float)
+        monkeypatch.setattr(transport, "_solve", patched)
+
+    certify(res.potential)
+    assert emd(cube, pair).distance == res.distance
     bumped = res.potential.copy()
-    bumped[int(np.argmax(np.abs(excess)))] += 1e-6
-    with pytest.raises(RuntimeError, match="certificate"):
-        _certify(cube.dist, every, every, bumped, excess, res.distance)
+    bumped[int(np.argmax(np.abs(pair.mu1 - pair.mu2)))] += 1e-6
+    certify(bumped)
+    with pytest.raises(RuntimeError, match="transport certificate failed"):
+        emd(cube, pair)
     # a potential that pairs to the cost but is not 1-Lipschitz from 1 to 0
-    both = np.arange(2)
-    with pytest.raises(RuntimeError, match="certificate"):
-        _certify(np.array([[0.0, 1.0], [1.0, 0.0]]), both, both, np.array([0.0, 2.0]),
-                 np.zeros(2), 0.0)
-    # only pairs from the first support to the second are ever charged: on
-    # the path 0 - 1 - 2 this potential stretches (1, 2) but proves d[0, 2]
-    line = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
-    _certify(line, np.array([0]), np.array([2]), np.array([2.0, 3.0, 0.0]),
-             np.array([1.0, 0.0, -1.0]), 2.0)
+    two = FiniteMMSpace([0, 1], [0.5, 0.5], dist=[[0.0, 1.0], [1.0, 0.0]])
+    certify([0.0, 2.0])
+    with pytest.raises(RuntimeError, match="transport certificate failed"):
+        emd(two, MeasurePair([0.5, 0.5], [0.5, 0.5]))
+    # only pairs from the first support to the second are ever charged: from
+    # point 0 to points 1 and 2 this potential proves the cost, though it
+    # stretches (1, 2), a pair emd never reads
+    broken = FiniteMMSpace([0, 1, 2], np.full(3, 1 / 3),
+                           dist=[[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+    certify([3.0, 2.0, 0.0])
+    res = emd(broken, MeasurePair([1.0, 0.0, 0.0], [0.0, 0.5, 0.5]))
+    assert res.distance == 2.0 and res.potential.tolist() == [3.0, 2.0, 0.0]
+    monkeypatch.setattr(transport, "_solve", solve_flow)
 
     # emd itself checks the duals the solver returns
     solve = scipy.optimize.linprog
