@@ -22,7 +22,7 @@ from .concentration import (LipschitzFunction, SearchConfig, alpha_lower_bound,
                             tail_check)
 from .dynamics import (IsometricAction, is_essential, leader_certificate,
                        leader_empirical, ramsey_verify)
-from .generators import build_space
+from .generators import FAMILIES, build_space
 from .observable import obs_distance
 from .spaces import (_EXHAUSTIVE_CAP, ConcentrationCurve, alpha_exact,
                      space_from_json, space_to_json, validate_space)
@@ -94,47 +94,25 @@ def _emit(args, argv, text, inputs, parameters):
 
 # -- subcommand handlers -------------------------------------------------------
 
-_FAMILIES = ("hamming_cube", "symmetric_group", "sphere", "so_n", "sl2", "product")
-
-
 def _generate_descriptor(args):
-    fam = args.family
-    if fam == "hamming_cube":
-        if args.n is None:
-            raise InputError("hamming_cube needs --n")
-        if args.samples:
-            return {"family": "hamming_cube_sampled", "n": args.n,
-                    "samples": args.samples, "seed": args.seed}
-        return {"family": "hamming_cube", "n": args.n}
-    if fam == "symmetric_group":
-        if args.n is None:
-            raise InputError("symmetric_group needs --n")
-        if args.samples:
-            return {"family": "symmetric_group_sampled", "n": args.n,
-                    "samples": args.samples, "seed": args.seed}
-        return {"family": "symmetric_group", "n": args.n}
-    if fam == "sphere":
-        if args.dim is None or not args.samples:
-            raise InputError("sphere needs --dim and --samples")
-        return {"family": "sphere", "dim": args.dim, "samples": args.samples,
-                "seed": args.seed, "metric": args.metric}
-    if fam == "so_n":
-        if args.n is None or not args.samples:
-            raise InputError("so_n needs --n and --samples")
-        return {"family": "so_n", "n": args.n, "samples": args.samples,
-                "seed": args.seed}
-    if fam == "sl2":
-        if args.p is None:
-            raise InputError("sl2 needs --p")
-        return {"family": "sl2", "p": args.p}
-    # "product", the last of _FAMILIES, which argparse enforces
-    if args.base is None or args.n is None:
-        raise InputError("product needs --base and --n")
-    try:
-        base = [float(x) for x in args.base.split(",")]
-    except ValueError:
-        raise InputError(f"--base must be comma-separated numbers, got {args.base!r}")
-    return {"family": "product", "base": base, "n": args.n}
+    """The descriptor of --family's FAMILIES row, or of its _sampled row
+    under --samples, each key read from the flag of the same name."""
+    # the flags given: --samples 0, its default, means "not sampled"
+    given = {k: v for k, v in vars(args).items()
+             if v is not None and (v or k != "samples")}
+    fam, needs = args.family, FAMILIES[args.family].needs
+    if not all(k in given for k in needs):
+        raise InputError(f"{fam} needs " + " and ".join(f"--{k}" for k in needs))
+    if "samples" in given and fam + "_sampled" in FAMILIES:
+        fam += "_sampled"
+    row = FAMILIES[fam]
+    desc = {"family": fam, **{k: given[k] for k in row.needs + row.options}}
+    if "base" in desc:
+        try:
+            desc["base"] = [float(x) for x in args.base.split(",")]
+        except ValueError:
+            raise InputError(f"--base must be comma-separated numbers, got {args.base!r}")
+    return desc
 
 
 def _cmd_generate(args, argv):
@@ -344,7 +322,8 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("generate", help="emit a generated space as JSON")
-    p.add_argument("--family", required=True, choices=_FAMILIES)
+    p.add_argument("--family", required=True,
+                   choices=[f for f in FAMILIES if not f.endswith("_sampled")])
     p.add_argument("--n", type=int)
     p.add_argument("--dim", type=int)
     p.add_argument("--p", type=int)
@@ -460,8 +439,6 @@ def main(argv=None):
     except (ValueError, OSError) as e:
         sys.stderr.write(_json_text({"error": str(e)}))
         return 2
-    except SystemExit:
-        raise
     except Exception as e:
         sys.stderr.write(_json_text({"error": f"internal error: {e!r}"}))
         return 1

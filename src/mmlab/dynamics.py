@@ -5,6 +5,7 @@ finite Ramsey engine."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ import numpy as np
 from .generators import _blocks, _unit_vectors
 from .spaces import _as_mask, neighborhood
 
-_ENUMERATION_CAP = 1 << 22  # most pinned colorings ramsey_verify sweeps
+_ENUMERATION_CAP = 1 << 22  # most colorings ramsey_verify sweeps, or subsets it colors
 _SWEEP_CHUNK = 1 << 16  # colorings one step of ramsey_verify's sweep decides
 
 LEADER_THRESHOLD = math.sqrt(2.0) / 2.0 - math.sqrt(3.0) / 3.0
@@ -42,10 +43,7 @@ class IsometricAction:
         for idx, p in enumerate(self.elements):
             if p.shape != (n,) or not np.array_equal(np.sort(p), ident):
                 raise ValueError(f"element {idx} is not a permutation of {n} points")
-            moved = d[np.ix_(p, p)]
-            ok = np.array_equal(moved, d) if self.atol == 0.0 \
-                else np.allclose(moved, d, rtol=0, atol=self.atol)
-            if not ok:
+            if not np.allclose(d[np.ix_(p, p)], d, rtol=0, atol=self.atol):
                 raise ValueError(f"element {idx} does not preserve the metric")
         if self.names is None:
             self.names = [f"g{i}" for i in range(len(self.elements))]
@@ -210,8 +208,10 @@ class ColoredHypergraph:
             raise ValueError(f"{self.colors.shape[0]} colors for {expect} subsets")
         if self.colors.size and ((self.colors < 0) | (self.colors >= self.r)).any():
             raise ValueError("colors out of range")
-        self._index = {s: i for i, s in
-                       enumerate(itertools.combinations(range(self.n), self.k))}
+
+    @functools.cached_property
+    def _index(self):
+        return {s: i for i, s in enumerate(itertools.combinations(range(self.n), self.k))}
 
     def color_of(self, subset):
         return int(self.colors[self._index[tuple(sorted(subset))]])
@@ -278,15 +278,19 @@ def ramsey_verify(k, l, r, n):
     occurrence maps any counterexample to one of that form without changing
     monochromatic sets).  Each chunk of _SWEEP_CHUNK codes colors every
     subset once, marks the codes that some l-subset leaves monochromatic,
-    and stops at the first unmarked one.  Only the sweep is capped: more
-    than _ENUMERATION_CAP pinned colorings, r^(C(n, k) - 1), raise ValueError."""
+    and stops at the first unmarked one.  More than _ENUMERATION_CAP pinned
+    colorings to sweep, r^(C(n, k) - 1), or a counterexample over more than
+    _ENUMERATION_CAP subsets raise ValueError."""
     if k < 1 or l < k or r < 1 or n < 1:
         raise ValueError("need k >= 1, l >= k, r >= 1, n >= 1")
     c = math.comb(n, k)
+    if l <= n and (r == 1 or l == k or (k == 1 and n > r * (l - 1))):
+        return RamseyResult(True, None)
+    if c > _ENUMERATION_CAP:
+        raise ValueError(f"a counterexample would color C({n}, {k}) = {c} subsets, "
+                         f"over the cap {_ENUMERATION_CAP}")
     if l > n:
         return RamseyResult(False, ColoredHypergraph(n, k, r, np.zeros(c, dtype=np.int64)))
-    if r == 1 or l == k or (k == 1 and n > r * (l - 1)):
-        return RamseyResult(True, None)
     if k == 1:
         return RamseyResult(False, ColoredHypergraph(n, k, r, np.arange(n) // (l - 1)))
     total = r ** (c - 1)

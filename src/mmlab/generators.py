@@ -9,6 +9,7 @@ matter how the work would be partitioned.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,28 +157,6 @@ def so_n_sampled(n, cfg):
 
 # -- special linear groups over prime fields ---------------------------------
 
-@dataclass
-class WordMetricGroup:
-    """A finite group with generating set and word-length distance matrix.
-
-    dist[i, j] is the word length of g_i * g_j^{-1}, so the metric is
-    right-invariant: dist(g h, f h) = dist(g, f).
-    """
-    elements: np.ndarray   # (k, 2, 2) integer matrices mod p
-    gens: np.ndarray       # (4, 2, 2)
-    dist: np.ndarray       # (k, k) float word lengths
-    p: int
-
-    @property
-    def n(self):
-        return self.elements.shape[0]
-
-    def to_space(self):
-        labels = ["{},{},{},{}".format(*m.reshape(4)) for m in self.elements]
-        w = np.full(self.n, 1.0 / self.n)
-        return FiniteMMSpace(labels, w, dist=self.dist.astype(float))
-
-
 def _is_prime(p):
     if p < 2:
         return False
@@ -192,8 +171,12 @@ def _is_prime(p):
 
 
 def sl2_word_metric(p):
-    """SL(2, F_p) with the word metric of the two elementary generators
-    and their inverses.  Group order is p^3 - p."""
+    """SL(2, F_p) as a space: uniform measure, and the word metric of the two
+    elementary generators and their inverses.  Group order is p^3 - p.
+
+    The element [[a, b], [c, d]] is labelled "a,b,c,d", in lexicographic
+    order.  dist[i, j] is the word length of g_i * g_j^{-1}, so the metric is
+    right-invariant: dist(g h, f h) = dist(g, f)."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p > _SL2_MAX_P:
@@ -244,9 +227,8 @@ def sl2_word_metric(p):
     dist = np.empty((k, k), dtype=float)
     for j in range(k):
         dist[:, j] = lengths[lut[mul(elems, invs[j]) @ place]]
-    return WordMetricGroup(
-        elements=elems.reshape(k, 2, 2), gens=gens.reshape(4, 2, 2),
-        dist=dist, p=p)
+    labels = ["{},{},{},{}".format(*m) for m in elems]
+    return FiniteMMSpace(labels, np.full(k, 1.0 / k), dist=dist)
 
 
 # -- products ----------------------------------------------------------------
@@ -276,31 +258,39 @@ def product_space(base_weights, n):
     return FiniteMMSpace(labels, w, points=digits, metric="hamming")
 
 
-# -- descriptor expansion ----------------------------------------------------
+# -- the family table --------------------------------------------------------
+
+# build is called with the descriptor's keys as keyword arguments: the keys in
+# needs, and those in options that the descriptor holds (build defaults the rest)
+Family = namedtuple("Family", "build needs options", defaults=((),))
+
+
+def _sampled(sampler, key, options=()):
+    """The row of sampler(key, cfg, *options), whose descriptor's samples and
+    seed make the SamplerConfig."""
+    return Family(lambda samples, seed=0, **keys: sampler(
+        cfg=SamplerConfig(seed=seed, sample_count=samples), **keys),
+        (key, "samples"), ("seed", *options))
+
+
+# Every family a descriptor may name.  Keys are named as `mmlab generate`'s
+# flags; "<name>_sampled" is what `generate --family <name> --samples` builds.
+FAMILIES = {
+    "hamming_cube": Family(hamming_cube, ("n",)),
+    "hamming_cube_sampled": _sampled(hamming_cube_sampled, "n"),
+    "symmetric_group": Family(symmetric_group, ("n",)),
+    "symmetric_group_sampled": _sampled(symmetric_group_sampled, "n"),
+    "sphere": _sampled(sphere_sampled, "dim", ("metric",)),
+    "so_n": _sampled(so_n_sampled, "n"),
+    "sl2": Family(sl2_word_metric, ("p",)),
+    "product": Family(lambda base, n: product_space(base, n), ("base", "n")),
+}
+
 
 def build_space(desc):
-    """Expand a family descriptor dict into a space.  Used by the CLI."""
-    desc = dict(desc)
-    family = desc.pop("family", None)
-    if family == "hamming_cube":
-        return hamming_cube(int(desc["n"]))
-    if family == "hamming_cube_sampled":
-        return hamming_cube_sampled(int(desc["n"]), SamplerConfig(
-            seed=int(desc.get("seed", 0)), sample_count=int(desc["samples"])))
-    if family == "symmetric_group":
-        return symmetric_group(int(desc["n"]))
-    if family == "symmetric_group_sampled":
-        return symmetric_group_sampled(int(desc["n"]), SamplerConfig(
-            seed=int(desc.get("seed", 0)), sample_count=int(desc["samples"])))
-    if family == "sphere":
-        return sphere_sampled(int(desc["dim"]), SamplerConfig(
-            seed=int(desc.get("seed", 0)), sample_count=int(desc["samples"])),
-            metric=desc.get("metric", "euclidean"))
-    if family == "so_n":
-        return so_n_sampled(int(desc["n"]), SamplerConfig(
-            seed=int(desc.get("seed", 0)), sample_count=int(desc["samples"])))
-    if family == "sl2":
-        return sl2_word_metric(int(desc["p"])).to_space()
-    if family == "product":
-        return product_space([float(x) for x in desc["base"]], int(desc["n"]))
-    raise ValueError(f"unknown family {family!r}")
+    """Expand a descriptor dict, {"family": <a FAMILIES row>, **its keys},
+    into a space.  Keys the row does not take are ignored."""
+    row = FAMILIES.get(desc.get("family"))
+    if row is None:
+        raise ValueError(f"unknown family {desc.get('family')!r}")
+    return row.build(**{k: desc[k] for k in row.needs + row.options if k in desc})

@@ -586,8 +586,8 @@ def space_to_json(space):
     """
     obj = {"labels": list(space.labels), "weights": [float(x) for x in space.weight]}
     # tiny digit-backed spaces round-trip as matrices for readability
-    if (space.metric == "matrix" or space.points is None
-            or (space.n <= _EXPLICIT_MATRIX_MAX and space.metric == "hamming")):
+    if space.points is None or (space.n <= _EXPLICIT_MATRIX_MAX
+                                and space.metric == "hamming"):
         obj["metric"] = {"type": "matrix",
                          "data": [[float(x) for x in row] for row in space.dist]}
     else:

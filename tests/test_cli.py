@@ -3,15 +3,17 @@ replay, exit-code policy, and flag hygiene."""
 
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from conftest import count_solves, emd_full_lp, normalized
-from mmlab.generators import hamming_cube
-from mmlab.spaces import FiniteMMSpace, save_space
+from mmlab.generators import FAMILIES, build_space, hamming_cube
+from mmlab.spaces import FiniteMMSpace, save_space, space_to_json
 from mmlab.transport import MeasurePair, emd
 
 
@@ -55,12 +57,58 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert r.stdout.strip() == "[]"
 
 
+# one generate command per FAMILIES row, the _sampled rows included
+GENERATE_ROWS = {
+    "hamming_cube": ("--family", "hamming_cube", "--n", 3),
+    "hamming_cube_sampled": ("--family", "hamming_cube", "--n", 5, "--samples", 40,
+                             "--seed", 3),
+    "symmetric_group": ("--family", "symmetric_group", "--n", 4),
+    "symmetric_group_sampled": ("--family", "symmetric_group", "--n", 9, "--samples", 20,
+                                "--seed", 1),
+    "sphere": ("--family", "sphere", "--dim", 3, "--samples", 30, "--seed", 2,
+               "--metric", "geodesic"),
+    "so_n": ("--family", "so_n", "--n", 3, "--samples", 10, "--seed", 4),
+    "sl2": ("--family", "sl2", "--p", 3),
+    "product": ("--family", "product", "--base", "0.3,0.7", "--n", 4),
+}
+
+
+def test_every_generate_manifest_rebuilds_its_payload(tmp_path):
+    assert set(GENERATE_ROWS) == set(FAMILIES)
+    for family, flags in GENERATE_ROWS.items():
+        out = tmp_path / f"{family}.json"
+        r = run_cli("generate", *flags, "--out", out)
+        assert r.returncode == 0, r.stderr
+        desc = json.loads((tmp_path / f"{family}.json.manifest.json").read_text())["parameters"]
+        assert desc["family"] == family
+        rebuilt = json.dumps(space_to_json(build_space(desc)), sort_keys=True) + "\n"
+        assert rebuilt == out.read_text(encoding="utf-8"), family
+
+
 def test_generate_requires_family_parameters():
-    r = run_cli("generate", "--family", "hamming_cube")
-    assert r.returncode == 2
-    assert "error" in json.loads(r.stderr)
-    r = run_cli("generate", "--family", "sphere", "--dim", 2)
-    assert r.returncode == 2
+    cases = [
+        (("hamming_cube",), "hamming_cube needs --n"),
+        (("hamming_cube", "--samples", 5), "hamming_cube needs --n"),
+        (("symmetric_group", "--samples", 5), "symmetric_group needs --n"),
+        (("sphere", "--dim", 2), "sphere needs --dim and --samples"),
+        (("sphere", "--samples", 3), "sphere needs --dim and --samples"),
+        (("sphere", "--dim", 2, "--samples", 0), "sphere needs --dim and --samples"),
+        (("so_n", "--n", 3), "so_n needs --n and --samples"),
+        (("sl2",), "sl2 needs --p"),
+        (("product", "--n", 4), "product needs --base and --n"),
+        (("product", "--base", "0.2,0.3,0.5"), "product needs --base and --n"),
+        # a zero is given, not missing: the builder refuses it
+        (("hamming_cube", "--n", 0),
+         "cube dimension 0 outside [1, 20]; use hamming_cube_sampled for larger dimensions"),
+        (("product", "--base", "0.3,x", "--n", 4),
+         "--base must be comma-separated numbers, got '0.3,x'"),
+    ]
+    for flags, message in cases:
+        r = run_cli("generate", "--family", *flags)
+        assert r.returncode == 2, flags
+        assert json.loads(r.stderr) == {"error": message}
+    # a flag the family does not take is never read
+    assert run_cli("generate", "--family", "hamming_cube", "--n", 2, "--base", "x").returncode == 0
 
 
 def test_validate_clean_and_violations(cube3, tmp_path):
@@ -307,6 +355,19 @@ def test_ramsey_command():
     r = run_cli("ramsey", "--k", 1, "--l", 6, "--r", 3, "--n", 16)
     assert r.returncode == 0
     assert json.loads(r.stdout) == {"all_colorings_contain": True, "counterexample": None}
+
+    # l > n: a counterexample over all C(30, 15) subsets is refused at once; the
+    # address-space limit fails the run, not the machine, if it tries anyway
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    t0 = time.perf_counter()
+    r = subprocess.run([sys.executable, "-m", "mmlab.cli", "ramsey", "--k", "15", "--l", "31",
+                        "--r", "2", "--n", "30"], capture_output=True, text=True,
+                       preexec_fn=limit, timeout=60)
+    assert r.returncode == 2, r.stderr
+    assert "over the cap" in json.loads(r.stderr)["error"]
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_replay_is_byte_identical(tmp_path):

@@ -386,6 +386,30 @@ def test_ramsey_sweep_memory_is_bounded():
     assert peak < 8 << 20
 
 
+def test_ramsey_closed_form_counterexample_memory_is_bounded():
+    # l > n: the all-zero coloring of C(22, 9) = 497,420 subsets, whose
+    # subset index is built only if a search reads it
+    tracemalloc.start()
+    try:
+        res = ramsey_verify(9, 23, 2, 22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not res.all_colorings_contain
+    colors = res.counterexample.colors
+    assert colors.shape == (math.comb(22, 9),) and not colors.any()
+    assert peak < 8 << 20
+
+
+def test_ramsey_refuses_a_counterexample_past_the_cap():
+    with pytest.raises(ValueError, match=r"C\(30, 15\) = 155117520 subsets, over the cap 4194304"):
+        ramsey_verify(15, 31, 2, 30)
+    with pytest.raises(ValueError, match="over the cap"):
+        ramsey_verify(1, 2, 1 << 23, 1 << 23)  # pigeonhole: one color a point
+    # theorems that answer "contains" need no counterexample, so no cap
+    assert ramsey_verify(1, 2, 1, 1 << 23).all_colorings_contain
+
+
 def test_ramsey_degenerate_cases():
     assert ramsey_verify(2, 3, 1, 3).all_colorings_contain   # one color only
     assert not ramsey_verify(2, 3, 2, 2).all_colorings_contain  # l > n

@@ -25,7 +25,7 @@ def test_all_generators_pass_validation():
         sphere_sampled(2, cfg(), metric="euclidean"),
         sphere_sampled(2, cfg(), metric="geodesic"),
         so_n_sampled(3, cfg(n=60)),
-        sl2_word_metric(3).to_space(),
+        sl2_word_metric(3),
         product_space([0.3, 0.7], 3),
     ]
     for x in instances:
@@ -58,12 +58,19 @@ def test_symmetric_group_is_biinvariant():
         symmetric_group(8)
 
 
+def sl2_elements(x):
+    """The 2x2 matrices an sl2 space's "a,b,c,d" labels name."""
+    return np.array([[int(v) for v in lab.split(",")] for lab in x.labels]).reshape(x.n, 2, 2)
+
+
 def test_sl2_order_and_right_invariance():
-    g = sl2_word_metric(3)
-    assert g.n == 3 ** 3 - 3
-    els = g.elements.reshape(g.n, 2, 2)
+    x = sl2_word_metric(3)
+    assert x.n == 3 ** 3 - 3
+    els = sl2_elements(x)
+    assert ((els[:, 0, 0] * els[:, 1, 1] - els[:, 0, 1] * els[:, 1, 0]) % 3 == 1).all()
     index = {tuple(e.reshape(4)): i for i, e in enumerate(els)}
-    d = g.dist
+    assert len(index) == x.n
+    d = x.dist
     # word length of x * h^{-1}-style metrics must survive right translation
     for h in els:
         prod = (els @ h) % 3
@@ -76,14 +83,13 @@ def test_sl2_order_and_right_invariance():
 
 
 def test_sl2_metric_is_graph_distance():
-    g = sl2_word_metric(3)
-    d = g.dist
+    x = sl2_word_metric(3)
+    d = x.dist
     assert d[0, 0] == 0.0
-    # generators sit at distance 1 from the identity
-    flat = g.elements.reshape(g.n, 4)
-    i0 = int(np.flatnonzero((flat == [1, 0, 0, 1]).all(axis=1))[0])
-    ones = np.isclose(d[i0], 1.0).sum()
-    assert ones == len({tuple(x) for x in g.gens.reshape(-1, 4)})
+    # the four generators, two elementary matrices and their inverses, sit at
+    # distance 1 from the identity
+    i0 = x.labels.index("1,0,0,1")
+    assert np.isclose(d[i0], 1.0).sum() == 4
     # triangle inequality plus integrality makes it a path metric
     assert np.allclose(d, np.round(d))
 
