@@ -17,15 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .concentration import (LipschitzFunction, SearchConfig, alpha_lower_bound,
-                            concentration_curve, gaussian_fit, levy_check, median,
-                            tail_check)
+from .concentration import (LipschitzFunction, SearchConfig, concentration_curve,
+                            gaussian_fit, levy_check, median, tail_check)
 from .dynamics import (IsometricAction, is_essential, leader_certificate,
                        leader_empirical, ramsey_verify)
 from .generators import FAMILIES, build_space
 from .observable import obs_distance
-from .spaces import (_EXHAUSTIVE_CAP, ConcentrationCurve, alpha_exact,
-                     space_from_json, space_to_json, validate_space)
+from .spaces import (_EXHAUSTIVE_CAP, ConcentrationCurve, space_from_json,
+                     space_to_json, validate_space)
 from .transport import MeasurePair, emd
 
 
@@ -157,22 +156,18 @@ def _cmd_alpha(args, argv):
     if (args.eps is None) == (args.grid is None):
         raise InputError("alpha needs exactly one of --eps or --grid")
     space = _read_space(args.space)
-    cfg = SearchConfig(seed=args.seed)
+    # a single --eps is a one-point grid
+    grid = [args.eps] if args.grid is None else _parse_grid(args.grid)
+    curve = concentration_curve(space, grid, mode=args.mode,
+                                cfg=SearchConfig(seed=args.seed), exhaustive_cap=args.cap)
     params = {"mode": args.mode, "cap": args.cap}
-    if args.eps is not None:
-        if args.mode == "exact":
-            value = alpha_exact(space, args.eps, exhaustive_cap=args.cap)
-        else:
-            value = alpha_lower_bound(space, args.eps, cfg)
+    if args.grid is None:
         params["eps"] = args.eps
-        _emit(args, argv, _json_text({"alpha": value}),
-              inputs=[args.space], parameters=params)
-        return 0
-    grid = _parse_grid(args.grid)
-    curve = concentration_curve(space, grid, mode=args.mode, cfg=cfg,
-                                exhaustive_cap=args.cap)
-    params["grid"] = args.grid
-    _emit(args, argv, curve.to_csv_text(), inputs=[args.space], parameters=params)
+        text = _json_text({"alpha": float(curve.alpha[0])})
+    else:
+        params["grid"] = args.grid
+        text = curve.to_csv_text()
+    _emit(args, argv, text, inputs=[args.space], parameters=params)
     return 0
 
 
@@ -252,7 +247,7 @@ def _cmd_essential(args, argv):
     doc = _read_json(args.action)
     if not isinstance(doc, dict) or "permutations" not in doc:
         raise InputError(f"{args.action} must hold {{\"permutations\": [...]}}")
-    action = IsometricAction(space, doc["permutations"], names=doc.get("names"))
+    action = IsometricAction(space, doc["permutations"])
     members = _int_list(args.set)
     mask = np.zeros(space.n, dtype=bool)
     for i in members:

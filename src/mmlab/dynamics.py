@@ -32,7 +32,6 @@ class IsometricAction:
     """
     space: object
     elements: list
-    names: list = None
     atol: float = 0.0
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class IsometricAction:
                 raise ValueError(f"element {idx} is not a permutation of {n} points")
             if not np.allclose(d[np.ix_(p, p)], d, rtol=0, atol=self.atol):
                 raise ValueError(f"element {idx} does not preserve the metric")
-        if self.names is None:
-            self.names = [f"g{i}" for i in range(len(self.elements))]
 
 
 @dataclass

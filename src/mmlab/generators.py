@@ -106,7 +106,7 @@ def symmetric_group_sampled(n, cfg):
     if n < 1:
         raise ValueError("degree must be positive")
     pts = _sample_blocks(cfg, lambda rng, take: rng.permuted(
-        np.tile(np.arange(n, dtype=np.uint8), (take, 1)), axis=1))
+        np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), (take, 1)), axis=1))
     labels = ["".join(map(str, row)) for row in pts]
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
     return FiniteMMSpace(labels, w, points=pts, metric="hamming")

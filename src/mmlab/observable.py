@@ -4,12 +4,13 @@ of the observable distance between finite mm-spaces.
 
 The estimator compares finite families: anchored extreme functions of each
 space (distance functions to small point sets, shifted to vanish at the
-anchor) together with all constant functions.  Constants are shared by both
-sides, so they never contribute to the Hausdorff value themselves; they let a
-concentrated distance function sit close to its typical value, so that a Levy
-sequence's distance to the one-point space decays.  Against that space, whose
-family is {0}, the estimator is a closed form: the largest me1 distance from
-a member of the other family to its nearest constant.
+anchor, and their negatives) together with all constant functions.
+Constants are shared by both sides, so they never contribute to the
+Hausdorff value themselves; they let a concentrated distance function sit
+close to its typical value, so that a Levy sequence's distance to the
+one-point space decays.  Against that space, whose family is {0}, the
+estimator is a closed form: the largest me1 distance from a member of the
+other family to its nearest constant.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from .spaces import _MATERIALIZE_CAP, _row_blocks, _tiles, point_space
 from .transport import _SUPPORT_TOL, _nw_corner
 
 _COUPLING_TOL = 1e-12  # couplings this close entrywise are one candidate
-_MERGE_TOL = 1e-12     # family members this close pointwise are one member
 _PAIR_POOL_LIMIT = 12  # extreme families add distances to point pairs up to this size
 _EXHAUSTIVE_COUPLINGS = 720  # order pairs searched exhaustively up to this many
 _FIT_CELL_BYTES = 106  # tracemalloc peak of one (row, cell) of _best_const_rows
-_HAUSDORFF_CELL_BYTES = 83  # and of one (member, member, cell) of _family_hausdorff
+_HAUSDORFF_CELL_BYTES = 75  # and of one (member, member, cell) of _family_hausdorff
 
 
 # -- step functions and the me1 metric ---------------------------------------
@@ -150,16 +150,12 @@ def best_constant_me1(h):
 # -- anchored Lipschitz families ----------------------------------------------
 
 def lipschitz_extremes(space, anchor):
-    """Finite spanning family of 1-Lipschitz value vectors vanishing at anchor,
-    one member per row of a (members, points) matrix.
-
-    Members are x -> d(x, S) - d(anchor, S) for S in a subset pool (all
-    singletons; all pairs when the space has at most _PAIR_POOL_LIMIT
-    points), their negatives, and the zero vector.  Distance functions to
-    sets are exactly 1-Lipschitz.  Members agreeing within _MERGE_TOL at
-    every point are one member (the first seen), so rounding copies such as
-    d(., y') - d(a, y') and -(d(., y) - d(a, y)) for antipodes y, y' of a
-    cube count once.
+    """Anchored distance functions x -> d(x, S) - d(anchor, S), one member
+    per row of a C-contiguous (members, points) matrix, for S in a subset
+    pool: all singletons, and all pairs when the space has at most
+    _PAIR_POOL_LIMIT points.  Distance functions to sets are exactly
+    1-Lipschitz.  The family stands for itself and its negatives, which
+    _family_hausdorff reads from the same rows.
 
     Adding a constant changes neither membership nor any me1 fit, so the
     family at another anchor b is this matrix minus its column b.
@@ -176,19 +172,7 @@ def lipschitz_extremes(space, anchor):
     if n <= _PAIR_POOL_LIMIT:
         y, z = np.triu_indices(n, 1)
         pools = np.concatenate([pools, np.minimum(d[:, y], d[:, z]).T])
-    fam = np.zeros((1 + 2 * pools.shape[0], n))
-    fam[1::2] = pools - pools[:, anchor, None]
-    fam[2::2] = -fam[1::2]
-
-    # rows in one bin of width _MERGE_TOL at every point are merged, after a
-    # check that they really agree; a near pair split by a bin edge is kept
-    keys = np.rint(fam * (1.0 / _MERGE_TOL)) + 0.0  # + 0.0 folds -0.0 into 0.0
-    first, keep = {}, []
-    for i, key in enumerate(keys):
-        j = first.setdefault(key.tobytes(), i)
-        if j == i or np.abs(fam[i] - fam[j]).max() > _MERGE_TOL:
-            keep.append(i)
-    return fam[keep]
+    return np.subtract(pools, pools[:, anchor, None], order="C")
 
 
 # -- observable distance estimator --------------------------------------------
@@ -241,16 +225,26 @@ def _candidate_couplings(X, Y, cfg):
 
 
 def _family_hausdorff(masses, A, B, fit_a, fit_b):
-    """Hausdorff me1 between two lifted families (rows of A and B), each
-    augmented with all constant functions.  Constants are shared, so each
-    member only needs its best cross-family match and its best constant fit,
-    given as fit_a and fit_b.  Each (a, b) pair's me1 is evaluated once, in
-    tiles, and read by both sides: row minima for A, column minima for B."""
+    """Hausdorff me1 between two lifted families, A and its negatives against
+    B and its negatives, each augmented with all constant functions.
+
+    Constants are shared, so each member only needs its best cross-family
+    match and its best constant fit, given as fit_a and fit_b.  The negatives
+    are read from the rows themselves:
+    - min over b' in +-B of me1(a - b') is min over b of
+      min(me1|a - b|, me1|a + b|), and the same for -a, with the same value;
+    - fit(-a) = fit(a), so -a is as near as a, and the max runs over A alone;
+    - a zero member would set no value: its fit is 0, and me1|a| >= fit(a).
+    Each (a, b) pair's two me1 values are evaluated once, in tiles, and read
+    by both sides: row minima for A, column minima for B."""
     near_a = fit_a.copy()
     near_b = fit_b.copy()
-    for r, c in _tiles(A.shape[0], B.shape[0], _HAUSDORFF_CELL_BYTES * masses.shape[0]):
-        gaps = np.abs(A[r, None, :] - B[None, c, :])
-        vals = _me1_rows(masses, gaps.reshape(-1, masses.shape[0])).reshape(gaps.shape[:2])
+    k = masses.shape[0]
+    for r, c in _tiles(A.shape[0], B.shape[0], _HAUSDORFF_CELL_BYTES * k):
+        a, b = A[r, None, :], B[None, c, :]
+        vals = np.minimum(_me1_rows(masses, (a - b).reshape(-1, k)),
+                          _me1_rows(masses, (a + b).reshape(-1, k)))
+        vals = vals.reshape(a.shape[0], b.shape[1])
         np.minimum(near_a[r], vals.min(axis=1), out=near_a[r])
         np.minimum(near_b[c], vals.min(axis=0), out=near_b[c])
     return float(max(near_a.max(), near_b.max()))
@@ -267,10 +261,12 @@ def obs_distance(X, Y, cfg=None):
     is evaluated on that partition.  Enlarging the budget only adds
     candidates, so the reported value never increases with budget.
 
-    Each space's extreme family is built once; an anchor only shifts every
-    member by its value there.  The constant fit is shift-invariant, so it
-    runs once per coupling, on the lifted rows.  Against the one-point space
-    it is the whole answer (module docstring): no search runs.
+    Each space's extreme family is built once, one row per pool set; its
+    negatives are read from the same rows (lipschitz_extremes).  An anchor
+    only shifts every member by its value there.  The constant fit is
+    shift- and sign-invariant, so it runs once per coupling, on the lifted
+    rows.  Against the one-point space it is the whole answer (module
+    docstring): no search runs.
 
     The value is reported as `upper` but certifies no upper bound.  Against
     the one-point space it is a max of inf_c me1(f, c) over a finite family

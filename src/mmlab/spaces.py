@@ -612,13 +612,12 @@ def space_from_json(obj):
     if kind == "matrix":
         return FiniteMMSpace(labels, weights, dist=m["data"])
     if kind == "hamming_normalized":
-        if "points" in m:
-            pts = np.asarray(m["points"], dtype=np.uint8)
-        else:
-            # digits recovered from the labels themselves
-            width = int(m["n"])
-            pts = np.array([[int(ch) for ch in str(lab).zfill(width)] for lab in labels],
-                           dtype=np.uint8)
+        # symbols are non-negative integers, kept in the narrowest type that
+        # holds them (permutation words may pass 255)
+        pts = np.asarray(m["points"], dtype=float)
+        if not (np.isfinite(pts) & (pts >= 0) & (pts == np.floor(pts))).all():
+            raise ValueError("hamming points must be non-negative integers")
+        pts = pts.astype(np.min_scalar_type(int(pts.max(initial=0))))
         return FiniteMMSpace(labels, weights, points=pts, metric="hamming")
     if kind in ("euclidean", "sphere_geodesic"):
         pts = np.asarray(m["points"], dtype=float)

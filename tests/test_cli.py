@@ -7,13 +7,16 @@ import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import count_solves, emd_full_lp, normalized
+from mmlab.concentration import SearchConfig, alpha_lower_bound
 from mmlab.generators import FAMILIES, build_space, hamming_cube
-from mmlab.spaces import FiniteMMSpace, save_space, space_to_json
+from mmlab.spaces import (FiniteMMSpace, alpha_exact, load_space, save_space,
+                          space_to_json)
 from mmlab.transport import MeasurePair, emd
 
 
@@ -126,6 +129,37 @@ def test_validate_clean_and_violations(cube3, tmp_path):
     assert err["violations"]
 
 
+def test_permutation_words_past_255_symbols_validate(tmp_path):
+    # past 512 points a hamming space is written with its points
+    out = tmp_path / "s300.json"
+    r = run_cli("generate", "--family", "symmetric_group", "--n", 300,
+                "--samples", 513, "--out", out)
+    assert r.returncode == 0, r.stderr
+    points = json.loads(out.read_text())["metric"]["points"]
+    assert [sorted(row) for row in points] == [list(range(300))] * 513
+    r = run_cli("validate", "--space", out)
+    assert r.returncode == 0, r.stderr
+
+
+def test_hamming_points_must_be_non_negative_integers(tmp_path):
+    base = {"labels": [0, 1], "weights": [0.5, 0.5],
+            "metric": {"type": "hamming_normalized", "n": 2}}
+    path = tmp_path / "space.json"
+    for bad in (0.5, -1):
+        base["metric"]["points"] = [[0, bad], [1, 1]]
+        path.write_text(json.dumps(base))
+        r = run_cli("validate", "--space", path)
+        assert r.returncode == 2, bad
+        assert json.loads(r.stderr)["violations"] == [
+            "hamming points must be non-negative integers"]
+    # points are no longer recovered from label digits
+    del base["metric"]["points"]
+    path.write_text(json.dumps(base))
+    r = run_cli("validate", "--space", path)
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"].startswith(f"malformed space file {path}")
+
+
 def test_non_finite_weights_and_distances_are_refused(tmp_path):
     nan_weight = tmp_path / "nan_weight.json"
     nan_weight.write_text(json.dumps({
@@ -171,6 +205,25 @@ def test_alpha_eps_and_grid(cube3, tmp_path):
     assert r.returncode == 2
     r = run_cli("alpha", "--space", cube3, "--grid", "0.5:0.1:5")
     assert r.returncode == 2
+
+
+def test_alpha_eps_is_a_one_point_curve(cube3, tmp_path):
+    # a single --eps runs the same mode dispatch as --grid, and prints the
+    # library's value in either mode
+    space = load_space(cube3)
+    want = {"exact": alpha_exact(space, 0.3),
+            "lower": alpha_lower_bound(space, 0.3, SearchConfig(seed=4))}
+    for mode, value in want.items():
+        out = tmp_path / f"{mode}.json"
+        r = run_cli("alpha", "--space", cube3, "--eps", 0.3, "--mode", mode,
+                    "--seed", 4, "--out", out)
+        assert r.returncode == 0, r.stderr
+        assert out.read_text() == json.dumps({"alpha": value}) + "\n"
+        man = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert man["parameters"] == {"mode": mode, "cap": 20, "eps": 0.3}
+        r = run_cli("alpha", "--space", cube3, "--eps", 0, "--mode", mode)
+        assert r.returncode == 2
+        assert json.loads(r.stderr) == {"error": "eps must be positive"}
 
 
 def test_fit_and_levy_pipeline(tmp_path):

@@ -161,6 +161,19 @@ def test_sampling_determinism():
     assert a.points.tobytes() == b.points.tobytes()
 
 
+def test_permutation_words_past_255_symbols():
+    # symbols are stored in the narrowest unsigned type holding n - 1
+    x = symmetric_group_sampled(300, cfg(seed=1, n=2))
+    assert x.points.dtype == np.uint16
+    assert (np.sort(x.points, axis=1) == np.arange(300)).all()
+    # up to 256 symbols the words stay uint8, and so does the random stream
+    x = symmetric_group_sampled(256, cfg(seed=1, n=2))
+    assert x.points.dtype == np.uint8
+    assert (np.sort(x.points, axis=1) == np.arange(256)).all()
+    assert symmetric_group_sampled(8, cfg(seed=5)).points[:2].tolist() == [
+        [1, 4, 2, 3, 7, 5, 6, 0], [0, 1, 3, 6, 4, 7, 2, 5]]
+
+
 def test_build_space_dispatch():
     assert build_space({"family": "hamming_cube", "n": 3}).n == 8
     assert build_space({"family": "symmetric_group", "n": 3}).n == 6

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (LipschitzSet, hausdorff_me1, random_space, spaces,
                       step_constant, step_from_cells)
 from mmlab import observable
+from mmlab import spaces as spaces_module
 from mmlab.concentration import SearchConfig
 from mmlab.generators import (SamplerConfig, hamming_cube, product_space,
                               sphere_sampled, symmetric_group)
@@ -189,25 +190,33 @@ def test_extremes_at_another_anchor_are_shifts(space, data):
     assert _same_sets(fa, fb - fb[:, a, None], 1e-12)
 
 
-def test_extremes_lose_no_member_to_merging(monkeypatch):
-    # d(0, 1) = M in [1e4, 1e5), d(1, 2) = 1 and d(0, 2) one ulp above M - 1:
-    # d(., 0) and -(d(., 1) - M) differ at point 2 by that ulp, 2e-12 to
-    # 1.5e-11, just over the 1e-12 merge tolerance, so both must survive
-    monkeypatch.setattr(observable, "_PAIR_POOL_LIMIT", 0)  # singletons only
-    rng = np.random.default_rng(3)
-    for far in rng.uniform(1e4, 1e5, 200):
-        near = np.nextafter(far - 1.0, np.inf)
-        d = np.array([[0.0, far, near], [far, 0.0, 1.0], [near, 1.0, 0.0]])
-        space = FiniteMMSpace([0, 1, 2], np.full(3, 1 / 3), dist=d)
-        fam = lipschitz_extremes(space, 0)
-        v = d.T - d[0][:, None]
-        assert _same_sets(fam, np.concatenate([np.zeros((1, 3)), v, -v]), 1e-12)
+@pytest.mark.parametrize("space, rows", [
+    (random_space(np.random.default_rng(2), 5), 5 + 10), (hamming_cube(8), 256),
+    (hamming_cube(10), 1024), (symmetric_group(4), 24), (symmetric_group(5), 120)],
+    ids=["pairs5", "cube8", "cube10", "S4", "S5"])
+def test_extremes_have_one_member_per_pool_set(space, rows):
+    # singletons, plus pairs up to _PAIR_POOL_LIMIT points; no negated rows,
+    # no zero row, and rounding copies such as d(., y') - d(a, y') and
+    # -(d(., y) - d(a, y)) for antipodes y, y' of a cube are both kept
+    fam = lipschitz_extremes(space, 0)
+    assert fam.shape == (rows, space.n) and fam.flags["C_CONTIGUOUS"]
+    assert np.array_equal(fam[:space.n], space.dist.T - space.dist[0][:, None])
 
 
-def test_ten_cube_family_merges_rounding_copies():
-    # distances to antipodes are 1 - d, so x -> d(x, y') - d(a, y') equals
-    # -(d(x, y) - d(a, y)) up to rounding: 1024 pairs of members, one zero
-    assert len(lipschitz_extremes(hamming_cube(10), 0)) == 1025
+def test_obs_distance_to_point_memory_is_two_families():
+    # the 11-cube's family is 2048 x 2048 floats (32 MiB); the search holds
+    # it, its lifted copy and the fit's row blocks (32 MiB of scratch)
+    import tracemalloc
+    cube = hamming_cube(11)
+    cube.dist
+    tracemalloc.start()
+    try:
+        res = obs_distance(cube, point_space())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.upper > 0.0
+    assert peak < 120e6
 
 
 # -- Hausdorff me1 ----------------------------------------------------------------
@@ -241,8 +250,9 @@ def lifted_families(draw, max_cells=5, max_members=4):
 @given(lifted_families())
 def test_family_hausdorff_against_the_pairwise_oracle(case):
     masses, A, B = case
-    steps_a = [step_from_cells(masses, row) for row in A]
-    steps_b = [step_from_cells(masses, row) for row in B]
+    # the kernel reads each family as closed under negation
+    steps_a = [step_from_cells(masses, row) for row in np.concatenate([A, -A])]
+    steps_b = [step_from_cells(masses, row) for row in np.concatenate([B, -B])]
     # the constants that matter: one optimal constant per member, which sits
     # at the midpoint of two of its values
     consts = []
@@ -253,10 +263,33 @@ def test_family_hausdorff_against_the_pairwise_oracle(case):
         assert me1(h, step_constant(c)) == pytest.approx(fit, abs=1e-12)
         consts.append(step_constant(c))
     want = hausdorff_me1(steps_a + consts, steps_b + consts)
-    fit_a = np.array([best_constant_me1(h) for h in steps_a])
-    fit_b = np.array([best_constant_me1(h) for h in steps_b])
+    fit_a = np.array([best_constant_me1(h) for h in steps_a[:len(A)]])
+    fit_b = np.array([best_constant_me1(h) for h in steps_b[:len(B)]])
     got = _family_hausdorff(masses, A, B, fit_a, fit_b)
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_family_hausdorff_scratch_stays_within_the_tile_budget(monkeypatch):
+    # the product coupling of the 6-cube and S_4 has 1,536 cells, so one
+    # (member, member) pair of me1 rows takes about 110 KiB of scratch
+    import tracemalloc
+    X, Y = hamming_cube(6), symmetric_group(4)
+    ci, cj = np.nonzero(np.outer(X.weight, Y.weight))
+    masses = X.weight[ci] * Y.weight[cj]
+    A = np.take(lipschitz_extremes(X, 0), ci, axis=1)
+    B = np.take(lipschitz_extremes(Y, 0), cj, axis=1)
+    fit_a, fit_b = _best_const_rows(masses, A), _best_const_rows(masses, B)
+    want = _family_hausdorff(masses, A, B, fit_a, fit_b)
+    monkeypatch.setattr(spaces_module, "_TILE_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        got = _family_hausdorff(masses, A, B, fit_a, fit_b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # plus numpy's iterator buffers, about 70 KB a call whatever the tile
+    assert peak <= (1 << 20) + (1 << 17)
 
 
 def test_hausdorff_me1_subset_direction():

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import dense_dist_to_set, dense_thickening, spaces
 from mmlab import spaces as spaces_module
 from mmlab.concentration import SearchConfig, alpha_lower_bound
-from mmlab.generators import (hamming_cube, hamming_cube_sampled, sphere_sampled,
-                              SamplerConfig)
+from mmlab.generators import (hamming_cube, hamming_cube_sampled, so_n_sampled,
+                              sphere_sampled, SamplerConfig)
 from mmlab.observable import _best_const_rows, _family_hausdorff, lipschitz_extremes
 from mmlab.spaces import (ConcentrationCurve, FiniteMMSpace, alpha_exact,
                           diameter, load_space, measure, neighborhood,
@@ -398,6 +398,40 @@ def test_space_json_roundtrip_lazy_kinds(tmp_path):
     back = space_from_json(space_to_json(cube))
     assert np.array_equal(back.dist, cube.dist)
     assert back.labels == cube.labels
+
+
+@pytest.mark.parametrize("space, kind", [
+    (hamming_cube(10), "hamming_normalized"),  # past the 512-point matrix rule
+    (so_n_sampled(3, SamplerConfig(seed=2, sample_count=30)), "operator_norm")],
+    ids=["hamming", "operator_norm"])
+def test_space_json_roundtrip_point_kinds(space, kind, tmp_path):
+    path = tmp_path / "space.json"
+    save_space(space, path)
+    back = load_space(path)
+    assert space_to_json(space)["metric"]["type"] == kind
+    assert back.metric == space.metric and back.metric_params == space.metric_params
+    assert back.labels == space.labels
+    assert np.array_equal(back.weight, space.weight)
+    idx = np.arange(space.n)
+    assert np.array_equal(back.pairwise(idx, idx), space.pairwise(idx, idx))
+
+
+def test_hamming_points_read_as_narrow_unsigned_integers():
+    def doc(points):
+        n = len(points)
+        return {"labels": list(range(n)), "weights": [1.0 / n] * n,
+                "metric": {"type": "hamming_normalized", "n": len(points[0]),
+                           "points": points}}
+
+    words = [list(range(300)), list(range(299, -1, -1))]
+    back = space_from_json(doc(words))
+    assert back.points.dtype == np.uint16 and back.points.tolist() == words
+    assert back.dist[0, 1] == 1.0  # 300 is even: no symbol stays put
+    assert space_from_json(doc([[0, 1], [1, 1]])).points.dtype == np.uint8
+    for bad in ([[0, 0.5], [1, 1]], [[0, -1], [1, 1]], [[0, float("nan")], [1, 1]],
+                [[0, float("inf")], [1, 1]]):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            space_from_json(doc(bad))
 
 
 def test_measure_and_diameter():
