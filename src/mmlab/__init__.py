@@ -63,12 +63,10 @@ from .dynamics import (  # noqa: F401
     IsometricAction,
     LEADER_THRESHOLD,
     concentration_property_check,
-    find_monochromatic,
     fixed_points,
     is_essential,
     leader_certificate,
     leader_empirical,
     ramsey_verify,
-    translate_commutation_check,
     translate_mask,
 )

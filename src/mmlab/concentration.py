@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spaces import (_EXHAUSTIVE_CAP, _MATERIALIZE_CAP, HALF_TOL, ConcentrationCurve,
-                     _row_blocks, alpha_exact, measure, neighborhood)
+                     _row_blocks, alpha_exact, measure)
 
 _EXHAUSTIVE_BALL_LIMIT = 64  # spaces this small try a ball around every point
 _LIPSCHITZ_ANCHORS = 3       # points under each random 1-Lipschitz restart score
@@ -171,7 +171,9 @@ def alpha_lower_bound(space, eps, cfg=None):
     Tries metric-ball seeds around anchor points and sublevel sets of randomly
     generated 1-Lipschitz functions, then greedy local swaps on small
     instances.  Every candidate set has mass at least one half, so one minus
-    the best thickened mass can never exceed the exact value.
+    the best thickened mass can never exceed the exact value.  Each
+    candidate is a sublevel set of its score (a distance row, or a min of
+    shifted rows), which its thickening scan prunes by.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -191,7 +193,7 @@ def alpha_lower_bound(space, eps, cfg=None):
     for a in anchors:
         row = space.pairwise(np.array([a]), all_idx)[0]
         mask = _prefix_mask(w, row)
-        mu = measure(space, neighborhood(space, mask, eps))
+        mu = measure(space, space.thickened(mask, eps, row))
         if mu < best:
             best, best_mask = mu, mask
 
@@ -205,7 +207,7 @@ def alpha_lower_bound(space, eps, cfg=None):
         offsets = rng.uniform(0.0, scale, size=picks.shape[0])
         f = (rows + offsets[:, None]).min(axis=0)
         mask = _prefix_mask(w, f)
-        mu = measure(space, neighborhood(space, mask, eps))
+        mu = measure(space, space.thickened(mask, eps, f))
         if mu < best:
             best, best_mask = mu, mask
 
@@ -260,7 +262,9 @@ def median(space, f):
 def tail_check(space, f, eps):
     """Check the deviation-from-median tail against twice the concentration
     function.  Uses the exact alpha within the exhaustive range and the
-    majority-ball upper bound beyond it (flagged in bound_kind)."""
+    majority-ball upper bound beyond it (flagged in bound_kind).  The tail
+    counts |f - m| > eps with the relative 1e-9 band of the Lipschitz check,
+    so a deviation of exactly eps is not counted whatever its rounding."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     f.check(space)
@@ -269,7 +273,7 @@ def tail_check(space, f, eps):
             f"tail bound needs a 1-Lipschitz function; constant is {f.constant}, "
             "rescale the values first")
     m = median(space, f)
-    tail = float(space.weight[np.abs(f.values - m) > eps].sum())
+    tail = float(space.weight[np.abs(f.values - m) > eps * (1.0 + _LIPSCHITZ_REL_TOL)].sum())
     if space.n <= _EXHAUSTIVE_CAP:
         bound = 2.0 * alpha_exact(space, eps)
         kind = "exact"

@@ -5,7 +5,6 @@ finite Ramsey engine."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -96,15 +95,6 @@ def is_essential(action, mask, eps, family):
     if hit.shape[0]:
         return EssentialResult(essential=True, witness=int(hit[0]))
     return EssentialResult(essential=False, witness=None)
-
-
-def translate_commutation_check(action, mask, eps, g):
-    """True iff translating commutes with thickening for this element; holds
-    for every isometry, so a False return flags a corrupted action."""
-    mask = _as_mask(action.space, mask)
-    lhs = translate_mask(action, neighborhood(action.space, mask, eps), g)
-    rhs = neighborhood(action.space, translate_mask(action, mask, g), eps)
-    return bool(np.array_equal(lhs, rhs))
 
 
 def concentration_property_check(action, cover, eps, family):
@@ -205,52 +195,6 @@ class ColoredHypergraph:
             raise ValueError(f"{self.colors.shape[0]} colors for {expect} subsets")
         if self.colors.size and ((self.colors < 0) | (self.colors >= self.r)).any():
             raise ValueError("colors out of range")
-
-    @functools.cached_property
-    def _index(self):
-        return {s: i for i, s in enumerate(itertools.combinations(range(self.n), self.k))}
-
-    def color_of(self, subset):
-        return int(self.colors[self._index[tuple(sorted(subset))]])
-
-
-def find_monochromatic(h, l):
-    """Lexicographically smallest l-subset whose k-subsets all share one
-    color, or None.  Depth-first search pruning any partial set as soon as a
-    completed k-subset breaks the established color."""
-    if l > h.n:
-        raise ValueError("l exceeds the ground set")
-    if l < h.k:
-        mask = np.zeros(h.n, dtype=bool)
-        mask[:l] = True  # no k-subsets to constrain
-        return mask
-
-    def extend(chosen, color, start):
-        if len(chosen) == l:
-            return chosen
-        for v in range(start, h.n - (l - len(chosen)) + 1):
-            col = color
-            ok = True
-            if len(chosen) >= h.k - 1:
-                for rest in itertools.combinations(chosen, h.k - 1):
-                    c = h.color_of(rest + (v,))
-                    if col is None:
-                        col = c
-                    elif c != col:
-                        ok = False
-                        break
-            if ok:
-                got = extend(chosen + (v,), col, v + 1)
-                if got is not None:
-                    return got
-        return None
-
-    got = extend(tuple(), None, 0)
-    if got is None:
-        return None
-    mask = np.zeros(h.n, dtype=bool)
-    mask[list(got)] = True
-    return mask
 
 
 @dataclass(frozen=True)

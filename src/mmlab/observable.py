@@ -4,7 +4,8 @@ of the observable distance between finite mm-spaces.
 
 The estimator compares finite families: anchored extreme functions of each
 space (distance functions to small point sets, shifted to vanish at the
-anchor, and their negatives) together with all constant functions.
+anchor) together with all constant functions.  A family stands for its
+negatives too, which the me1 comparisons read from the same rows.
 Constants are shared by both sides, so they never contribute to the
 Hausdorff value themselves; they let a concentrated distance function sit
 close to its typical value, so that a Levy sequence's distance to the

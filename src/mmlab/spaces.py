@@ -153,13 +153,24 @@ class FiniteMMSpace:
             out[r] = np.minimum(out[r], self._kernel.block(rows[r], members[c]).min(axis=1))
         return out
 
-    def thickened(self, mask, eps):
+    def thickened(self, mask, eps, score=None):
         """Boolean mask of the closed eps-thickening of the masked set.
 
         Same points as dist_to_set(mask) <= eps, with members in at any
         eps >= 0, but cheaper: each tile asks the kernel only whether a row
         has a member within eps, which point clouds screen with one BLAS
         product, and a row stops being scanned once it is marked.
+
+        score, if given, holds one value per point of a 1-Lipschitz function
+        built from this space's distances, such as a distance row or a min
+        of shifted rows.  Then d(x, y) >= score[x] - score[y], so a pair
+        whose scores differ by more than eps is not within eps: the scan
+        skips the rows scored above max(score on the set) + eps and the
+        members scored below min(score on the rows left) - eps, both bounds
+        widened by the kernel's score_slack.  The pairs left are decided as
+        without a score, so the mask is the same.  Kernels whose distances
+        may break the triangle inequality by an unknown amount have no
+        score_slack and scan in full.
         """
         mask = _as_mask(self, mask)
         members = mask.nonzero()[0]
@@ -167,6 +178,18 @@ class FiniteMMSpace:
             raise ValueError("empty set has no neighborhood")
         out = mask & (0.0 <= eps)  # a member is at distance 0 from the set
         todo = (~mask).nonzero()[0]
+        slack = self._kernel.score_slack
+        if score is not None and slack is not None:
+            score = np.asarray(score, dtype=float)
+            if score.shape != (self.n,):
+                raise ValueError(f"score shape {score.shape}, expected ({self.n},)")
+            # the score's own sums (offsets, the min of rows) and these bounds
+            # round by a few ulps of the largest score and eps, far below
+            # 1e-12 of them; a nan or infinite score or eps keeps every pair
+            reach = eps + slack + 1e-12 * (float(np.abs(score).max()) + abs(eps))
+            todo = todo[~(score[todo] > score[members].max() + reach)]
+            if todo.shape[0]:
+                members = members[~(score[members] < score[todo].min() - reach)]
         rows, cols = _tile_shape(todo.shape[0], members.shape[0], self._kernel.pair_bytes)
         for r0 in range(0, todo.shape[0], rows):
             left = todo[r0:r0 + rows]
@@ -218,6 +241,9 @@ class _Kernel:
     arithmetic, but leaves every pair its rounding could misjudge to the
     exact formula, so all paths agree with the dense matrix, ties included.
     pair_bytes is the scratch one pair of block or within takes.
+    score_slack bounds how far block's rounding can break the triangle
+    inequality, d(a, x) <= d(a, y) + d(y, x) + score_slack for all points,
+    which thickenings need to prune by a score; None turns pruning off.
     """
 
     def within(self, rows, cols, eps):
@@ -228,6 +254,7 @@ class _Kernel:
 class _Matrix(_Kernel):
     """Entries of an explicit distance matrix."""
     pair_bytes = 9  # the entry read and its within flag
+    score_slack = None  # validate_space reports triangle violations; nothing enforces them
 
     def __init__(self, dist):
         self.dist = dist
@@ -240,6 +267,10 @@ class _Hamming(_Kernel):
     """Fraction of differing coordinates, count / d.  0/1 points are packed
     into uint64 words once and counted with popcounts; other words
     (permutations) are compared coordinate by coordinate."""
+
+    # counts obey the triangle inequality exactly, and each of the three
+    # divisions count / d rounds by at most 2^-53 of a value <= 1
+    score_slack = 1e-15
 
     def __init__(self, points, params):
         self.points = points
@@ -338,6 +369,13 @@ class _Euclidean(_Coordinates):
         # distance well below sqrt(float max), so an eps whose square
         # overflows reaches every point
         self.indexed = bool(np.isfinite(8.0 * self.sq_max))
+        # dist's difference, square, d-term sum and sqrt err by at most
+        # (d/2 + 2) 2^-53 of a distance <= 2 sqrt(sq_max), so three distances
+        # by (3d + 12) 2^-53 sqrt(sq_max), below _INDEX_MARGIN d sqrt(sq_max).
+        # Squares that underflow add at most sqrt(d 2^-1075) < 1e-150 a
+        # distance.
+        self.score_slack = (_INDEX_MARGIN * self.points.shape[1] * math.sqrt(self.sq_max)
+                            + 1e-150 if self.indexed else None)
 
     def radius_sq(self, eps):
         e = float(max(eps, 0.0))
@@ -358,6 +396,15 @@ class _SphereGeodesic(_Coordinates):
     def __init__(self, points, params):
         super().__init__(points, params)
         self.indexed = bool(np.abs(self.sq - 1.0).max() <= _UNIT_TOL)
+        # Against the arc between the normalized points, a dot product of
+        # points unit within _UNIT_TOL errs by at most delta = _UNIT_TOL +
+        # d 2^-52 (norms, then the d-term sum), and the clip only moves it
+        # closer.  arccos moves by at most arccos(1 - delta) ~ sqrt(2 delta)
+        # over that, near 0 and pi: 1.4e-6 rad at d = 3, so a flat 1e-6 is
+        # not enough.  Three distances err by 3 sqrt(2 delta) plus a few
+        # ulps of pi; 4 sqrt(2 delta) covers them.  Other points: no bound.
+        delta = _UNIT_TOL + self.points.shape[1] * 2.0**-52
+        self.score_slack = 4.0 * math.sqrt(2.0 * delta) if self.indexed else None
 
     def radius_sq(self, eps):
         return (2.0 * math.sin(min(max(eps, 0.0), math.pi) / 2.0)) ** 2
@@ -372,6 +419,9 @@ class _SphereGeodesic(_Coordinates):
 
 class _OperatorNorm(_Kernel):
     """Largest singular value of the difference of two side x side matrices."""
+    # LAPACK bounds the SVD's error only by an unstated polynomial in side
+    # times 2^-53 times the norm
+    score_slack = None
 
     def __init__(self, points, params):
         self.points = np.asarray(points, dtype=float)

@@ -4,8 +4,8 @@ plain seeded constructors for the bulk randomized sweeps; thickenings and
 distances to sets by dense matrix reads; step functions from cell masses and
 constants; the Hausdorff me1 distance between finite families, pair by
 pair; two transport oracles independent of the flow solver: the full
-transportation LP and a grid-quantized assignment; and a counter of the
-flow's pricing rounds."""
+transportation LP and a grid-quantized assignment; and counters of the
+flow's pricing rounds and of the pairs thickenings scan."""
 
 from dataclasses import dataclass
 
@@ -167,6 +167,18 @@ def count_solves(monkeypatch):
 
     monkeypatch.setattr(transport, "_solve", counted)
     return solves
+
+
+def count_pairs(monkeypatch):
+    """A one-entry list counting the (row, member) pairs thickenings scan."""
+    pairs, within_block = [0], FiniteMMSpace._within_block
+
+    def counted(self, rows, cols, eps):
+        pairs[0] += rows.shape[0] * cols.shape[0]
+        return within_block(self, rows, cols, eps)
+
+    monkeypatch.setattr(FiniteMMSpace, "_within_block", counted)
+    return pairs
 
 
 def emd_full_lp(space, pair):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import spaces, spaces_with_lipschitz
+from conftest import count_pairs, spaces, spaces_with_lipschitz
 from mmlab import concentration, spaces as spaces_module
 from mmlab.concentration import (GaussianFit, LipschitzFunction, SearchConfig,
                                  alpha_lower_bound, concentration_curve,
@@ -18,7 +18,7 @@ from mmlab.concentration import (GaussianFit, LipschitzFunction, SearchConfig,
                                  hamming_cube_curve, levy_check,
                                  majority_ball_upper, median, sphere_cap_alpha,
                                  sphere_cap_curve, tail_check)
-from mmlab.generators import hamming_cube
+from mmlab.generators import SamplerConfig, hamming_cube, sphere_sampled
 from mmlab.spaces import (ConcentrationCurve, FiniteMMSpace, alpha_exact,
                           diameter)
 
@@ -136,6 +136,23 @@ def test_lower_bound_deterministic():
     space = hamming_cube(6)
     cfg = SearchConfig(seed=9)
     assert alpha_lower_bound(space, 0.3, cfg) == alpha_lower_bound(space, 0.3, cfg)
+
+
+def test_search_thickenings_scan_a_fraction_of_the_pairs(monkeypatch):
+    # every candidate of the search is pruned by its own score: on a geodesic
+    # sample the scans read under a fifth of the pairs that the same search
+    # reads with pruning off (0.12 on this sample), for the same value
+    pairs = count_pairs(monkeypatch)
+    pruned, full = (sphere_sampled(2, SamplerConfig(seed=1, sample_count=2000), "geodesic")
+                    for _ in range(2))
+    full._kernel.score_slack = None
+    cfg = SearchConfig(seed=0)
+    got = alpha_lower_bound(pruned, 0.3, cfg)
+    scanned, pairs[0] = pairs[0], 0
+    assert got == alpha_lower_bound(full, 0.3, cfg)
+    # 4 balls and 8 restarts, each 1,000 rows against 1,000 members
+    assert pairs[0] == 12 * 1000 * 1000
+    assert scanned < 0.2 * pairs[0]
 
 
 def test_lower_bound_swap_refinement_keeps_half_mass():
@@ -291,6 +308,34 @@ def test_tail_bound_holds(pair, eps):
     assert res.holds
     assert res.bound_kind == "exact"
     assert res.tail_mass <= res.bound + 1e-12
+
+
+def test_tail_at_a_distance_tie_is_not_counted():
+    # f = d(., 000) takes the values k/3 and its median is 1/3; |1 - 1/3|
+    # rounds to 0.6666666666666667, one step above eps, but no deviation
+    # exceeds eps, so the tail is empty and meets the exact bound 0
+    cube = hamming_cube(3)
+    res = tail_check(cube, LipschitzFunction(cube.dist[0]), 0.6666666666666666)
+    assert (res.tail_mass, res.bound, res.holds) == (0.0, 0.0, True)
+
+
+@st.composite
+def distance_functions(draw):
+    """A space in the exhaustive range, f = d(., a) + c, and an eps that is
+    one of the space's distances, so deviations can tie with it."""
+    space = draw(st.one_of(spaces(), st.sampled_from([hamming_cube(n) for n in (2, 3, 4)])))
+    a = draw(st.integers(0, space.n - 1))
+    c = draw(st.sampled_from(np.arange(20) / 20))
+    eps = draw(st.sampled_from(np.unique(space.dist[space.dist > 0]).tolist()))
+    return space, space.dist[a] + c, eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(distance_functions())
+def test_tail_check_finds_no_violation_for_distance_functions(case):
+    # Levy's median inequality holds for every 1-Lipschitz f
+    space, values, eps = case
+    assert tail_check(space, LipschitzFunction(values), eps).holds
 
 
 def test_tail_check_beyond_diameter_is_empty():

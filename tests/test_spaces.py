@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_dist_to_set, dense_thickening, spaces
+from conftest import count_pairs, dense_dist_to_set, dense_thickening, spaces
 from mmlab import spaces as spaces_module
 from mmlab.concentration import SearchConfig, alpha_lower_bound
 from mmlab.generators import (hamming_cube, hamming_cube_sampled, so_n_sampled,
@@ -94,6 +94,15 @@ def lattice_points():
     }
 
 
+def tie_radii(dist):
+    """Every distance, one float step either side, and radii no distance
+    meets (negative, nan) or every distance meets (1e200, inf)."""
+    radii = [-0.5, np.nan, 1e200, np.inf]
+    for d in np.unique(dist):
+        radii += [d, np.nextafter(d, 0.0), np.nextafter(d, np.inf)]
+    return radii
+
+
 def lazy_space(points, metric, params=None):
     n = points.shape[0]
     return FiniteMMSpace(list(range(n)), np.full(n, 1.0 / n), points=points,
@@ -113,9 +122,7 @@ def test_lazy_thickening_agrees_with_materialized():
         materialized = lazy_space(pts, metric, params)
         dist = materialized.dist
         explicit = FiniteMMSpace(lazy.labels, lazy.weight, dist=dist)
-        radii = [-0.5, np.nan, 1e200, np.inf]
-        for d in np.unique(dist):
-            radii += [d, np.nextafter(d, 0.0), np.nextafter(d, np.inf)]
+        radii = tie_radii(dist)
         for share in (0.05, 0.3, 0.5, 0.9):
             mask = rng.random(lazy.n) < share
             mask[rng.integers(lazy.n)] = True
@@ -137,6 +144,135 @@ def test_lazy_thickening_agrees_with_materialized():
         for eps in (0.05, 0.3, 1.0, 3.5):
             assert np.array_equal(lazy.thickened(mask, eps), dense_thickening(dist, mask, eps))
         assert lazy._dist is None
+
+
+def search_scores(space, rng, anchors=3):
+    """Scores as alpha_lower_bound draws them: anchor distance rows, and the
+    min of those rows shifted by offsets in [0, their largest entry)."""
+    idx = np.arange(space.n)
+    picks = rng.choice(space.n, size=anchors, replace=False)
+    rows = space.pairwise(picks, idx)
+    offsets = rng.uniform(0.0, float(rows.max()) or 1.0, size=anchors)
+    return [*rows, (rows + offsets[:, None]).min(axis=0)]
+
+
+def prefix_masks(score, sizes):
+    """The sets of the first k points in the score's stable order."""
+    order = np.argsort(score, kind="stable")
+    masks = []
+    for k in sizes:
+        mask = np.zeros(score.shape[0], dtype=bool)
+        mask[order[:k]] = True
+        masks.append(mask)
+    return masks
+
+
+def test_score_pruned_thickening_matches_the_full_scan_at_every_tie(monkeypatch):
+    # on every kernel that prunes, the candidates of the lower-bound search
+    # (prefix sets of distance rows and of mins of shifted rows) thicken to
+    # the same mask with and without their score, ties included, while the
+    # pruned scans read fewer pairs
+    pairs = count_pairs(monkeypatch)
+    rng = np.random.default_rng(4)
+    prunable = set()
+    for name, (pts, metric, params) in lattice_points().items():
+        space = lazy_space(pts, metric, params)
+        if space._kernel.score_slack is None:
+            continue
+        prunable.add(name)
+        radii = tie_radii(space.dist)
+        n = space.n
+        scanned = {True: 0, False: 0}
+        for score in search_scores(space, rng):
+            for mask in prefix_masks(score, (1, 2, n // 4, n // 2, n - 1, n)):
+                for eps in radii:
+                    pairs[0] = 0
+                    want = space.thickened(mask, eps)
+                    scanned[False] += pairs[0]
+                    pairs[0] = 0
+                    got = space.thickened(mask, eps, score)
+                    scanned[True] += pairs[0]
+                    assert np.array_equal(got, want), (name, eps, int(mask.sum()))
+        assert scanned[True] < scanned[False], name
+    assert prunable == set(lattice_points()) - {"geodesic, other points", "operator_norm"}
+
+
+def test_kernels_without_a_triangle_bound_scan_in_full(monkeypatch):
+    # an explicit matrix that breaks the triangle inequality, geodesic points
+    # 1e-9 off the unit sphere and euclidean points whose squares overflow:
+    # each breaks d(x, y) >= score[x] - score[y] by more than a pruning
+    # slack could cover, so each scans every pair with a score too
+    pairs = count_pairs(monkeypatch)
+    broken = FiniteMMSpace([0, 1, 2], [0.4, 0.2, 0.4],
+                           dist=[[0.0, 1.0, 3.0], [1.0, 0.0, 0.5], [3.0, 0.5, 0.0]])
+    assert any("triangle" in msg for msg in validate_space(broken))
+    # x and y sit 3e-5 apart in angle, but their dot product rounds past 1,
+    # so their computed distance is 0 while the anchor's rows differ by 3e-5
+    t, gap = 1.0, 3e-5
+    arcs = np.array([0.0, t, t + gap, 2.0, 2.5])
+    norms = np.array([1.0, 1.0 + 1e-9, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-9])
+    off_unit = lazy_space(norms[:, None] * np.stack(
+        [np.cos(arcs), np.sin(arcs), np.zeros(5)], axis=1), "sphere_geodesic")
+    assert off_unit.pairwise(np.array([1]), np.array([2]))[0, 0] == 0.0
+    cases = [(broken, [True, True, False], [0.5, 1.0]),
+             (off_unit, [True, True, False, False, False], [0.0, 1e-5])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = np.array(list(itertools.product(range(3), repeat=2)), dtype=float) * 1e154
+        huge = lazy_space(pts, "euclidean")
+        for k in (1, 3, 5):
+            mask = np.zeros(huge.n, dtype=bool)
+            mask[np.argsort(huge.pairwise(np.array([0]), np.arange(huge.n))[0],
+                            kind="stable")[:k]] = True
+            cases.append((huge, mask, [5e153, 1e154, 1.5e154, 1e300, np.inf]))
+        for space, mask, radii in cases:
+            assert space._kernel.score_slack is None
+            score = space.pairwise(np.array([0]), np.arange(space.n))[0]
+            for eps in radii:
+                pairs[0] = 0
+                want = space.thickened(mask, eps)
+                full = pairs[0]
+                pairs[0] = 0
+                assert np.array_equal(space.thickened(mask, eps, score), want), (space, eps)
+                assert pairs[0] == full
+    # the points the anchor's score would have pruned are in
+    assert broken.thickened([True, True, False], 0.5, [0.0, 1.0, 3.0]).all()
+    assert off_unit.thickened([True, True, False, False, False], 1e-5, off_unit.pairwise(
+        np.array([0]), np.arange(5))[0]).tolist() == [True, True, True, False, False]
+
+
+def test_geodesic_pruning_holds_near_the_anchors_antipodes_and_coincidences():
+    # points unit within _UNIT_TOL at and near the anchors and their
+    # antipodes, where arccos turns a dot product's error delta into
+    # sqrt(2 delta): up to 1.4e-6 rad a distance, so the computed distances
+    # break the triangle inequality by more than 1e-6
+    rng = np.random.default_rng(6)
+    base = rng.standard_normal((3, 3))
+    base /= np.linalg.norm(base, axis=1)[:, None]
+    pts = []
+    for u in base:
+        w = np.cross(u, rng.standard_normal(3))
+        w /= np.linalg.norm(w)
+        for sign, angle, scale in itertools.product(
+                (1.0, -1.0), (0.0, 1e-7, 1e-6, 3e-6), (1.0 - 4.9e-13, 1.0, 1.0 + 4.9e-13)):
+            pts.append(sign * scale * (np.cos(angle) * u + np.sin(angle) * w))
+    pts = np.vstack([pts, sphere_sampled(2, SamplerConfig(seed=6, sample_count=20)).points])
+    space, flat = lazy_space(pts, "sphere_geodesic"), lazy_space(pts, "sphere_geodesic")
+    assert space._kernel.score_slack is not None
+    flat._kernel.score_slack = 1e-6
+    dist = space.dist
+    # anchors: each base point at norm 1 - 4.9e-13, and its antipode
+    anchors = np.arange(0, 72, 12)
+    rows = space.pairwise(anchors, np.arange(space.n))
+    scores = [*rows, (rows + rng.uniform(0.0, 1e-5, size=anchors.shape[0])[:, None]).min(axis=0)]
+    radii = [0.0, 1e-7, 5e-7, 1e-6, 1.5e-6, 2e-6, 5e-6, 1e-5]
+    flat_differs = False
+    for score in scores:
+        for mask in prefix_masks(score, range(1, space.n)):
+            for eps in radii:
+                want = dense_thickening(dist, mask, eps)
+                assert np.array_equal(space.thickened(mask, eps, score), want), eps
+                flat_differs |= not np.array_equal(flat.thickened(mask, eps, score), want)
+    assert flat_differs  # a flat 1e-6 slack would lose points here
 
 
 def test_matrix_thickening_scratch_stays_within_the_tile_budget(monkeypatch):
