@@ -34,6 +34,9 @@ _MATERIALIZE_CAP = 8192  # refuse to build dense matrices beyond this many point
 _EXHAUSTIVE_CAP = 20  # default largest space alpha_exact enumerates
 _SUBSET_TABLE_BUDGET = 1 << 30  # bytes for alpha_exact's per-subset tables
 _TILE_BYTES = 1 << 25  # scratch bytes one distance tile may hold
+# columns of the first tile of a score-ordered thickening scan; each next
+# tile doubles, up to the _TILE_BYTES width
+_FIRST_TILE_COLS = 128
 _TRIANGLE_SAMPLE_CAP = 1024  # validate_space samples this many points beyond it
 _VALIDATE_ATOL = 1e-9  # metric and weight slack validate_space tolerates
 _EXPLICIT_MATRIX_MAX = 512  # hamming spaces this small serialize as matrices
@@ -167,10 +170,15 @@ class FiniteMMSpace:
         whose scores differ by more than eps is not within eps: the scan
         skips the rows scored above max(score on the set) + eps and the
         members scored below min(score on the rows left) - eps, both bounds
-        widened by the kernel's score_slack.  The pairs left are decided as
-        without a score, so the mask is the same.  Kernels whose distances
-        may break the triangle inequality by an unknown amount have no
-        score_slack and scan in full.
+        widened by the kernel's score_slack.  It then takes the rows in
+        ascending score and the members in descending score, so the members
+        nearest the set's boundary, which settle most rows, come first.  A
+        block of rows scans only the members scored at least min(score on
+        the block) - eps, widened alike, in column tiles that grow from
+        _FIRST_TILE_COLS.  The pairs left are decided as without a score,
+        one by one, so the mask is the same whatever their order.  Kernels
+        whose distances may break the triangle inequality by an unknown
+        amount have no score_slack and scan in full.
         """
         mask = _as_mask(self, mask)
         members = mask.nonzero()[0]
@@ -179,6 +187,7 @@ class FiniteMMSpace:
         out = mask & (0.0 <= eps)  # a member is at distance 0 from the set
         todo = (~mask).nonzero()[0]
         slack = self._kernel.score_slack
+        floors = None  # negated member scores, ascending, on the ordered scan
         if score is not None and slack is not None:
             score = np.asarray(score, dtype=float)
             if score.shape != (self.n,):
@@ -190,15 +199,26 @@ class FiniteMMSpace:
             todo = todo[~(score[todo] > score[members].max() + reach)]
             if todo.shape[0]:
                 members = members[~(score[members] < score[todo].min() - reach)]
+            if math.isfinite(reach):  # then every score is finite too
+                todo = todo[np.argsort(score[todo])]
+                members = members[np.argsort(-score[members])]
+                floors = -score[members]
         rows, cols = _tile_shape(todo.shape[0], members.shape[0], self._kernel.pair_bytes)
         for r0 in range(0, todo.shape[0], rows):
             left = todo[r0:r0 + rows]
-            for c0 in range(0, members.shape[0], cols):
-                if left.shape[0] == 0:
-                    break
-                hit = self._within_block(left, members[c0:c0 + cols], eps)
+            end, width = members.shape[0], cols
+            if floors is not None:
+                # the members scored at least score[left[0]] - reach, the
+                # block's lowest score
+                end = int(np.searchsorted(floors, reach - score[left[0]], side="right"))
+                width = min(_FIRST_TILE_COLS, cols)
+            c0 = 0
+            while c0 < end and left.shape[0]:
+                hit = self._within_block(left, members[c0:min(c0 + width, end)], eps)
                 out[left] = hit  # the rows left are unmarked
                 left = left[~hit]
+                c0 += width
+                width = min(2 * width, cols)
         return out
 
     def _within_block(self, rows, cols, eps):
@@ -288,9 +308,13 @@ class _Hamming(_Kernel):
         if self.words is None:
             return (self.points[rows][:, None, :] != self.points[cols][None, :, :]).sum(axis=2)
         a, b = self.words[rows], self.words[cols]
-        count = np.zeros((rows.shape[0], cols.shape[0]), dtype=np.int32)
-        for k in range(self.words.shape[1]):
-            count += np.bitwise_count(a[:, None, k] ^ b[None, :, k])
+        # one word counts at most 64 bits, which bitwise_count's uint8 holds;
+        # more words add up in int32, since a uint8 sum would wrap past 255
+        count = np.bitwise_count(a[:, None, 0] ^ b[None, :, 0])
+        if self.words.shape[1] > 1:
+            count = count.astype(np.int32)
+            for k in range(1, self.words.shape[1]):
+                count += np.bitwise_count(a[:, None, k] ^ b[None, :, k])
         return count
 
     def block(self, rows, cols):

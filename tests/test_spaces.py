@@ -1,6 +1,7 @@
 """Core space container, thickening, validation, exact concentration values,
 and serialization round trips."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -273,6 +274,65 @@ def test_geodesic_pruning_holds_near_the_anchors_antipodes_and_coincidences():
                 assert np.array_equal(space.thickened(mask, eps, score), want), eps
                 flat_differs |= not np.array_equal(flat.thickened(mask, eps, score), want)
     assert flat_differs  # a flat 1e-6 slack would lose points here
+
+
+@functools.cache
+def prunable_lattices():
+    """The lattice spaces of the kernels that prune by a score, by name."""
+    out = {}
+    for name, (pts, metric, params) in lattice_points().items():
+        space = lazy_space(pts, metric, params)
+        if space._kernel.score_slack is not None:
+            out[name] = space
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_score_ordered_thickening_does_not_need_a_sublevel_mask(data):
+    # the score-ordered scan may assume only that the score is 1-Lipschitz:
+    # masks that are no sublevel set of it thicken to the same mask with and
+    # without it, at every distance and one float step either side, in row
+    # blocks and growing column tiles small enough to split these lattices
+    name = data.draw(st.sampled_from(sorted(prunable_lattices())), label="kernel")
+    space = prunable_lattices()[name]
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=space.n, max_size=space.n)))
+    mask[data.draw(st.integers(0, space.n - 1))] = True
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    score = search_scores(space, rng)[data.draw(st.integers(0, 3), label="score")]
+    dist = np.unique(space.dist)
+    d = dist[data.draw(st.integers(0, dist.shape[0] - 1))]
+    eps = data.draw(st.sampled_from([np.nextafter(d, -np.inf), d, np.nextafter(d, np.inf)]))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spaces_module, "_TILE_BYTES", data.draw(st.sampled_from([256, 4096, 1 << 25])))
+        m.setattr(spaces_module, "_FIRST_TILE_COLS", data.draw(st.sampled_from([1, 3, 128])))
+        got = space.thickened(mask, eps, score)
+    assert np.array_equal(got, space.thickened(mask, eps))
+    assert np.array_equal(got, dense_thickening(space.dist, mask, eps))
+
+
+@pytest.mark.parametrize("dim", [64, 65, 300])
+def test_hamming_popcounts_match_a_coordinate_count(dim):
+    # one packed word (64 coordinates) counts in uint8, more words in a wider
+    # sum: at every count 0..dim, past 255 included, block is the count of
+    # differing coordinates over dim, and within agrees with block <= eps at
+    # each count's distance and one float step either side
+    rng = np.random.default_rng(dim)
+    base = rng.integers(0, 2, size=dim, dtype=np.uint8)
+    ladder = np.array([np.concatenate([1 - base[:k], base[k:]]) for k in range(dim + 1)])
+    pts = np.vstack([ladder, rng.integers(0, 2, size=(30, dim), dtype=np.uint8)])
+    kernel = lazy_space(pts, "hamming")._kernel
+    assert kernel.words.shape[1] == -(-dim // 64)
+    idx = np.arange(pts.shape[0])
+    block = kernel.block(idx, idx)
+    counts = np.array([(pts != p).sum(axis=1) for p in pts])
+    assert np.array_equal(block, counts / dim)
+    assert np.array_equal(block[0, :dim + 1], np.arange(dim + 1) / dim)
+    cols = np.array([0, dim + 1, dim + 2])
+    for c in range(dim + 1):
+        for eps in (np.nextafter(c / dim, -1.0), c / dim, np.nextafter(c / dim, 2.0)):
+            assert np.array_equal(kernel.within(idx, cols, eps),
+                                  (block[:, cols] <= eps).any(axis=1)), (c, eps)
 
 
 def test_matrix_thickening_scratch_stays_within_the_tile_budget(monkeypatch):
