@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import SearchConfig
-from .spaces import _MATERIALIZE_CAP, _row_blocks, _tiles, point_space
+from .spaces import _MATERIALIZE_CAP, _row_blocks, point_space
 from .transport import _SUPPORT_TOL, _nw_corner
 
 _COUPLING_TOL = 1e-12  # couplings this close entrywise are one candidate
@@ -31,6 +31,7 @@ _PAIR_POOL_LIMIT = 12  # extreme families add distances to point pairs up to thi
 _EXHAUSTIVE_COUPLINGS = 720  # order pairs searched exhaustively up to this many
 _FIT_CELL_BYTES = 106  # tracemalloc peak of one (row, cell) of _best_const_rows
 _HAUSDORFF_CELL_BYTES = 75  # and of one (member, member, cell) of _family_hausdorff
+_LIFTED_CAP = 1 << 24  # family entries a general pair may lift onto the product coupling
 
 
 # -- step functions and the me1 metric ---------------------------------------
@@ -225,30 +226,57 @@ def _candidate_couplings(X, Y, cfg):
     return out
 
 
-def _family_hausdorff(masses, A, B, fit_a, fit_b):
+def _family_hausdorff(masses, A, B, fit_a, fit_b, best=math.inf):
     """Hausdorff me1 between two lifted families, A and its negatives against
-    B and its negatives, each augmented with all constant functions.
+    B and its negatives, each augmented with all constant functions; or inf
+    when that value is at least best.
 
-    Constants are shared, so each member only needs its best cross-family
-    match and its best constant fit, given as fit_a and fit_b.  The negatives
-    are read from the rows themselves:
+    Constants are shared, so the value is the max over the members m of both
+    families of near(m) = min(fit(m), best cross-family match of m), with the
+    best constant fits given as fit_a and fit_b.  The negatives are read from
+    the rows themselves:
     - min over b' in +-B of me1(a - b') is min over b of
       min(me1|a - b|, me1|a + b|), and the same for -a, with the same value;
     - fit(-a) = fit(a), so -a is as near as a, and the max runs over A alone;
     - a zero member would set no value: its fit is 0, and me1|a| >= fit(a).
-    Each (a, b) pair's two me1 values are evaluated once, in tiles, and read
-    by both sides: row minima for A, column minima for B."""
-    near_a = fit_a.copy()
-    near_b = fit_b.copy()
-    k = masses.shape[0]
-    for r, c in _tiles(A.shape[0], B.shape[0], _HAUSDORFF_CELL_BYTES * k):
-        a, b = A[r, None, :], B[None, c, :]
-        vals = np.minimum(_me1_rows(masses, (a - b).reshape(-1, k)),
-                          _me1_rows(masses, (a + b).reshape(-1, k)))
-        vals = vals.reshape(a.shape[0], b.shape[1])
-        np.minimum(near_a[r], vals.min(axis=1), out=near_a[r])
-        np.minimum(near_b[c], vals.min(axis=0), out=near_b[c])
-    return float(max(near_a.max(), near_b.max()))
+    Since near(m) <= fit(m), a branch and bound on the fits is exact:
+    - members of both families are visited in descending fit, keeping lb,
+      the largest near seen so far;
+    - a visited member scans the other family in row blocks;
+    - once the next member's fit is <= lb, every member left has
+      near <= fit <= lb, so the value is lb;
+    - once lb >= best the search stops and returns inf: obs_distance keeps a
+      candidate only when its value is strictly smaller than best, so this
+      anchor cannot win.
+    Every me1 value read comes from the same gap row as in a scan of all
+    member pairs, so the value is bit-identical to that scan's."""
+    fits = np.concatenate([fit_a, fit_b])
+    lb = 0.0
+    for m in np.argsort(-fits, kind="stable"):
+        if fits[m] <= lb or lb >= best:
+            break
+        row, other = (A[m], B) if m < A.shape[0] else (B[m - A.shape[0]], A)
+        near = fits[m]
+        for r in _row_blocks(*other.shape, _HAUSDORFF_CELL_BYTES):
+            near = min(near, _me1_rows(masses, row - other[r]).min(),
+                       _me1_rows(masses, row + other[r]).min())
+        lb = max(lb, near)
+    return float(lb) if lb < best else math.inf
+
+
+def _check_lifted_size(X, Y):
+    """Refuse a general pair whose families, lifted onto the product
+    coupling (the candidate with the most cells), would pass _LIFTED_CAP."""
+    def rows(n):  # members of lipschitz_extremes on n points
+        return n + n * (n - 1) // 2 if n <= _PAIR_POOL_LIMIT else n
+
+    px, py = int((X.weight > 0).sum()), int((Y.weight > 0).sum())
+    entries = (rows(X.n) + rows(Y.n)) * px * py
+    if entries > _LIFTED_CAP:
+        raise ValueError(
+            f"families of {rows(X.n)} and {rows(Y.n)} members on the product "
+            f"coupling's {px} x {py} cells take {entries} entries, more than "
+            f"{_LIFTED_CAP}")
 
 
 def obs_distance(X, Y, cfg=None):
@@ -269,6 +297,15 @@ def obs_distance(X, Y, cfg=None):
     rows.  Against the one-point space it is the whole answer (module
     docstring): no search runs.
 
+    Each anchor's Hausdorff value is an exact branch and bound
+    (_family_hausdorff): members are visited in descending fit, the search
+    stops once no member left can raise the value, and an anchor is given up
+    once its value reaches the best one so far, which it could then never
+    replace.  The reported value, coupling and anchor are those of a scan of
+    every member pair.  A general pair whose families, lifted onto the
+    product coupling's cells, would take more than _LIFTED_CAP entries is
+    refused with ValueError before anything is allocated.
+
     The value is reported as `upper` but certifies no upper bound.  Against
     the one-point space it is a max of inf_c me1(f, c) over a finite family
     of 1-Lipschitz f, whereas the observable distance takes the sup over all
@@ -277,6 +314,8 @@ def obs_distance(X, Y, cfg=None):
     """
     cfg = cfg or SearchConfig()
     to_point = X.n == 1 or Y.n == 1
+    if not to_point:
+        _check_lifted_size(X, Y)
     best = None
     fx = lipschitz_extremes(X, 0)
     fy = lipschitz_extremes(Y, 0)
@@ -294,7 +333,7 @@ def obs_distance(X, Y, cfg=None):
             break
         for cell in by_mass[:max(1, cfg.anchor_budget)]:
             h = _family_hausdorff(masses, lx - lx[:, cell, None], ly - ly[:, cell, None],
-                                  fit_x, fit_y)
+                                  fit_x, fit_y, math.inf if best is None else best[0])
             if best is None or h < best[0]:
                 best = (h, pi, ci, cj, cell)
                 if h <= 0.0:

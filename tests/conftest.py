@@ -3,18 +3,21 @@
 plain seeded constructors for the bulk randomized sweeps; thickenings and
 distances to sets by dense matrix reads; step functions from cell masses and
 constants; the Hausdorff me1 distance between finite families, pair by
-pair; two transport oracles independent of the flow solver: the full
+pair, and between lifted families by a scan of every member pair; two
+transport oracles independent of the flow solver: the full
 transportation LP and a grid-quantized assignment; and counters of the
-flow's pricing rounds and of the pairs thickenings scan."""
+flow's pricing rounds, of the pairs thickenings scan and of the me1 rows
+the observable search evaluates."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 
-from mmlab import transport
+from mmlab import observable, transport
 from mmlab.observable import StepFunction, me1
-from mmlab.spaces import FiniteMMSpace
+from mmlab.spaces import FiniteMMSpace, _tiles
 
 
 def normalized(raw):
@@ -146,6 +149,25 @@ def hausdorff_me1(A, B):
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
+def full_scan_family_hausdorff(masses, A, B, fit_a, fit_b, best=math.inf):
+    """observable._family_hausdorff without its pruning: every (a, b) pair's
+    two me1 values, evaluated once in tiles of member pairs and read by both
+    sides, row minima for A and column minima for B.  best is ignored, so no
+    anchor is abandoned.  me1 rows go through observable._me1_rows, so
+    count_me1_rows counts them too."""
+    near_a = fit_a.copy()
+    near_b = fit_b.copy()
+    k = masses.shape[0]
+    for r, c in _tiles(A.shape[0], B.shape[0], observable._HAUSDORFF_CELL_BYTES * k):
+        a, b = A[r, None, :], B[None, c, :]
+        vals = np.minimum(observable._me1_rows(masses, (a - b).reshape(-1, k)),
+                          observable._me1_rows(masses, (a + b).reshape(-1, k)))
+        vals = vals.reshape(a.shape[0], b.shape[1])
+        np.minimum(near_a[r], vals.min(axis=1), out=near_a[r])
+        np.minimum(near_b[c], vals.min(axis=0), out=near_b[c])
+    return float(max(near_a.max(), near_b.max()))
+
+
 def _apportion(mu, grid):
     """Largest-remainder rounding of a probability vector to grid units."""
     target = mu * grid
@@ -179,6 +201,18 @@ def count_pairs(monkeypatch):
 
     monkeypatch.setattr(FiniteMMSpace, "_within_block", counted)
     return pairs
+
+
+def count_me1_rows(monkeypatch):
+    """A one-entry list counting the me1 rows the observable search evaluates."""
+    rows, me1_rows = [0], observable._me1_rows
+
+    def counted(masses, gaps):
+        rows[0] += gaps.shape[0]
+        return me1_rows(masses, gaps)
+
+    monkeypatch.setattr(observable, "_me1_rows", counted)
+    return rows
 
 
 def emd_full_lp(space, pair):

@@ -334,6 +334,16 @@ def test_obsdist_output(cube3, tmp_path):
     assert 0.0 <= out["upper"] <= 1.0
 
 
+def test_obsdist_refuses_an_oversized_pair(tmp_path):
+    # two 10-cubes: 2,048 members on the product coupling's 1,048,576 cells
+    cube = tmp_path / "cube10.json"
+    r = run_cli("generate", "--family", "hamming_cube", "--n", 10, "--out", cube)
+    assert r.returncode == 0, r.stderr
+    r = run_cli("obsdist", "--x", cube, "--y", cube, "--budget", 1)
+    assert r.returncode == 2 and r.stdout == ""
+    assert "1024 x 1024 cells take 2147483648 entries" in r.stderr
+
+
 def test_median_and_tail(cube3, tmp_path):
     vals = tmp_path / "vals.json"
     vals.write_text(json.dumps(

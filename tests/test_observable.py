@@ -2,13 +2,16 @@
 dense-scan oracle, extreme 1-Lipschitz families, Hausdorff distances, and the
 coupling-search estimator with its convergence regression pins."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (LipschitzSet, hausdorff_me1, random_space, spaces,
-                      step_constant, step_from_cells)
+from conftest import (LipschitzSet, count_me1_rows, full_scan_family_hausdorff,
+                      hausdorff_me1, random_space, spaces, step_constant,
+                      step_from_cells)
 from mmlab import observable
 from mmlab import spaces as spaces_module
 from mmlab.concentration import SearchConfig
@@ -247,8 +250,8 @@ def lifted_families(draw, max_cells=5, max_members=4):
 
 
 @settings(max_examples=60, deadline=None)
-@given(lifted_families())
-def test_family_hausdorff_against_the_pairwise_oracle(case):
+@given(lifted_families(), st.one_of(st.just(math.inf), st.integers(0, 16).map(lambda v: v / 16)))
+def test_family_hausdorff_against_the_pairwise_oracle(case, best):
     masses, A, B = case
     # the kernel reads each family as closed under negation
     steps_a = [step_from_cells(masses, row) for row in np.concatenate([A, -A])]
@@ -265,8 +268,13 @@ def test_family_hausdorff_against_the_pairwise_oracle(case):
     want = hausdorff_me1(steps_a + consts, steps_b + consts)
     fit_a = np.array([best_constant_me1(h) for h in steps_a[:len(A)]])
     fit_b = np.array([best_constant_me1(h) for h in steps_b[:len(B)]])
-    got = _family_hausdorff(masses, A, B, fit_a, fit_b)
-    assert got == pytest.approx(want, abs=1e-12)
+    exact = _family_hausdorff(masses, A, B, fit_a, fit_b)
+    assert exact == pytest.approx(want, abs=1e-12)
+    # below best the exact value comes back, and "cannot win" (inf) at or
+    # above it
+    got = _family_hausdorff(masses, A, B, fit_a, fit_b, best)
+    assert got == (exact if exact < best else math.inf)
+    assert want >= best - 1e-12 if got == math.inf else want < best + 1e-12
 
 
 def test_family_hausdorff_scratch_stays_within_the_tile_budget(monkeypatch):
@@ -385,6 +393,90 @@ def test_anchors_as_shifts_match_a_family_per_anchor(monkeypatch):
         cfg = SearchConfig(seed=k, restarts=2, anchor_budget=int(rng.integers(1, 4)))
         want = _search_with_a_family_per_anchor(X, Y, cfg)
         assert obs_distance(X, Y, cfg).upper == pytest.approx(want, abs=1e-12)
+
+
+def _matches_the_full_scan(monkeypatch, X, Y, cfg):
+    """obs_distance gives the value, coupling and anchor of the same search
+    on the full-scan kernel, bit for bit."""
+    got = obs_distance(X, Y, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(observable, "_family_hausdorff", full_scan_family_hausdorff)
+        want = obs_distance(X, Y, cfg)
+    assert got.upper == want.upper
+    assert np.array_equal(got.coupling, want.coupling)
+    assert got.anchor == want.anchor
+
+
+def test_pruned_search_matches_the_full_scan_on_groups_and_cubes(monkeypatch):
+    # mmlab obsdist's S_4 against the 4-cube at both budgets (--budget sets
+    # restarts and anchors), the 6-cube against S_4, and the 3-cube against S_3
+    s4, q4 = symmetric_group(4), hamming_cube(4)
+    for seed in range(1, 11):
+        for budget in (2, 8):
+            _matches_the_full_scan(monkeypatch, s4, q4, SearchConfig(
+                seed=seed, restarts=budget, anchor_budget=budget))
+    _matches_the_full_scan(monkeypatch, hamming_cube(6), s4,
+                           SearchConfig(seed=1, restarts=2, anchor_budget=2))
+    _matches_the_full_scan(monkeypatch, hamming_cube(3), symmetric_group(3), SearchConfig())
+
+
+def test_pruned_search_matches_the_full_scan_on_random_pairs(monkeypatch):
+    rng = np.random.default_rng(29)
+    exhaustive = 0
+    for k in range(130):
+        X = random_space(rng, int(rng.integers(2, 10)))
+        Y = random_space(rng, int(rng.integers(2, 10)))
+        if k % 10 == 0:  # a massless point owns no cell of any coupling
+            w = X.weight.copy()
+            w[0] = 0.0
+            X = FiniteMMSpace(X.labels, w / w.sum(), dist=X.dist)
+        exhaustive += math.factorial(X.n) * math.factorial(Y.n) <= 720
+        cfg = SearchConfig(seed=k, restarts=int(rng.integers(1, 5)),
+                           anchor_budget=int(rng.integers(1, 9)))
+        _matches_the_full_scan(monkeypatch, X, Y, cfg)
+    assert exhaustive >= 5  # some pairs search every order pair's corner
+
+
+@pytest.mark.parametrize("X, Y, cfg, want", [
+    # S_4 against the 4-cube at seed 1 and budget 8, as mmlab obsdist runs
+    # it: 80 anchors, each a full scan of 2 x 24 x 16 rows; pruned, each
+    # visits one member of S_4 against the cube's 16
+    (symmetric_group(4), hamming_cube(4), SearchConfig(seed=1, restarts=8, anchor_budget=8),
+     (2560, 61440)),
+    # here anchors that cannot win are abandoned: 7,704 rows without that
+    (hamming_cube(3), symmetric_group(3), SearchConfig(), (5832, 120960)),
+])
+def test_pruning_skips_most_me1_rows(monkeypatch, X, Y, cfg, want):
+    rows = count_me1_rows(monkeypatch)
+    obs_distance(X, Y, cfg)
+    pruned = rows[0]
+    monkeypatch.setattr(observable, "_family_hausdorff", full_scan_family_hausdorff)
+    rows[0] = 0
+    obs_distance(X, Y, cfg)
+    assert (pruned, rows[0]) == want
+    assert pruned * 10 <= rows[0]
+
+
+def test_oversized_general_pairs_are_refused_before_allocating(monkeypatch):
+    # two 1,000-point spaces: 2,000 members on 1,000,000 product cells
+    big = FiniteMMSpace(list(range(1000)), np.full(1000, 1e-3),
+                        points=np.arange(1000.0)[:, None], metric="euclidean")
+
+    def no_families(*args):
+        raise AssertionError("families were built")
+
+    monkeypatch.setattr(observable, "lipschitz_extremes", no_families)
+    monkeypatch.setattr(observable, "_candidate_couplings", no_families)
+    with pytest.raises(ValueError, match="1000 x 1000 cells take 2000000000 entries"):
+        obs_distance(big, big)
+    # a massless point owns no cell, so the cells counted are 4 x 4, not
+    # 1,000 x 1,000, and the same pair with 4 points of mass each passes
+    w = np.zeros(1000)
+    w[:4] = 0.25
+    monkeypatch.undo()
+    light = FiniteMMSpace(list(range(1000)), w, points=np.arange(1000.0)[:, None],
+                          metric="euclidean")
+    assert obs_distance(light, light, SearchConfig(restarts=1)).upper >= 0.0
 
 
 def _spaces_with_a_massless_point(rng):
