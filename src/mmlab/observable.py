@@ -24,7 +24,6 @@ import numpy as np
 
 from .concentration import SearchConfig
 from .spaces import _MATERIALIZE_CAP, _row_blocks, point_space
-from .transport import _SUPPORT_TOL, _nw_corner
 
 _COUPLING_TOL = 1e-12  # couplings this close entrywise are one candidate
 _PAIR_POOL_LIMIT = 12  # extreme families add distances to point pairs up to this size
@@ -32,6 +31,7 @@ _EXHAUSTIVE_COUPLINGS = 720  # order pairs searched exhaustively up to this many
 _FIT_CELL_BYTES = 106  # tracemalloc peak of one (row, cell) of _best_const_rows
 _HAUSDORFF_CELL_BYTES = 75  # and of one (member, member, cell) of _family_hausdorff
 _LIFTED_CAP = 1 << 24  # family entries a general pair may lift onto the product coupling
+_SUPPORT_TOL = 1e-15  # mass a north-west corner leaves at or below this is spent
 
 
 # -- step functions and the me1 metric ---------------------------------------
@@ -191,6 +191,30 @@ class LevyConvergenceResult:
     dists: np.ndarray
     decreasing_trend: bool
     slack: float
+
+
+def _nw_corner(wx, wy, order_x, order_y):
+    """North-west-corner plan of the weights wx against wy, filled along the
+    point orders order_x and order_y: the cells (rows, cols) it fills, in
+    filling order, and their masses.  Mass left at or below _SUPPORT_TOL
+    counts as spent, so each step moves on to the next point of one order
+    or of both, and the filled cells form a staircase."""
+    rx, ry = wx[order_x].tolist(), wy[order_y].tolist()
+    rows, cols, mass = [], [], []
+    i = j = 0
+    while i < len(rx) and j < len(ry):
+        step = min(rx[i], ry[j])
+        if step > 0:
+            rows.append(order_x[i])
+            cols.append(order_y[j])
+            mass.append(step)
+        rx[i] -= step
+        ry[j] -= step
+        if rx[i] <= _SUPPORT_TOL:
+            i += 1
+        if ry[j] <= _SUPPORT_TOL:
+            j += 1
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(mass)
 
 
 def _candidate_couplings(X, Y, cfg):

@@ -1,8 +1,8 @@
 """Transportation (earth mover's) distance between probability measures on a
-shared finite metric space: an exact min-cost flow on the measures' supports,
-grown arc by arc until its dual certificate holds on every pair, with a
-witness coupling, and the translate distance of a measure under a point
-permutation."""
+shared finite metric space: an exact min-cost flow on the measures' supports
+by one network simplex, whose dual certificate is checked on every pair,
+with a witness coupling, and the translate distance of a measure under a
+point permutation."""
 
 from __future__ import annotations
 
@@ -13,15 +13,11 @@ import numpy as np
 from .spaces import _row_blocks
 
 _MARGINAL_TOL = 1e-9
-_REL_TOL = 1e-9         # slack, relative to d_max, of the metric, pricing and certificate checks
-# HiGHS' primal and dual feasibility, absolute on masses and on costs scaled
-# to d_max = 1.  At its default 1e-7 the duals can break the certificate's
-# 1e-9 on valid inputs, and the flow can overdraw a point by 2e-8 and come
-# out 2e-9 cheaper than the transport cost
-_FEAS_TOL = 1e-10
+_REL_TOL = 1e-9         # slack, relative to d_max, of the metric and certificate checks
 _PAIR_BYTES = 16        # scratch one pair of a row-block pass takes
-_SEED_NEAREST = 9       # nearest targets of each source, itself included, in the first arcs
-_SUPPORT_TOL = 1e-15    # mass the north-west corner leaves at or below this is spent
+_BIG_M = 2.0            # cost of an arc from the simplex's artificial root, over d_max
+_PRICE_PAIRS = 4096     # pairs the simplex prices at a time, in whole rows
+_ENTER_TOL = 1e-14      # stretch, over the artificial cost, a pair needs to enter the tree
 
 
 @dataclass
@@ -77,44 +73,12 @@ class EmdResult:
     potential: np.ndarray  # the dual certificate: 1-Lipschitz, pairs to distance
 
 
-def _nw_corner(wx, wy, order_x, order_y):
-    """North-west-corner plan of the weights wx against wy, filled along the
-    point orders order_x and order_y: the cells (rows, cols) it fills, in
-    filling order, and their masses.  Mass left at or below _SUPPORT_TOL
-    counts as spent, so each step moves on to the next point of one order
-    or of both, and the filled cells form a staircase."""
-    rx, ry = wx[order_x].tolist(), wy[order_y].tolist()
-    rows, cols, mass = [], [], []
-    i = j = 0
-    while i < len(rx) and j < len(ry):
-        step = min(rx[i], ry[j])
-        if step > 0:
-            rows.append(order_x[i])
-            cols.append(order_y[j])
-            mass.append(step)
-        rx[i] -= step
-        ry[j] -= step
-        if rx[i] <= _SUPPORT_TOL:
-            i += 1
-        if ry[j] <= _SUPPORT_TOL:
-            j += 1
-    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(mass)
-
-
-def _seed(d, src, dst, mu1, mu2, names):
-    """The flow's first arcs, as sorted keys tail * m + head over the m points
-    of d, and d_max over the pairs from the sources src to the targets dst.
-    The arcs are the cells of the north-west-corner plan of mu1 against mu2,
-    which carry a feasible flow, and the pairs from each source to its
-    _SEED_NEAREST nearest targets (all of them when there are no more), less
-    the pairs of a point with itself.  The scan raises ValueError unless the
-    distances from src to dst are finite and zero where a point meets
-    itself, within _REL_TOL * d_max, naming the entry by names, the points'
-    indices in the space."""
-    m = d.shape[0]
-    tail, head, _ = _nw_corner(mu1, mu2, src, dst)
-    keys, d_max = [tail * m + head], 0.0
-    near = min(_SEED_NEAREST, dst.shape[0])
+def _scan_metric(d, src, dst, names):
+    """d_max over the pairs from the sources src to the targets dst (positions
+    in d).  The scan raises ValueError unless those distances are finite and
+    zero where a point meets itself, within _REL_TOL * d_max, naming the
+    entry by names, the points' indices in the space."""
+    d_max = 0.0
     for r in _row_blocks(src.shape[0], dst.shape[0], _PAIR_BYTES):
         block = d[np.ix_(src[r], dst)]
         if not np.isfinite(block).all():
@@ -122,55 +86,154 @@ def _seed(d, src, dst, mu1, mu2, names):
             raise ValueError(
                 f"not a metric: non-finite distance at ({names[src[r][i]]},{names[dst[j]]})")
         d_max = max(d_max, float(block.max()))
-        nearest = np.argpartition(block, near - 1, axis=1)[:, :near]
-        keys.append((src[r, None] * m + dst[nearest]).ravel())
     both = np.intersect1d(src, dst, assume_unique=True)
     diag = np.abs(d[both, both])
     if diag.size and diag.max() > _REL_TOL * d_max:
         k = both[int(np.argmax(diag))]
         raise ValueError(f"not a metric: d[{names[k]},{names[k]}]={float(d[k, k])!r} is not zero")
-    keys = np.unique(np.concatenate(keys))
-    return keys[keys // m != keys % m], d_max
+    return d_max
 
 
-def _solve(d, tail, head, excess, scale):
-    """Min-cost flow of the balance excess along the arcs tail -> head at
-    costs d[tail, head]: the amount on each arc, the flow's value and the
-    row duals.  The LP runs on costs divided by scale (d_max), with HiGHS'
-    feasibility tolerances at _FEAS_TOL, and its value and duals are scaled
-    back."""
-    import scipy.sparse as sp
-    from scipy.optimize import linprog
+def _stretch(d, rows, cols, potential):
+    """u_i - u_j - d_ij of the potential u over rows x cols (positions in d)."""
+    if cols.shape[0] == d.shape[1]:  # every column: whole rows of d
+        over = potential[rows, None] - potential[None, :cols.shape[0]]
+        over -= d[rows]
+    else:
+        over = potential[rows, None] - potential[None, cols]
+        over -= d[rows[:, None], cols]
+    return over
 
-    arcs = tail.shape[0]
-    # column a leaves tail[a] (+1) and enters head[a] (-1)
-    balance = sp.csc_array((np.tile([1.0, -1.0], arcs),
-                            np.stack([tail, head], axis=1).ravel(),
-                            np.arange(0, 2 * arcs + 1, 2)),
-                           shape=(excess.shape[0], arcs))
-    res = linprog(d[tail, head] / scale, A_eq=balance, b_eq=excess, bounds=(0, None),
-                  method="highs-ds",
-                  options={"dual_feasibility_tolerance": _FEAS_TOL,
-                           "primal_feasibility_tolerance": _FEAS_TOL})
-    if not res.success:
-        raise RuntimeError(f"transportation solve failed: {res.message}")
-    return (np.clip(res.x, 0.0, None), float(res.fun) * scale,
-            np.asarray(res.eqlin.marginals, dtype=float) * scale)
+
+def _simplex(d, src, dst, excess, d_max):
+    """Uncapacitated min-cost flow of the balance excess along the arcs
+    src x dst at costs d[i, j], by one primal network simplex.  Returns the
+    spanning tree's arcs tail -> head (positions in d) with their amounts,
+    and the potential u, which has u_i - u_j = d_ij on those arcs and
+    minimum 0.
+
+    The first tree is a star on an artificial root: a point with excess >= 0
+    ships it by an arc to the root at cost 0, any other point receives its
+    deficit by an arc from the root at cost _BIG_M * d_max (1 when d_max is
+    0).  Mass through the root goes cheaper straight from a source to a
+    target, so an optimal flow leaves those arcs empty, but for the rounding
+    of sum(excess).
+
+    Pricing walks src in cyclic blocks of whole rows, about _PRICE_PAIRS
+    pairs each, straight from d; the block's most stretched pair enters when
+    u_i - u_j - d_ij exceeds _ENTER_TOL times the artificial cost.  A full
+    cycle of blocks with no such pair ends the solve.  Every empty tree arc
+    points to the root (the tree is strongly feasible), and the leaving arc
+    is the last blocking arc met walking the cycle from its apex along the
+    entering arc (Cunningham 1976), so degenerate pivots cannot cycle.  The
+    tree is kept as parent arcs, subtree sizes and a preorder, so that a
+    pivot walks the cycle in Python and moves the cut subtree, re-rooted at
+    the entering arc, as slices of the preorder.
+    """
+    m, cols = excess.shape[0], dst.shape[0]
+    root = m
+    big = _BIG_M * d_max or 1.0
+    enter = _ENTER_TOL * big
+    # the arc from each point to its parent: up when it points to the parent
+    parent = [root] * m
+    up = (excess >= 0).tolist()
+    flow = np.abs(excess).tolist()
+    size = [1] * m + [m + 1]
+    order = np.concatenate(([root], np.arange(m)))
+    pos = np.argsort(order)
+    potential = np.append(np.where(excess >= 0, 0.0, -big), 0.0)
+
+    step = max(1, _PRICE_PAIRS // cols)
+    blocks = [slice(r0, r0 + step) for r0 in range(0, src.shape[0], step)]
+    # each block's pairs of a point with itself, never priced: a diagonal
+    # entry the metric scan let through below 0 would price as a loop
+    selfs = [np.nonzero(src[r, None] == dst) for r in blocks]
+    b = idle = 0
+    while idle < len(blocks):
+        rows = src[blocks[b]]
+        over = _stretch(d, rows, dst, potential)
+        over[selfs[b]] = -np.inf
+        b = (b + 1) % len(blocks)
+        i, j = divmod(int(over.argmax()), cols)
+        gain = float(over[i, j])
+        if not gain > enter:
+            idle += 1
+            continue
+        idle = 0
+        tail, head = int(rows[i]), int(dst[j])
+        # the cycle: the tree paths from tail and from head up to their apex
+        path_t, path_h = [], []
+        x, y = tail, head
+        while x != y:
+            if size[x] < size[y]:
+                path_t.append(x)
+                x = parent[x]
+            else:
+                path_h.append(y)
+                y = parent[y]
+        # walked from the apex, the cycle runs down to tail, along the
+        # entering arc and up from head: arcs it walks backwards can block
+        delta, out, cut = np.inf, -1, None
+        for k, x in enumerate(path_t):
+            if up[x] and flow[x] < delta:
+                delta, out, cut = flow[x], k, path_t
+        for k, y in enumerate(path_h):
+            if not up[y] and flow[y] <= delta:
+                delta, out, cut = flow[y], k, path_h
+        if cut is None:
+            raise RuntimeError("transportation solve failed: a cycle of negative cost")
+        if delta > 0:
+            for x in path_t:
+                flow[x] += -delta if up[x] else delta
+            for y in path_h:
+                flow[y] += delta if up[y] else -delta
+        # the subtree cut off by the leaving arc hangs, re-rooted at the
+        # entering arc's end on the cut side, from its other end
+        if cut is path_t:
+            hang, onto, grow, sigma = tail, head, path_h, -gain
+        else:
+            hang, onto, grow, sigma = head, tail, path_t, gain
+        stem = cut[:out + 1]
+        moved = size[stem[-1]]
+        for x in cut[out + 1:]:
+            size[x] -= moved
+        for x in grow:
+            size[x] += moved
+        at = [int(pos[x]) for x in stem]
+        sizes = [size[x] for x in stem]
+        pieces = [order[at[0]:at[0] + sizes[0]]]
+        for k in range(1, len(stem)):
+            pieces += [order[at[k]:at[k - 1]], order[at[k - 1] + sizes[k - 1]:at[k] + sizes[k]]]
+            size[stem[k]] = moved - sizes[k - 1]
+        size[hang] = moved
+        for k in range(len(stem) - 1, 0, -1):
+            parent[stem[k]] = stem[k - 1]
+            up[stem[k]] = not up[stem[k - 1]]
+            flow[stem[k]] = flow[stem[k - 1]]
+        parent[hang], up[hang], flow[hang] = onto, hang == tail, delta
+        subtree = np.concatenate(pieces)
+        start, after = at[-1], int(pos[onto]) + 1
+        if after <= start:
+            lo, hi = after, start + moved
+            order[lo:hi] = np.concatenate((subtree, order[after:start]))
+        else:
+            lo, hi = start, after
+            order[lo:hi] = np.concatenate((order[start + moved:after], subtree))
+        pos[order[lo:hi]] = np.arange(lo, hi)
+        potential[subtree] += sigma
+    real = [x for x in range(m) if parent[x] != root]
+    tails = np.array([x if up[x] else parent[x] for x in real], dtype=np.intp)
+    heads = np.array([parent[x] if up[x] else x for x in real], dtype=np.intp)
+    u = potential[:m]
+    return tails, heads, np.array([flow[x] for x in real]), u - u.min()
 
 
 def _price(d, rows, cols, potential):
-    """Pricing scan of the potential u over rows x cols (positions in d):
-    for each i in rows, the position in cols of the j with the largest
-    stretch u_i - u_j - d_ij and that stretch.  Rows are scanned in blocks
-    of bounded scratch (spaces._row_blocks)."""
-    worst = np.empty(rows.shape[0], dtype=np.intp)
-    stretch = np.empty(rows.shape[0])
-    for r in _row_blocks(rows.shape[0], cols.shape[0], _PAIR_BYTES):
-        over = potential[rows[r], None] - potential[None, cols]
-        over -= d[np.ix_(rows[r], cols)]
-        worst[r] = over.argmax(axis=1)
-        stretch[r] = np.take_along_axis(over, worst[r, None], axis=1)[:, 0]
-    return worst, stretch
+    """Largest stretch u_i - u_j - d_ij of the potential u over rows x cols
+    (positions in d), scanned in row blocks of bounded scratch
+    (spaces._row_blocks)."""
+    return max(float(_stretch(d, rows[r], cols, potential).max())
+               for r in _row_blocks(rows.shape[0], cols.shape[0], _PAIR_BYTES))
 
 
 def _refuse_broken_relays(d, rows, mids, cols, names, tol):
@@ -237,18 +300,15 @@ def _decompose(tail, head, amount, mu1, mu2):
 def emd(space, pair):
     """Exact transportation distance min over couplings of sum nu * d.
 
-    Solved on the points with mass in either measure, as a min-cost flow
-    with one balance row mu1 - mu2 per point and one arc per pair of an arc
-    set grown by delayed column generation.  The set starts from _seed;
-    each round solves the flow on it, prices every pair from the first
-    support to the second against the flow's row duals u (see _price), and
-    adds each source's most stretched pair, one with u_i - u_j > d_ij +
-    _REL_TOL * d_max, until no pair is stretched.  The last round's scan is
-    the certificate: the last duals must be 1-Lipschitz on every pair a
-    coupling can charge and pair with mu1 - mu2 to the flow's value, both
-    within _REL_TOL * d_max, or emd raises RuntimeError.  By Kantorovich
-    duality they then prove that no coupling costs less.  They are extended to the zero-mass points by the McShane formula
-    min_y u_y + d(x, y).
+    Solved on the points with mass in either measure, as an uncapacitated
+    min-cost flow of the balance mu1 - mu2 along every pair from the first
+    support to the second, by one network simplex (see _simplex).  Its
+    potential u is the certificate: one scan of those pairs (see _price)
+    must find u 1-Lipschitz on every pair a coupling can charge, and u must
+    pair with mu1 - mu2 to the flow's value, both within _REL_TOL * d_max,
+    or emd raises RuntimeError.  By Kantorovich duality u then proves that
+    no coupling costs less.  It is extended to the zero-mass points by the
+    McShane formula min_y u_y + d(x, y).
 
     The witness coupling is the proportional decomposition of the basic
     (forest) flow.  By weak duality its cost is at least the transport cost,
@@ -265,45 +325,33 @@ def emd(space, pair):
     support = np.flatnonzero((pair.mu1 > 0) | (pair.mu2 > 0))
     dist = space.dist
     d = dist if support.shape[0] == n else dist[np.ix_(support, support)]
-    # each measure is rescaled to mass 1, so that the balance rows agree to
-    # rounding: they must hold to _FEAS_TOL, and the measures' sums to 1e-9
+    # each measure is rescaled to mass 1 on the support, so that the
+    # balances agree to rounding: the measures' sums need only hold to 1e-9
     mu1, mu2 = (mu[support] / mu[support].sum() for mu in (pair.mu1, pair.mu2))
     src, dst = np.flatnonzero(mu1 > 0), np.flatnonzero(mu2 > 0)
-    keys, d_max = _seed(d, src, dst, mu1, mu2, support)
-    tol, m = _REL_TOL * d_max, support.shape[0]
-    potential = np.zeros(n)
+    d_max = _scan_metric(d, src, dst, support)
+    tol = _REL_TOL * d_max
+    excess = mu1 - mu2
+    tail, head, amount, u = _simplex(d, src, dst, excess, d_max)
+    distance = float(amount @ d[tail, head])
+    stretch, gap = _price(d, src, dst, u), abs(float(u @ excess) - distance)
+    if stretch > tol or gap > tol:
+        raise RuntimeError(
+            f"transport certificate failed: potential exceeds the metric by "
+            f"{stretch!r} and misses the cost by {gap!r} (tolerance {tol!r})")
+    block = _decompose(tail, head, amount, mu1, mu2)
+    spent = sum(float(np.vdot(block[r], d[src[r]]))
+                for r in _row_blocks(src.shape[0], support.shape[0], _PAIR_BYTES))
+    if spent - distance > tol:
+        used = amount > 0
+        _refuse_broken_relays(d, src, np.intersect1d(tail[used], head[used]), dst,
+                              support, tol)
+        raise RuntimeError(
+            f"transport certificate failed: the witness costs {spent - distance!r} "
+            f"more than the flow (tolerance {tol!r})")
     joint = np.zeros((n, n))
-    if keys.size:
-        excess = mu1 - mu2
-        while True:
-            tail, head = np.divmod(keys, m)
-            amount, distance, u = _solve(d, tail, head, excess, d_max or 1.0)
-            worst, stretch = _price(d, src, dst, u)
-            grow = stretch > tol
-            new = src[grow] * m + dst[worst[grow]]
-            # a stretched pair the flow already has fails the certificate below
-            if not new.size or np.isin(new, keys).any():
-                break
-            keys = np.union1d(keys, new)
-        stretch, gap = float(stretch.max()), abs(float(u @ excess) - distance)
-        if stretch > tol or gap > tol:
-            raise RuntimeError(
-                f"transport certificate failed: potential exceeds the metric by "
-                f"{stretch!r} and misses the cost by {gap!r} (tolerance {tol!r})")
-        block = _decompose(tail, head, amount, mu1, mu2)
-        spent = sum(float(np.vdot(block[r], d[src[r]]))
-                    for r in _row_blocks(src.shape[0], m, _PAIR_BYTES))
-        if spent - distance > tol:
-            used = amount > 0
-            _refuse_broken_relays(d, src, np.intersect1d(tail[used], head[used]), dst,
-                                  support, tol)
-            raise RuntimeError(
-                f"transport certificate failed: the witness costs {spent - distance!r} "
-                f"more than the flow (tolerance {tol!r})")
-        joint[np.ix_(support[src], support)] = block
-    else:  # both measures are the same point mass: nothing moves
-        distance, u = 0.0, np.zeros(1)
-        joint[support, support] = 1.0
+    joint[np.ix_(support[src], support)] = block
+    potential = np.zeros(n)
     outside = np.flatnonzero((pair.mu1 <= 0) & (pair.mu2 <= 0))
     for r in _row_blocks(outside.shape[0], support.shape[0], _PAIR_BYTES):
         potential[outside[r]] = (u[None, :] + dist[np.ix_(outside[r], support)]).min(axis=1)

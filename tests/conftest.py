@@ -6,8 +6,8 @@ constants; the Hausdorff me1 distance between finite families, pair by
 pair, and between lifted families by a scan of every member pair; two
 transport oracles independent of the flow solver: the full
 transportation LP and a grid-quantized assignment; and counters of the
-flow's pricing rounds, of the pairs thickenings scan and of the me1 rows
-the observable search evaluates."""
+pairs the flow's simplex prices, of the pairs thickenings scan and of the
+me1 rows the observable search evaluates."""
 
 import math
 from dataclasses import dataclass
@@ -179,16 +179,17 @@ def _apportion(mu, grid):
     return base
 
 
-def count_solves(monkeypatch):
-    """A list that gains one entry, the number of arcs, per flow solve of emd."""
-    solves, solve = [], transport._solve
+def count_priced_pairs(monkeypatch):
+    """A one-entry list counting the pairs that emd's simplex and its
+    certificate price."""
+    pairs, stretch = [0], transport._stretch
 
-    def counted(*args):
-        solves.append(args[1].shape[0])
-        return solve(*args)
+    def counted(d, rows, cols, potential):
+        pairs[0] += rows.shape[0] * cols.shape[0]
+        return stretch(d, rows, cols, potential)
 
-    monkeypatch.setattr(transport, "_solve", counted)
-    return solves
+    monkeypatch.setattr(transport, "_stretch", counted)
+    return pairs
 
 
 def count_pairs(monkeypatch):

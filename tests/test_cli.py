@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_solves, emd_full_lp, normalized
+from conftest import count_priced_pairs, emd_full_lp, normalized
 from mmlab.concentration import SearchConfig, alpha_lower_bound
 from mmlab.generators import FAMILIES, build_space, hamming_cube
 from mmlab.spaces import (FiniteMMSpace, alpha_exact, load_space, save_space,
@@ -53,11 +53,32 @@ def test_generate_stdout_and_manifest(tmp_path):
     assert man["inputs"] == []
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
+def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
     code = "import sys, mmlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+    # nor does emd on the 4-cube, or the replay of its manifest
+    p, q = np.array([0.1, 0.3, 0.6, 0.8]), np.array([0.7, 0.2, 0.5, 0.4])
+    cube = hamming_cube(4)
+    bits = cube.points.astype(bool)
+    for name, probs in (("p.json", p), ("q.json", q)):
+        mu = np.where(bits, probs, 1.0 - probs).prod(axis=1)
+        (tmp_path / name).write_text(json.dumps(mu.tolist()))
+    save_space(cube, tmp_path / "cube4.json")
+    emd_argv = ["emd", "--space", str(tmp_path / "cube4.json"), "--mu1", str(tmp_path / "p.json"),
+                "--mu2", str(tmp_path / "q.json"), "--out", str(tmp_path / "emd.json")]
+    replay_argv = ["replay", "--manifest", str(tmp_path / "emd.json.manifest.json")]
+    code = ("import sys\n"
+            "from mmlab.cli import main\n"
+            f"assert main({emd_argv!r}) == 0\n"
+            f"assert main({replay_argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip().splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "emd.json").read_text())["distance"] == pytest.approx(
+        float(np.abs(p - q).mean()), abs=1e-12)
 
 
 # one generate command per FAMILIES row, the _sampled rows included
@@ -298,14 +319,14 @@ def test_emd_coupling_payload_is_an_optimal_coupling(cube3, tmp_path):
 
 
 def test_emd_over_pricing_rounds_replays_byte_for_byte(tmp_path, monkeypatch):
-    # a 40-point cloud whose flow grows its arcs over several pricing rounds
+    # a 40-point cloud whose simplex prices its 1,600 pairs over and over
     rng = np.random.default_rng(7)
     cloud = FiniteMMSpace(list(range(40)), normalized(rng.integers(1, 10, 40)),
                           points=rng.normal(size=(40, 3)), metric="euclidean")
     pair = MeasurePair(normalized(rng.integers(1, 10, 40)), normalized(rng.integers(1, 10, 40)))
-    solves = count_solves(monkeypatch)
+    priced = count_priced_pairs(monkeypatch)
     emd(cloud, pair)
-    assert len(solves) > 1
+    assert priced[0] > 2 * 40 * 40
 
     space = tmp_path / "cloud.json"
     save_space(cloud, space)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc, betaincc
 
 from conftest import count_pairs, spaces, spaces_with_lipschitz
 from mmlab import concentration, spaces as spaces_module
@@ -192,6 +193,18 @@ def test_sphere_cap_frozen_values():
     for eps in (0.05, 0.3, 0.7, 1.2):
         assert sphere_cap_alpha(2, eps) == pytest.approx((1 - np.sin(eps)) / 2,
                                                          abs=1e-9)
+
+
+def test_sphere_cap_matches_the_incomplete_beta_function():
+    # alpha = I_{cos^2 eps}(dim/2, 1/2) / 2 = (1 - I_{sin^2 eps}(1/2, dim/2)) / 2,
+    # each form read where its argument stays away from 1
+    eps = np.linspace(0.0, np.pi / 2, 402)[1:-1]
+    low = eps < np.pi / 4
+    for dim in [*range(1, 60), 100, 200, 500, 1000, 5000]:
+        want = 0.5 * np.where(low, betaincc(0.5, dim / 2, np.sin(eps) ** 2),
+                              betainc(dim / 2, 0.5, np.cos(eps) ** 2))
+        got = np.array([sphere_cap_alpha(dim, float(e)) for e in eps])
+        assert np.abs(got - want).max() <= 1e-12, dim
 
 
 def test_sphere_cap_limits_and_monotonicity():

@@ -1,6 +1,6 @@
 """Transportation distance: the flow solver against the full transportation
-LP and the quantized assignment oracle, metric axioms, the pricing rounds
-that grow the flow's arcs, the dual certificate, the refusal of a flow that
+LP and the quantized assignment oracle, metric axioms, the network
+simplex's block pricing, the dual certificate, the refusal of a flow that
 relays along a broken triangle, witness feasibility, and the dual pairing
 with 1-Lipschitz observables."""
 
@@ -10,11 +10,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (cloud_metric, count_solves, emd_full_lp, emd_oracle,
+from conftest import (cloud_metric, count_priced_pairs, emd_full_lp, emd_oracle,
                       mcshane_envelope, measures_on, normalized, random_measure,
                       random_space, spaces)
 from mmlab import spaces as spaces_module
@@ -81,17 +80,14 @@ def test_flow_matches_the_full_lp(space, data):
     assert abs(got - emd_full_lp(space, pair)) <= 1e-12 * float(space.dist.max())
 
 
-def test_cube_flow_runs_over_its_edges(monkeypatch):
+def test_cube_flow_runs_over_its_edges():
     cube = hamming_cube(7)
     rng = np.random.default_rng(9)
     p, q = rng.uniform(0.05, 0.95, 7), rng.uniform(0.05, 0.95, 7)
     pair = product_pair(cube, p, q)
-    solves = count_solves(monkeypatch)
     res = emd(cube, pair)
-    # each point's nearest targets are itself and its 7 neighbours, and the
-    # flow along those edges already passes the certificate
-    assert len(solves) == 1
-    # product measures: mass moves coordinate by coordinate
+    # product measures: mass moves coordinate by coordinate, so a flow along
+    # the cube's edges is optimal, and the simplex's flow costs the same
     assert res.distance == pytest.approx(float(np.abs(p - q).mean()), abs=1e-12)
     res.witness.check(pair, atol=1e-12)
     cost = float((res.witness.joint * cube.dist).sum())
@@ -99,43 +95,45 @@ def test_cube_flow_runs_over_its_edges(monkeypatch):
 
 
 def test_ten_cube_needs_pricing_rounds(monkeypatch):
+    # the simplex prices blocks of about 4,096 of the 1,048,576 pairs; it
+    # wraps around them before no pair is stretched, and the certificate
+    # prices them once more
     cube = hamming_cube(10)
     rng = np.random.default_rng(10)
     p, q = rng.uniform(0.05, 0.95, 10), rng.uniform(0.05, 0.95, 10)
-    solves = count_solves(monkeypatch)
+    priced = count_priced_pairs(monkeypatch)
     res = emd(cube, product_pair(cube, p, q))
-    assert len(solves) > 1
+    assert priced[0] > 2 * 1024 * 1024
     assert abs(res.distance - float(np.abs(p - q).mean())) <= 1e-12
 
 
 def test_pricing_rounds_reach_the_full_lp(monkeypatch):
     cloud, pair = gaussian_cloud(200, 200)
-    solves = count_solves(monkeypatch)
+    priced = count_priced_pairs(monkeypatch)
     got = emd(cloud, pair).distance
-    assert len(solves) > 1
+    assert priced[0] > 2 * 200 * 200
     assert abs(got - emd_full_lp(cloud, pair)) <= 1e-12 * float(cloud.dist.max())
 
 
 def test_the_last_pricing_scan_is_the_certificate(monkeypatch):
-    # one scan of s x t per solve: the round that adds no pair certifies
+    # one certificate scan of all of s x t per call, after the simplex
     scans, price = [], transport._price
 
     def counted(*args):
-        scans.append(args[1].shape[0])
+        scans.append((args[1].shape[0], args[2].shape[0]))
         return price(*args)
 
     monkeypatch.setattr(transport, "_price", counted)
-    solves = count_solves(monkeypatch)
     cube = hamming_cube(7)
     rng = np.random.default_rng(9)
     emd(cube, product_pair(cube, rng.uniform(0.05, 0.95, 7), rng.uniform(0.05, 0.95, 7)))
-    assert len(solves) == len(scans) == 1
+    assert scans == [(128, 128)]
     emd(*gaussian_cloud(200, 200))
-    assert len(solves) > 2 and len(scans) == len(solves)
+    assert scans == [(128, 128), (200, 200)]
 
 
 def test_a_large_full_support_cloud_is_fast():
-    # 1,440,000 pairs, of which the rounds price in only a few percent
+    # 1,440,000 pairs, which the simplex prices about 4,096 at a time
     cloud, pair = gaussian_cloud(1200, 1200)
     cloud.dist  # the dense matrix the space caches
     start = time.perf_counter()
@@ -240,25 +238,37 @@ def test_one_point_space():
 
 
 def test_duplicated_points_cost_nothing():
-    # the one arc costs 0, so the LP's costs cannot be scaled by their largest
+    # the one arc costs 0, so d_max = 0 cannot scale the artificial cost
     twins = FiniteMMSpace([0, 1], [0.5, 0.5], dist=[[0.0, 0.0], [0.0, 0.0]])
     res = emd(twins, MeasurePair([1.0, 0.0], [0.0, 1.0]))
     assert res.distance == 0.0
     assert res.witness.joint.tolist() == [[0.0, 1.0], [0.0, 0.0]]
 
 
+def test_duplicated_points_leave_the_certificate_no_slack():
+    # at d_max = 0 the certificate's tolerance is 0: a potential that kept
+    # an offset of the artificial cost would miss the gap by that offset
+    # times the rounding of sum(mu1 - mu2), so it comes back shifted to 0
+    twins = FiniteMMSpace([0, 1], [0.5, 0.5], dist=[[0.0, 0.0], [0.0, 0.0]])
+    pair = MeasurePair([0.0, 1.0], [1 / 3, 2 / 3])
+    res = emd(twins, pair)
+    assert res.distance == 0.0
+    assert res.potential.tolist() == [0.0, 0.0]
+    res.witness.check(pair, atol=1e-15)
+
+
 def test_certificate_rejects_a_perturbed_potential(monkeypatch):
     cube = hamming_cube(3)
     pair = product_pair(cube, np.array([0.2, 0.5, 0.9]), np.array([0.7, 0.4, 0.1]))
     res = emd(cube, pair)
-    solve_flow = transport._solve
+    simplex = transport._simplex
 
     def certify(potential):
-        """emd's own flows, with potential in place of their duals"""
+        """emd's own flows, with potential in place of the simplex's"""
         def patched(*args):
-            amount, distance, _ = solve_flow(*args)
-            return amount, distance, np.array(potential, dtype=float)
-        monkeypatch.setattr(transport, "_solve", patched)
+            tail, head, amount, _ = simplex(*args)
+            return tail, head, amount, np.array(potential, dtype=float)
+        monkeypatch.setattr(transport, "_simplex", patched)
 
     certify(res.potential)
     assert emd(cube, pair).distance == res.distance
@@ -280,25 +290,23 @@ def test_certificate_rejects_a_perturbed_potential(monkeypatch):
     certify([3.0, 2.0, 0.0])
     res = emd(broken, MeasurePair([1.0, 0.0, 0.0], [0.0, 0.5, 0.5]))
     assert res.distance == 2.0 and res.potential.tolist() == [3.0, 2.0, 0.0]
-    monkeypatch.setattr(transport, "_solve", solve_flow)
 
-    # emd itself checks the duals the solver returns
-    solve = scipy.optimize.linprog
+    # emd itself checks the potential the simplex returns
+    def simplex_with_bumped_potential(d, src, dst, excess, d_max):
+        tail, head, amount, u = simplex(d, src, dst, excess, d_max)
+        u[int(np.argmax(np.abs(excess)))] += 1e-6
+        return tail, head, amount, u
 
-    def solve_with_bumped_dual(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        res.eqlin.marginals[int(np.argmax(np.abs(kwargs["b_eq"])))] += 1e-6
-        return res
-
-    monkeypatch.setattr(scipy.optimize, "linprog", solve_with_bumped_dual)
+    monkeypatch.setattr(transport, "_simplex", simplex_with_bumped_potential)
     with pytest.raises(RuntimeError, match="certificate"):
         emd(cube, pair)
 
 
 def test_solver_duals_pass_the_certificate(tmp_path, capsys):
-    # HiGHS' default dual feasibility (1e-7, absolute) once left a dual that
-    # stretched this cloud's metric by 8.6e-8, past the certificate's 1e-9
-    # d_max, so a valid input raised RuntimeError and the CLI exited 1
+    # an LP solver at HiGHS' default dual feasibility (1e-7, absolute) once
+    # left a dual that stretched this cloud's metric by 8.6e-8, past the
+    # certificate's 1e-9 d_max, so a valid input raised RuntimeError and the
+    # CLI exited 1
     rng = np.random.default_rng(2397)
     n = int(rng.integers(4, 16))
     cloud = FiniteMMSpace(list(range(n)), np.full(n, 1.0 / n),
@@ -339,9 +347,13 @@ def test_a_space_that_is_not_a_metric_is_refused(tmp_path, capsys):
                          dist=[[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.5]])
     with pytest.raises(ValueError, match=r"d\[2,2\]=0\.5 is not zero"):
         emd(loop, MeasurePair([0.0, 0.5, 0.5], [0.0, 0.5, 0.5]))
-    # a failure within 1e-9 * d_max is float noise, not a broken metric
+    # a failure within 1e-9 * d_max is float noise, not a broken metric, and
+    # a diagonal entry that far below zero is no loop of negative cost
     d[0][2] = d[2][0] = 2.0 + 1e-12
     emd(FiniteMMSpace([0, 1, 2], [0.25, 0.5, 0.25], dist=d), pair)
+    near = FiniteMMSpace([0, 1], [0.5, 0.5], dist=[[-1e-12, 1.0], [1.0, 0.0]])
+    assert emd(near, MeasurePair([0.5, 0.5], [0.25, 0.75])).distance == pytest.approx(
+        0.25, abs=1e-12)
 
     d[0][2] = d[2][0] = 3.0
     files = {"space.json": {"labels": [0, 1, 2], "weights": [0.25, 0.5, 0.25],
@@ -353,6 +365,15 @@ def test_a_space_that_is_not_a_metric_is_refused(tmp_path, capsys):
             "--mu2", tmp_path / "mu2.json"]
     assert main(argv) == 2
     assert "not a metric: d[0,2]=3.0" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_a_cycle_of_negative_cost_fails_the_solve():
+    # points 0 and 1 are in both supports and d[0, 1] = -1: mass could run
+    # around 0 -> 1 -> 0 forever, each lap cheaper than the last
+    space = FiniteMMSpace([0, 1, 2], np.full(3, 1 / 3),
+                          dist=[[0.0, -1.0, 1.0], [-1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(RuntimeError, match="a cycle of negative cost"):
+        emd(space, MeasurePair([0.5, 0.5, 0.0], [0.5, 0.25, 0.25]))
 
 
 def test_measure_pair_validation():
