@@ -92,6 +92,8 @@ def test_cube_flow_runs_over_its_edges():
     res.witness.check(pair, atol=1e-12)
     cost = float((res.witness.joint * cube.dist).sum())
     assert cost == pytest.approx(res.distance, abs=1e-12)
+    # the potential comes back shifted so that its minimum is 0
+    assert res.potential.min() == 0.0
 
 
 def test_ten_cube_needs_pricing_rounds(monkeypatch):
