@@ -266,6 +266,9 @@ def _cmd_essential(args, argv):
 
 
 def _cmd_leader(args, argv):
+    if args.samples < 0:
+        raise InputError(f"--samples must be at least 0 (0 means certificate only), "
+                         f"got {args.samples}")
     cert = leader_certificate(args.eps)
     payload = {"threshold": cert.threshold,
                "inessential_certified": cert.inessential_certified}

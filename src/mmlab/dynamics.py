@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import _blocks, _unit_vectors
+from .generators import _blocks
 from .spaces import _as_mask, neighborhood
 
 _ENUMERATION_CAP = 1 << 22  # most colorings ramsey_verify sweeps, or subsets it colors
@@ -150,11 +150,28 @@ def leader_certificate(eps):
                              threshold=LEADER_THRESHOLD)
 
 
+def _block_masses(rng, take, d):
+    """take draws of the squared norms of a uniform unit vector's three
+    equal coordinate blocks in R^d, one row each, summing to 1.
+
+    A block of d/3 standard gaussians has squared norm chi^2(d/3) =
+    2 Gamma(d/6), the three blocks are independent, and a uniform unit vector
+    is a gaussian vector over its norm.  So the row (G_1, G_2, G_3) / sum of
+    independent Gamma(d/6) draws has the Dirichlet(d/6, d/6, d/6) law of the
+    block masses, at a cost that does not depend on d."""
+    g = rng.standard_gamma(d / 6, (take, 3))
+    g /= g.sum(axis=1, keepdims=True)
+    return g
+
+
 def leader_empirical(dim_half, sample_count, eps, seed=0):
-    """Samples unit vectors in dimension 2*dim_half and counts those whose
+    """Samples unit vectors in dimension d = 2*dim_half and counts those whose
     projections onto all three equal coordinate blocks have norm at least
-    sqrt(2)/2 - eps.  The Pythagorean argument makes the count exactly zero
-    whenever eps is below the certificate threshold."""
+    sqrt(2)/2 - eps.  Only the three squared block masses of a sample are
+    read, so each is drawn from their Dirichlet(d/6, d/6, d/6) law
+    (_block_masses) in place of the d coordinates: work and memory per
+    sample do not depend on d.  The Pythagorean argument makes the count
+    exactly zero whenever eps is below the certificate threshold."""
     if dim_half < 1:
         raise ValueError("dim_half must be at least 1")
     d = 2 * dim_half
@@ -164,16 +181,10 @@ def leader_empirical(dim_half, sample_count, eps, seed=0):
         raise ValueError("eps must be below the certificate threshold")
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
-    third = d // 3
     level_sq = (math.sqrt(2.0) / 2.0 - eps) ** 2
     violations = 0
-    for sq in _blocks(seed, sample_count, lambda rng, take: _unit_vectors(rng, take, d)):
-        np.square(sq, out=sq)
-        ok = np.ones(sq.shape[0], dtype=bool)
-        for b in range(3):
-            ok &= sq[:, b * third:(b + 1) * third].sum(axis=1) >= level_sq
-        violations += int(ok.sum())
-        del sq  # free the block before _blocks draws the next one
+    for masses in _blocks(seed, sample_count, lambda rng, take: _block_masses(rng, take, d)):
+        violations += int((masses >= level_sq).all(axis=1).sum())
     return LeaderEmpirical(violations=violations, sample_count=sample_count, eps=eps)
 
 

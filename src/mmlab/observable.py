@@ -220,12 +220,18 @@ def _nw_corner(wx, wy, order_x, order_y):
 def _candidate_couplings(X, Y, cfg):
     nx, ny = X.n, Y.n
     out = []
+    kept = np.empty((8, nx, ny))  # out's candidates stacked, grown by doubling
 
     def push(pi):
         # first seen wins, so a larger budget only appends candidates
-        gaps = [np.abs(q - pi).max() for q in out]
-        if not gaps or min(gaps) > _COUPLING_TOL:
-            out.append(pi)
+        nonlocal kept
+        k = len(out)
+        if k and np.abs(kept[:k] - pi).max(axis=(1, 2)).min() <= _COUPLING_TOL:
+            return
+        if k == kept.shape[0]:
+            kept = np.concatenate([kept, np.empty_like(kept)])
+        kept[k] = pi
+        out.append(pi)
 
     def corner(order_x, order_y):
         # the north-west-corner plan along the two orders, rescaled to mass 1

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import count_priced_pairs, emd_full_lp, normalized
+from mmlab import __version__
+from mmlab.cli import main
 from mmlab.concentration import SearchConfig, alpha_lower_bound
 from mmlab.generators import FAMILIES, build_space, hamming_cube
 from mmlab.spaces import (FiniteMMSpace, alpha_exact, load_space, save_space,
@@ -422,6 +424,36 @@ def test_leader_refuses_zero_dimension():
                        capture_output=True, text=True, timeout=60)
     assert r.returncode == 2
     assert json.loads(r.stderr) == {"error": "dim_half must be at least 1"}
+
+
+def test_leader_refuses_a_negative_sample_count():
+    r = run_cli("leader", "--eps", 0.1, "--samples", -5)
+    assert r.returncode == 2 and r.stdout == ""
+    assert json.loads(r.stderr) == {
+        "error": "--samples must be at least 0 (0 means certificate only), got -5"}
+    r = run_cli("leader", "--eps", 0.1, "--samples", 0)
+    assert r.returncode == 0 and "violations" not in json.loads(r.stdout)
+
+
+def test_leader_output_and_replay_are_pinned_bytes(tmp_path, monkeypatch, capsys):
+    argv = ["leader", "--eps", "0.1", "--dim-half", "150", "--samples", "20000",
+            "--seed", "1"]
+    payload = ('{"inessential_certified": true, "sample_count": 20000, '
+               '"threshold": 0.12975651199692184, "violations": 0}\n')
+    assert main(argv) == 0
+    assert capsys.readouterr().out == payload
+
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "leader.json"]) == 0
+    manifest = ('{"argv": ["leader", "--eps", "0.1", "--dim-half", "150", "--samples", '
+                '"20000", "--seed", "1", "--out", "leader.json"], "command": "leader", '
+                '"inputs": [], "parameters": {"dim_half": 150, "eps": 0.1, '
+                f'"samples": 20000}}, "seed": 1, "tool_version": "{__version__}"}}\n')
+    assert (tmp_path / "leader.json").read_text(encoding="utf-8") == payload
+    assert (tmp_path / "leader.json.manifest.json").read_text(encoding="utf-8") == manifest
+    (tmp_path / "leader.json").unlink()
+    assert main(["replay", "--manifest", "leader.json.manifest.json"]) == 0
+    assert (tmp_path / "leader.json").read_text(encoding="utf-8") == payload
 
 
 def test_ramsey_command():

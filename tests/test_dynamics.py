@@ -15,7 +15,8 @@ from conftest import normalized
 from mmlab.dynamics import (LEADER_THRESHOLD, ColoredHypergraph, Cover,
                             IsometricAction, concentration_property_check,
                             fixed_points, is_essential, leader_certificate,
-                            leader_empirical, ramsey_verify, translate_mask)
+                            _block_masses, leader_empirical, ramsey_verify,
+                            translate_mask)
 from mmlab.generators import hamming_cube, symmetric_group
 from mmlab.spaces import FiniteMMSpace, neighborhood
 
@@ -244,7 +245,8 @@ def test_leader_empirical_small_run():
 
 
 def test_leader_empirical_memory_is_bounded():
-    # each sample block is freed before the next is drawn
+    # a sample is three block masses, and each block of them is freed
+    # before the next is drawn
     tracemalloc.start()
     try:
         res = leader_empirical(150, 20000, 0.1)
@@ -252,7 +254,62 @@ def test_leader_empirical_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert res.sample_count == 20000
-    assert peak < 48 * 2 ** 20
+    assert peak < 4 * 2 ** 20
+
+
+def test_leader_empirical_cost_does_not_grow_with_the_dimension():
+    # the d coordinates of a sample are never drawn: d = 6e8 here
+    tracemalloc.start()
+    try:
+        res = leader_empirical(3 * 10**8, 20000, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.violations == 0 and res.sample_count == 20000
+    assert peak < 4 * 2 ** 20
+
+
+def gaussian_block_masses(rng, take, d, chunk=2000):
+    """Oracle of the block-mass law: the squared norms of the three equal
+    coordinate blocks of take normalized gaussian vectors in R^d."""
+    out = []
+    for t0 in range(0, take, chunk):
+        g = rng.standard_normal((min(chunk, take - t0), 3, d // 3))
+        sq = np.square(g).sum(axis=2)
+        out.append(sq / sq.sum(axis=1, keepdims=True))
+    return np.concatenate(out)
+
+
+# a level L per dimension at which all three masses are >= L 1-50 % of the time
+@pytest.mark.parametrize("d,level", [(6, 0.2), (30, 0.28), (300, 0.31)])
+def test_block_masses_follow_the_gaussian_block_law(d, level):
+    # Dirichlet(a, a, a), a = d/6: each mass has mean 1/3 and variance
+    # 2 / (9 (3a + 1)); every statistic agrees within 5 sampling sigmas
+    # with the exact value and with gaussian block sums
+    k = 5.0
+    var = 2.0 / (9.0 * (3.0 * d / 6.0 + 1.0))
+    new = _block_masses(np.random.default_rng([11, d]), 40000, d)
+    old = gaussian_block_masses(np.random.default_rng([12, d]), 10000, d)
+    assert new.shape == (40000, 3)
+    assert np.allclose(new.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def stats(m):
+        first = m[:, 0]
+        dev = np.square(first - first.mean())
+        p = (m >= level).all(axis=1).mean()
+        n = m.shape[0]
+        return ((first.mean(), math.sqrt(first.var() / n)),
+                (dev.mean(), dev.std() / math.sqrt(n)),
+                (p, math.sqrt(p * (1 - p) / n)))
+
+    got, want = stats(new), stats(old)
+    assert 0.01 <= got[2][0] <= 0.5
+    for (a, sa), (b, sb) in zip(got, want):
+        assert abs(a - b) <= k * math.hypot(sa, sb)
+    assert abs(got[0][0] - 1 / 3) <= k * got[0][1]
+    assert abs(got[1][0] - var) <= k * got[1][1]
+    if d == 6:  # Dirichlet(1, 1, 1) is uniform on the simplex
+        assert abs(got[2][0] - (1 - 3 * level) ** 2) <= k * got[2][1]
 
 
 def test_leader_empirical_input_validation():

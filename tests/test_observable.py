@@ -2,6 +2,7 @@
 dense-scan oracle, extreme 1-Lipschitz families, Hausdorff distances, and the
 coupling-search estimator with its convergence regression pins."""
 
+import itertools
 import math
 
 import numpy as np
@@ -367,6 +368,47 @@ def test_candidate_couplings_have_the_weights_as_marginals():
     res = obs_distance(x, y)
     assert np.allclose(res.coupling.sum(axis=0), y.weight, rtol=0, atol=1e-12)
     assert res.upper > 0.0
+
+
+def _candidates_one_at_a_time(X, Y):
+    """Oracle of the exhaustive candidate list: every plan in the order the
+    search pushes it, kept when its entrywise gap to each kept plan, taken
+    one plan at a time, exceeds the tolerance."""
+    def corner(ox, oy):
+        pi = np.zeros((X.n, Y.n))
+        rows, cols, mass = observable._nw_corner(X.weight, Y.weight, ox, oy)
+        pi[rows, cols] = mass
+        return pi / pi.sum()
+
+    plans = []
+    if X.n == Y.n and np.allclose(X.weight, Y.weight, rtol=0, atol=1e-12):
+        plans.append(np.diag(X.weight.astype(float)))
+    plans += [np.outer(X.weight, Y.weight),
+              corner(np.arange(X.n), np.arange(Y.n)),
+              corner(np.argsort(-X.weight, kind="stable"), np.argsort(-Y.weight, kind="stable"))]
+    plans += [corner(np.array(px), np.array(py))
+              for px in itertools.permutations(range(X.n))
+              for py in itertools.permutations(range(Y.n))]
+    kept = []
+    for pi in plans:
+        if all(np.abs(q - pi).max() > observable._COUPLING_TOL for q in kept):
+            kept.append(pi)
+    return kept
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 6), (2, 2), (2, 5), (3, 3), (3, 5), (4, 4)])
+def test_stacked_dedup_keeps_the_candidates_of_the_one_at_a_time_rule(nx, ny):
+    for seed in range(4):
+        rng = np.random.default_rng([seed, nx, ny])
+        X, Y = random_space(rng, nx), random_space(rng, ny)
+        if seed == 0 and nx == ny:
+            Y = FiniteMMSpace(Y.labels, X.weight, dist=Y.dist)  # the diagonal plan too
+        assert math.factorial(nx) * math.factorial(ny) <= observable._EXHAUSTIVE_COUPLINGS
+        got = _candidate_couplings(X, Y, SearchConfig(seed=seed))
+        want = _candidates_one_at_a_time(X, Y)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def _search_with_a_family_per_anchor(X, Y, cfg):
