@@ -424,6 +424,8 @@ def _build_parser():
 
 def _dispatch(argv):
     args = _build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) < 0:  # replay takes no --seed
+        raise InputError(f"--seed must be at least 0, got {args.seed}")
     return args.handler(args, argv)
 
 

@@ -47,14 +47,10 @@ def _sample_blocks(cfg, draw):
 
 
 def _unit_vectors(rng, take, d):
-    """take uniform unit vectors in R^d: gaussians normalized in place, with
-    near-zero draws redrawn."""
+    """take uniform unit vectors in R^d: gaussians normalized in place (a
+    zero draw has probability zero)."""
     g = rng.standard_normal((take, d))
-    norms = np.linalg.norm(g, axis=1)
-    while (bad := norms < 1e-12).any():
-        g[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(g, axis=1)
-    g /= norms[:, None]
+    g /= np.linalg.norm(g, axis=1)[:, None]
     return g
 
 
@@ -151,8 +147,7 @@ def so_n_sampled(n, cfg):
 
     pts = _sample_blocks(cfg, draw)
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
-    return FiniteMMSpace(list(range(cfg.sample_count)), w, points=pts,
-                         metric="operator_norm", metric_params={"side": n})
+    return FiniteMMSpace(list(range(cfg.sample_count)), w, points=pts, metric="operator_norm")
 
 
 # -- special linear groups over prime fields ---------------------------------

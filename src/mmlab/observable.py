@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import SearchConfig
-from .spaces import _MATERIALIZE_CAP, _row_blocks, point_space
+from .spaces import _row_blocks, point_space
 
 _COUPLING_TOL = 1e-12  # couplings this close entrywise are one candidate
 _PAIR_POOL_LIMIT = 12  # extreme families add distances to point pairs up to this size
@@ -163,9 +163,6 @@ def lipschitz_extremes(space, anchor):
     family at another anchor b is this matrix minus its column b.
     """
     n = space.n
-    if n > _MATERIALIZE_CAP:
-        raise ValueError(
-            f"space has {n} points, too many for extreme-family enumeration")
     if not 0 <= anchor < n:
         raise ValueError(f"anchor {anchor} out of range")
     d = space.dist

@@ -12,6 +12,7 @@ and point clouds screen those tiles with one BLAS product each.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import io
@@ -28,9 +29,7 @@ WEIGHT_CLEAN_TOL = 1e-12
 # qualification threshold for "at least half" subsets
 HALF_TOL = 1e-12
 
-METRIC_KINDS = ("matrix", "hamming", "euclidean", "sphere_geodesic", "operator_norm")
-
-_MATERIALIZE_CAP = 8192  # refuse to build dense matrices beyond this many points
+_MATERIALIZE_CAP = 8192  # space.dist refuses more points, a stored matrix too
 _EXHAUSTIVE_CAP = 20  # default largest space alpha_exact enumerates
 _SUBSET_TABLE_BUDGET = 1 << 30  # bytes for alpha_exact's per-subset tables
 _TILE_BYTES = 1 << 25  # scratch bytes one distance tile may hold
@@ -39,7 +38,6 @@ _TILE_BYTES = 1 << 25  # scratch bytes one distance tile may hold
 _FIRST_TILE_COLS = 128
 _TRIANGLE_SAMPLE_CAP = 1024  # validate_space samples this many points beyond it
 _VALIDATE_ATOL = 1e-9  # metric and weight slack validate_space tolerates
-_EXPLICIT_MATRIX_MAX = 512  # hamming spaces this small serialize as matrices
 # relative width of the band of squared distances that screens leave to the
 # exact formula; every float error it covers is below 1e-12
 _INDEX_MARGIN = 1e-9
@@ -53,18 +51,19 @@ class FiniteMMSpace:
     ----------
     labels : sequence of point identifiers (opaque, JSON-serializable)
     weight : probability vector, one entry per point
-    dist : optional dense (n, n) distance matrix
-    points : optional (n, d) point array used with a named metric kind
-    metric : one of METRIC_KINDS; "matrix" requires dist, the rest require points
-    metric_params : extra metric data (e.g. matrix side length for operator_norm)
+    dist : dense (n, n) distance matrix, for metric "matrix"
+    points : (n, d) point array, for the other metric kinds
+    metric : a key of METRIC_KINDS; an "operator_norm" point is a flattened
+        square matrix, so d must be a square
 
+    Distances are read through the metric kind's kernel.  Space files keep a
+    point-backed space's points, so a loaded space has the same kernel.
     Weight vectors within 1e-9 of summing to one are renormalized with a
     warning; anything farther off is rejected.  Metric axioms are *not*
     enforced here; validate_space reports violations as diagnostics.
     """
 
-    def __init__(self, labels, weight, dist=None, points=None, metric="matrix",
-                 metric_params=None):
+    def __init__(self, labels, weight, dist=None, points=None, metric="matrix"):
         self.labels = list(labels)
         n = len(self.labels)
         if n < 1:
@@ -84,9 +83,7 @@ class FiniteMMSpace:
         if metric not in METRIC_KINDS:
             raise ValueError(f"unknown metric kind {metric!r}")
         self.metric = metric
-        self.metric_params = dict(metric_params or {})
-        self._dist = None
-        self.points = None
+        self._dist = self.points = None
 
         if metric == "matrix":
             if dist is None:
@@ -102,10 +99,8 @@ class FiniteMMSpace:
             if p.ndim != 2 or p.shape[0] != n:
                 raise ValueError(f"points shape {p.shape}, expected ({n}, d)")
             self.points = p
-            if metric == "operator_norm":
-                side = self.metric_params.get("side")
-                if side is None or side * side != p.shape[1]:
-                    raise ValueError("operator_norm needs metric_params['side'] with side^2 == point dim")
+            if metric == "operator_norm" and math.isqrt(p.shape[1]) ** 2 != p.shape[1]:
+                raise ValueError(f"operator_norm points of width {p.shape[1]} are not square")
 
     @property
     def n(self):
@@ -116,9 +111,7 @@ class FiniteMMSpace:
 
     @functools.cached_property
     def _kernel(self):
-        if self.metric == "matrix":
-            return _Matrix(self._dist)
-        return _KERNELS[self.metric](self.points, self.metric_params)
+        return METRIC_KINDS[self.metric].kernel(self._dist if self.points is None else self.points)
 
     # -- distance access -------------------------------------------------
 
@@ -136,11 +129,11 @@ class FiniteMMSpace:
     @property
     def dist(self):
         """Dense distance matrix, materialized (and cached) on demand."""
+        if self.n > _MATERIALIZE_CAP:
+            raise ValueError(
+                f"space has {self.n} points, too many for a dense matrix; "
+                "use pairwise/dist_to_set block operations")
         if self._dist is None:
-            if self.n > _MATERIALIZE_CAP:
-                raise ValueError(
-                    f"space has {self.n} points, too many for a dense matrix; "
-                    "use pairwise/dist_to_set block operations")
             idx = np.arange(self.n)
             self._dist = self.pairwise(idx, idx)
         return self._dist
@@ -292,7 +285,7 @@ class _Hamming(_Kernel):
     # divisions count / d rounds by at most 2^-53 of a value <= 1
     score_slack = 1e-15
 
-    def __init__(self, points, params):
+    def __init__(self, points):
         self.points = points
         self.dim = points.shape[1]
         self.words = None
@@ -339,7 +332,7 @@ class _Coordinates(_Kernel):
     band [lo, hi] of band(eps); dist decides the rest.
     """
 
-    def __init__(self, points, params):
+    def __init__(self, points):
         self.points = np.asarray(points, dtype=float)
         self.sq = (self.points * self.points).sum(axis=1)
         ones = np.ones((self.sq.shape[0], 1))
@@ -387,8 +380,8 @@ class _Coordinates(_Kernel):
 
 
 class _Euclidean(_Coordinates):
-    def __init__(self, points, params):
-        super().__init__(points, params)
+    def __init__(self, points):
+        super().__init__(points)
         # bounded squared norms keep the screen's sums finite and every
         # distance well below sqrt(float max), so an eps whose square
         # overflows reaches every point
@@ -417,8 +410,8 @@ class _SphereGeodesic(_Coordinates):
     """Arc length arccos(x . y).  Between unit points the squared chord is
     2 - 2 x . y, and arc eps is chord 2 sin(eps / 2)."""
 
-    def __init__(self, points, params):
-        super().__init__(points, params)
+    def __init__(self, points):
+        super().__init__(points)
         self.indexed = bool(np.abs(self.sq - 1.0).max() <= _UNIT_TOL)
         # Against the arc between the normalized points, a dot product of
         # points unit within _UNIT_TOL errs by at most delta = _UNIT_TOL +
@@ -447,9 +440,9 @@ class _OperatorNorm(_Kernel):
     # times 2^-53 times the norm
     score_slack = None
 
-    def __init__(self, points, params):
+    def __init__(self, points):
         self.points = np.asarray(points, dtype=float)
-        self.side = params["side"]
+        self.side = math.isqrt(self.points.shape[1])
         self.pair_bytes = 32 * self.points.shape[1] + 64
 
     def block(self, rows, cols):
@@ -458,8 +451,15 @@ class _OperatorNorm(_Kernel):
         return sv[:, 0].reshape(rows.shape[0], cols.shape[0])
 
 
-_KERNELS = {"hamming": _Hamming, "euclidean": _Euclidean,
-            "sphere_geodesic": _SphereGeodesic, "operator_norm": _OperatorNorm}
+# each metric kind's kernel class and its type name in space files
+MetricKind = collections.namedtuple("MetricKind", "kernel json_type")
+METRIC_KINDS = {
+    "matrix": MetricKind(_Matrix, "matrix"),
+    "hamming": MetricKind(_Hamming, "hamming_normalized"),
+    "euclidean": MetricKind(_Euclidean, "euclidean"),
+    "sphere_geodesic": MetricKind(_SphereGeodesic, "sphere_geodesic"),
+    "operator_norm": MetricKind(_OperatorNorm, "operator_norm"),
+}
 
 
 def point_space(label="*"):
@@ -468,9 +468,7 @@ def point_space(label="*"):
 
 
 def _as_mask(space, mask):
-    m = np.asarray(mask)
-    if m.dtype != bool:
-        m = m.astype(bool)
+    m = np.asarray(mask, dtype=bool)
     if m.shape != (space.n,):
         raise ValueError(f"mask shape {m.shape}, expected ({space.n},)")
     return m
@@ -528,8 +526,7 @@ def validate_space(space):
             if reported >= 5:
                 break
 
-    wneg = np.flatnonzero(space.weight < -_VALIDATE_ATOL)
-    for i in wneg[:5]:
+    for i in np.flatnonzero(space.weight < -_VALIDATE_ATOL)[:5]:
         out.append(f"negative weight at {i}")
     s = float(space.weight.sum())
     if not abs(s - 1.0) <= WEIGHT_REJECT_TOL:
@@ -653,55 +650,38 @@ class ConcentrationCurve:
 # -- JSON round trip ---------------------------------------------------------
 
 def space_to_json(space):
-    """JSON-compatible dict for a space.
-
-    Small spaces serialize the dense matrix; point-backed spaces keep their
-    implicit metric descriptor so huge instances stay huge-free on disk.
-    """
+    """JSON-compatible dict for a space: a matrix space's distances, or the
+    points of any other, under its metric kind's type name."""
     obj = {"labels": list(space.labels), "weights": [float(x) for x in space.weight]}
-    # tiny digit-backed spaces round-trip as matrices for readability
-    if space.points is None or (space.n <= _EXPLICIT_MATRIX_MAX
-                                and space.metric == "hamming"):
-        obj["metric"] = {"type": "matrix",
-                         "data": [[float(x) for x in row] for row in space.dist]}
+    if space.points is None:
+        obj["metric"] = {"type": "matrix", "data": space._dist.tolist()}
     else:
-        m = {"type": {"hamming": "hamming_normalized",
-                      "euclidean": "euclidean",
-                      "sphere_geodesic": "sphere_geodesic",
-                      "operator_norm": "operator_norm"}[space.metric],
-             "points": space.points.tolist()}
-        if space.metric == "hamming":
-            m["n"] = int(space.points.shape[1])
-        if space.metric == "operator_norm":
-            m["side"] = int(space.metric_params["side"])
-        obj["metric"] = m
+        obj["metric"] = {"type": METRIC_KINDS[space.metric].json_type,
+                         "points": space.points.tolist()}
     return obj
 
 
 def space_from_json(obj):
-    labels = obj["labels"]
-    weights = obj["weights"]
-    m = obj["metric"]
-    kind = m["type"]
-    if kind == "matrix":
+    """The space of a space_to_json dict.  Of the keys older files carry, a
+    hamming "n" is ignored, and an operator_norm "side" must be the square
+    root of the point width."""
+    labels, weights, m = obj["labels"], obj["weights"], obj["metric"]
+    if m["type"] == "matrix":
         return FiniteMMSpace(labels, weights, dist=m["data"])
-    if kind == "hamming_normalized":
+    kind = next((k for k, row in METRIC_KINDS.items() if row.json_type == m["type"]), None)
+    if kind is None:
+        raise ValueError(f"unknown metric type {m['type']!r}")
+    pts = np.asarray(m["points"], dtype=float)
+    if kind == "hamming":
         # symbols are non-negative integers, kept in the narrowest type that
         # holds them (permutation words may pass 255)
-        pts = np.asarray(m["points"], dtype=float)
         if not (np.isfinite(pts) & (pts >= 0) & (pts == np.floor(pts))).all():
             raise ValueError("hamming points must be non-negative integers")
         pts = pts.astype(np.min_scalar_type(int(pts.max(initial=0))))
-        return FiniteMMSpace(labels, weights, points=pts, metric="hamming")
-    if kind in ("euclidean", "sphere_geodesic"):
-        pts = np.asarray(m["points"], dtype=float)
-        return FiniteMMSpace(labels, weights, points=pts,
-                             metric=kind)
-    if kind == "operator_norm":
-        pts = np.asarray(m["points"], dtype=float)
-        return FiniteMMSpace(labels, weights, points=pts, metric="operator_norm",
-                             metric_params={"side": int(m["side"])})
-    raise ValueError(f"unknown metric type {kind!r}")
+    space = FiniteMMSpace(labels, weights, points=pts, metric=kind)
+    if "side" in m and int(m["side"]) ** 2 != pts.shape[1]:
+        raise ValueError(f"side {m['side']!r} does not match points of width {pts.shape[1]}")
+    return space
 
 
 def save_space(space, path):

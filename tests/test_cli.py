@@ -111,6 +111,82 @@ def test_every_generate_manifest_rebuilds_its_payload(tmp_path):
         assert rebuilt == out.read_text(encoding="utf-8"), family
 
 
+def test_point_backed_generate_files_keep_their_points(tmp_path):
+    # every row but sl2, whose word metric is a matrix, writes its points,
+    # and the file reads back through the same kernel, distances bit for bit
+    rows = dict(GENERATE_ROWS, cube9=("--family", "hamming_cube", "--n", 9))
+    for name, flags in rows.items():
+        out = tmp_path / f"{name}.json"
+        assert main(["generate", *map(str, flags), "--out", str(out)]) == 0
+        space = build_space(json.loads(Path(f"{out}.manifest.json").read_text())["parameters"])
+        metric = json.loads(out.read_text())["metric"]
+        back = load_space(out)
+        if name == "sl2":
+            assert set(metric) == {"type", "data"} and back.metric == "matrix"
+            continue
+        assert set(metric) == {"type", "points"}, name
+        assert back.metric == space.metric, name
+        assert type(back._kernel) is type(space._kernel), name
+        assert back._kernel.score_slack == space._kernel.score_slack, name
+        idx = np.arange(space.n)
+        assert np.array_equal(back.pairwise(idx, idx), space.pairwise(idx, idx)), name
+
+
+def test_older_space_files_load(tmp_path, capsys):
+    cube = hamming_cube(3)
+    rot = build_space({"family": "so_n", "n": 3, "samples": 6, "seed": 1})
+    dense = FiniteMMSpace(cube.labels, cube.weight, dist=cube.dist)
+    path = tmp_path / "space.json"
+
+    def write(space, **metric):
+        doc = space_to_json(space)
+        doc["metric"].update(metric)
+        path.write_text(json.dumps(doc))
+
+    # a matrix file, a hamming file with its "n" (ignored, even when wrong)
+    # and an operator_norm file with its "side"
+    for space, extra in ((dense, {}), (cube, {"n": 3}), (cube, {"n": 7}), (rot, {"side": 3})):
+        write(space, **extra)
+        back = load_space(path)
+        assert back.metric == space.metric
+        assert np.array_equal(back.dist, space.dist)
+        assert main(["validate", "--space", str(path)]) == 0
+    capsys.readouterr()
+    # a side that disagrees with the points, points that are not square
+    # matrices, with or without a side, and a metric type no kind has
+    for points, extra in ((rot.points, {"side": 2}), (rot.points[:, :5], {"side": 2}),
+                          (rot.points[:, :5], {}), (rot.points, {"type": "taxicab"})):
+        write(rot, points=points.tolist(), **extra)
+        assert main(["validate", "--space", str(path)]) == 2
+        assert capsys.readouterr().err
+    with pytest.raises(ValueError, match="width 5 are not square"):
+        FiniteMMSpace(rot.labels, rot.weight, points=rot.points[:, :5], metric="operator_norm")
+
+
+def test_negative_seed_is_refused_up_front(tmp_path, capsys):
+    cube = tmp_path / "cube.json"
+    save_space(hamming_cube(3), cube)
+    for argv in (["leader", "--eps", "0.1", "--samples", "10"],
+                 ["generate", "--family", "sphere", "--dim", "2", "--samples", "10"],
+                 ["alpha", "--space", str(cube), "--eps", "0.4", "--mode", "lower"],
+                 ["obsdist", "--x", str(cube), "--y", str(cube)]):
+        assert main(argv + ["--seed", "-1"]) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "" and json.loads(out.err) == {"error": "--seed must be at least 0, got -1"}
+        assert main(argv + ["--seed", "0"]) == 0, argv
+        capsys.readouterr()
+
+
+def test_internal_fault_exits_1(monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr("mmlab.cli.ramsey_verify", broken)
+    assert main(["ramsey", "--k", "2", "--l", "3", "--r", "2", "--n", "5"]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err.startswith("internal error:") and "broken invariant" in err
+
+
 def test_generate_requires_family_parameters():
     cases = [
         (("hamming_cube",), "hamming_cube needs --n"),
@@ -143,7 +219,9 @@ def test_validate_clean_and_violations(cube3, tmp_path):
     assert json.loads(r.stdout) == {"violations": []}
 
     doc = json.loads(cube3.read_text())
-    doc["metric"]["data"][0][1] = 9.0
+    dist = load_space(cube3).dist.tolist()
+    dist[0][1] = 9.0
+    doc["metric"] = {"type": "matrix", "data": dist}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     r = run_cli("validate", "--space", bad)
@@ -153,7 +231,6 @@ def test_validate_clean_and_violations(cube3, tmp_path):
 
 
 def test_permutation_words_past_255_symbols_validate(tmp_path):
-    # past 512 points a hamming space is written with its points
     out = tmp_path / "s300.json"
     r = run_cli("generate", "--family", "symmetric_group", "--n", 300,
                 "--samples", 513, "--out", out)

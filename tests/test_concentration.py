@@ -2,7 +2,9 @@
 enumerator, search lower bounds, analytic sphere caps, decay fits, and the
 median tail inequality."""
 
+import inspect
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -179,6 +181,36 @@ def test_lower_bound_swap_refinement_keeps_half_mass():
     lb = alpha_lower_bound(space, 0.2, SearchConfig(seed=1, restarts=4))
     assert lb <= exact + 1e-12
     assert lb == pytest.approx(exact, abs=1e-12)
+
+
+def test_greedy_refine_turns_down_a_removal_that_raises_the_mass():
+    # on non-negative weights a removal shrinks the thickening, so its mass
+    # never rises; here b is within eps of a, and c, of negative weight, is
+    # reached through b alone, so dropping b raises the mass from 0.8 to 1.0
+    dist = np.array([[0.0, 0.1, 1.0, 5.0], [0.1, 0.0, 0.1, 5.0],
+                     [1.0, 0.1, 0.0, 5.0], [5.0, 5.0, 5.0, 0.0]])
+    space = FiniteMMSpace(list("abce"), [0.7, 0.3, -0.2, 0.2], dist=dist)
+    source, first = inspect.getsourcelines(concentration._greedy_refine)
+    # the first "mask[i] = True" puts back a removed member
+    undo = first + next(k for k, line in enumerate(source) if line.strip() == "mask[i] = True")
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is concentration._greedy_refine.__code__:
+            ran.add(frame.f_lineno)
+            return trace
+
+    outer = sys.gettrace()  # a coverage tracer, say, comes back afterwards
+    sys.settrace(trace)
+    try:
+        mass = concentration._greedy_refine(space, np.array([True, True, False, False]), 0.5)
+    finally:
+        sys.settrace(outer)
+    assert undo in ran
+    exact = alpha_exact(space, 0.5)
+    assert mass == pytest.approx(0.8, abs=1e-12)
+    assert min(max(1.0 - mass, 0.0), 0.5) <= exact + 1e-12
+    assert alpha_lower_bound(space, 0.5) <= exact + 1e-12
 
 
 # -- analytic sphere caps --------------------------------------------------------

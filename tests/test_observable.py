@@ -223,6 +223,34 @@ def test_obs_distance_to_point_memory_is_two_families():
     assert peak < 120e6
 
 
+def test_obs_distance_past_the_dense_cap_is_refused_before_allocating():
+    # space.dist alone refuses a dense matrix past _MATERIALIZE_CAP points
+    import tracemalloc
+    big = sphere_sampled(2, SamplerConfig(seed=0, sample_count=spaces_module._MATERIALIZE_CAP + 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too many for a dense matrix"):
+            obs_distance(big, point_space())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_obs_distance_of_a_matrix_space_past_the_dense_cap_is_refused(monkeypatch):
+    # a stored matrix is refused past the cap too, before the extreme
+    # families build more arrays of its size; its space file is still written
+    d = 1.0 - np.eye(5)
+    space = FiniteMMSpace(range(5), np.full(5, 0.2), dist=d)
+    assert math.isfinite(obs_distance(space, point_space()).upper)  # under the real cap
+    monkeypatch.setattr(spaces_module, "_MATERIALIZE_CAP", 4)
+    with pytest.raises(ValueError, match="too many for a dense matrix"):
+        obs_distance(space, point_space())
+    with pytest.raises(ValueError, match="too many for a dense matrix"):
+        lipschitz_extremes(space, 0)
+    assert spaces_module.space_to_json(space)["metric"] == {"type": "matrix", "data": d.tolist()}
+
+
 # -- Hausdorff me1 ----------------------------------------------------------------
 
 def test_hausdorff_me1_examples():

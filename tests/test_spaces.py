@@ -74,24 +74,24 @@ def lattice_points():
         pairs8[k, [i, j]] = si, sj
     return {
         "hamming 0/1": (np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8),
-                        "hamming", None),
+                        "hamming"),
         # 70 coordinates pack into two words
         "hamming 0/1, two words": (np.random.default_rng(7).integers(
-            0, 2, size=(40, 70), dtype=np.uint8), "hamming", None),
+            0, 2, size=(40, 70), dtype=np.uint8), "hamming"),
         "hamming permutations": (np.array(list(itertools.permutations(range(4))),
-                                          dtype=np.uint8), "hamming", None),
+                                          dtype=np.uint8), "hamming"),
         "euclidean": (np.array(list(itertools.product(range(4), range(4), range(3))),
-                               dtype=float), "euclidean", None),
+                               dtype=float), "euclidean"),
         "euclidean, 8 coordinates": (np.random.default_rng(8).integers(
-            0, 3, size=(60, 8)).astype(float), "euclidean", None),
+            0, 3, size=(60, 8)).astype(float), "euclidean"),
         "geodesic, unit points": (dirs / np.linalg.norm(dirs, axis=1)[:, None],
-                                  "sphere_geodesic", None),
+                                  "sphere_geodesic"),
         "geodesic, unit points, 8 coordinates": (pairs8 / np.sqrt(2.0),
-                                                 "sphere_geodesic", None),
+                                                 "sphere_geodesic"),
         "geodesic, other points": (np.array(list(itertools.product((-1, 0, 2), repeat=3)),
-                                            dtype=float), "sphere_geodesic", None),
+                                            dtype=float), "sphere_geodesic"),
         "operator_norm": (np.array(list(itertools.product((-1, 0, 1), repeat=4)), dtype=float),
-                          "operator_norm", {"side": 2}),
+                          "operator_norm"),
     }
 
 
@@ -104,10 +104,9 @@ def tie_radii(dist):
     return radii
 
 
-def lazy_space(points, metric, params=None):
+def lazy_space(points, metric):
     n = points.shape[0]
-    return FiniteMMSpace(list(range(n)), np.full(n, 1.0 / n), points=points,
-                         metric=metric, metric_params=params)
+    return FiniteMMSpace(list(range(n)), np.full(n, 1.0 / n), points=points, metric=metric)
 
 
 def test_lazy_thickening_agrees_with_materialized():
@@ -118,9 +117,9 @@ def test_lazy_thickening_agrees_with_materialized():
     # materialized cloud, which keeps its own kernel, all give the dense rule
     # min over members <= eps
     rng = np.random.default_rng(1)
-    for name, (pts, metric, params) in lattice_points().items():
-        lazy = lazy_space(pts, metric, params)
-        materialized = lazy_space(pts, metric, params)
+    for name, (pts, metric) in lattice_points().items():
+        lazy = lazy_space(pts, metric)
+        materialized = lazy_space(pts, metric)
         dist = materialized.dist
         explicit = FiniteMMSpace(lazy.labels, lazy.weight, dist=dist)
         radii = tie_radii(dist)
@@ -176,8 +175,8 @@ def test_score_pruned_thickening_matches_the_full_scan_at_every_tie(monkeypatch)
     pairs = count_pairs(monkeypatch)
     rng = np.random.default_rng(4)
     prunable = set()
-    for name, (pts, metric, params) in lattice_points().items():
-        space = lazy_space(pts, metric, params)
+    for name, (pts, metric) in lattice_points().items():
+        space = lazy_space(pts, metric)
         if space._kernel.score_slack is None:
             continue
         prunable.add(name)
@@ -280,8 +279,8 @@ def test_geodesic_pruning_holds_near_the_anchors_antipodes_and_coincidences():
 def prunable_lattices():
     """The lattice spaces of the kernels that prune by a score, by name."""
     out = {}
-    for name, (pts, metric, params) in lattice_points().items():
-        space = lazy_space(pts, metric, params)
+    for name, (pts, metric) in lattice_points().items():
+        space = lazy_space(pts, metric)
         if space._kernel.score_slack is not None:
             out[name] = space
     return out
@@ -394,34 +393,34 @@ def test_tile_budget_and_point_order_do_not_change_results(monkeypatch):
     cfg = SearchConfig(seed=2, restarts=3)
     rng = np.random.default_rng(5)
 
-    def run(pts, metric, params, masks):
-        space = lazy_space(pts, metric, params)
+    def run(pts, metric, masks):
+        space = lazy_space(pts, metric)
         thick = [space.thickened(m, eps) for m in masks for eps in (0.3, 0.5, 1.0)]
         return thick, space.dist_to_set(masks[0]), diameter(space), [
-            alpha_lower_bound(lazy_space(pts, metric, params), eps, cfg) for eps in (0.3, 1.0)]
+            alpha_lower_bound(lazy_space(pts, metric), eps, cfg) for eps in (0.3, 1.0)]
 
-    def fits(pts, metric, params):
+    def fits(pts, metric):
         # the constant fit and the Hausdorff me1 of the observable search
-        space = lazy_space(pts, metric, params)
+        space = lazy_space(pts, metric)
         fam = lipschitz_extremes(space, 0)
         fit = _best_const_rows(space.weight, fam)
         return fit, _family_hausdorff(space.weight, fam, -fam[::3], fit, fit[::3])
 
-    for name, (pts, metric, params) in lattice_points().items():
+    for name, (pts, metric) in lattice_points().items():
         masks = [rng.random(pts.shape[0]) < 0.5 for _ in range(3)]
-        want = run(pts, metric, params, masks)
-        want_fit, want_hausdorff = fits(pts, metric, params)
+        want = run(pts, metric, masks)
+        want_fit, want_hausdorff = fits(pts, metric)
         with monkeypatch.context() as m:
             m.setattr(spaces_module, "_TILE_BYTES", 256)  # a few pairs per tile
-            got = run(pts, metric, params, masks)
-            got_fit, got_hausdorff = fits(pts, metric, params)
+            got = run(pts, metric, masks)
+            got_fit, got_hausdorff = fits(pts, metric)
         for a, b in zip(want[0], got[0]):
             assert np.array_equal(a, b), name
         assert np.array_equal(want[1], got[1]) and want[2:] == got[2:], name
         assert np.array_equal(want_fit, got_fit) and want_hausdorff == got_hausdorff, name
 
         # reversed point order: the same masks, reversed
-        rev = run(pts[::-1], metric, params, [m[::-1] for m in masks])
+        rev = run(pts[::-1], metric, [m[::-1] for m in masks])
         for a, b in zip(want[0], rev[0]):
             assert np.array_equal(a, b[::-1]), name
         assert np.array_equal(want[1], rev[1][::-1]) and want[2] == rev[2], name
@@ -597,7 +596,7 @@ def test_space_json_roundtrip_lazy_kinds(tmp_path):
 
 
 @pytest.mark.parametrize("space, kind", [
-    (hamming_cube(10), "hamming_normalized"),  # past the 512-point matrix rule
+    (hamming_cube(10), "hamming_normalized"),
     (so_n_sampled(3, SamplerConfig(seed=2, sample_count=30)), "operator_norm")],
     ids=["hamming", "operator_norm"])
 def test_space_json_roundtrip_point_kinds(space, kind, tmp_path):
@@ -605,7 +604,7 @@ def test_space_json_roundtrip_point_kinds(space, kind, tmp_path):
     save_space(space, path)
     back = load_space(path)
     assert space_to_json(space)["metric"]["type"] == kind
-    assert back.metric == space.metric and back.metric_params == space.metric_params
+    assert back.metric == space.metric and type(back._kernel) is type(space._kernel)
     assert back.labels == space.labels
     assert np.array_equal(back.weight, space.weight)
     idx = np.arange(space.n)
