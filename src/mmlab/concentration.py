@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spaces import (_EXHAUSTIVE_CAP, _MATERIALIZE_CAP, HALF_TOL, ConcentrationCurve,
-                     _row_blocks, alpha_exact, measure)
+                     _refuse_non_finite, _row_blocks, alpha_exact, measure)
 
 _EXHAUSTIVE_BALL_LIMIT = 64  # spaces this small try a ball around every point
 _LIPSCHITZ_ANCHORS = 3       # points under each random 1-Lipschitz restart score
@@ -115,6 +115,7 @@ def _greedy_refine(space, mask, eps):
     d = space.dist
     w = space.weight
     n = space.n
+    _refuse_non_finite(d, np.arange(n), np.arange(n))
     need = 0.5 - HALF_TOL
     mask = mask.copy()
 
@@ -136,8 +137,6 @@ def _greedy_refine(space, mask, eps):
                     mask[i] = True
         members = np.flatnonzero(mask)
         for i in members:
-            if not mask[i]:
-                continue
             # recompute after every accepted swap: a stale outside list can
             # offer a point already back in the set, and "adding" it would
             # silently drop the mass below one half
@@ -173,7 +172,8 @@ def alpha_lower_bound(space, eps, cfg=None):
     instances.  Every candidate set has mass at least one half, so one minus
     the best thickened mass can never exceed the exact value.  Each
     candidate is a sublevel set of its score (a distance row, or a min of
-    shifted rows), which its thickening scan prunes by.
+    shifted rows), which its thickening scan prunes by.  It refuses (ValueError)
+    a non-finite distance in a score row or in the greedy swaps' matrix.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -192,6 +192,7 @@ def alpha_lower_bound(space, eps, cfg=None):
     best_mask = None
     for a in anchors:
         row = space.pairwise(np.array([a]), all_idx)[0]
+        _refuse_non_finite(row[None], [a], all_idx)
         mask = _prefix_mask(w, row)
         mu = measure(space, space.thickened(mask, eps, row))
         if mu < best:
@@ -202,6 +203,7 @@ def alpha_lower_bound(space, eps, cfg=None):
         rng = np.random.default_rng([cfg.seed, 1 + r])
         picks = rng.choice(n, size=min(_LIPSCHITZ_ANCHORS, n), replace=False)
         rows = space.pairwise(np.asarray(picks), all_idx)
+        _refuse_non_finite(rows, picks, all_idx)
         if scale is None:
             scale = float(rows.max()) or 1.0
         offsets = rng.uniform(0.0, scale, size=picks.shape[0])

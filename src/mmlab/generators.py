@@ -203,7 +203,8 @@ def sl2_word_metric(p):
         [1, 0, p - 1, 1],
     ])
 
-    # word lengths by breadth-first search from the identity
+    # word lengths by breadth-first search from the identity; the elementary
+    # matrices generate SL(2, F_p), so it reaches every element
     lengths = np.full(k, -1, dtype=np.int64)
     frontier = lut[np.array([[1, 0, 0, 1]]) @ place]  # the identity
     lengths[frontier] = 0
@@ -213,8 +214,6 @@ def sl2_word_metric(p):
         reached = lut[mul(gens[:, None], elems[frontier]) @ place].reshape(-1)
         frontier = np.unique(reached[lengths[reached] < 0])
         lengths[frontier] = level
-    if (lengths < 0).any():
-        raise RuntimeError("generators fail to generate the group")
 
     # dist(g_i, g_j) = wordlen(g_i * g_j^{-1})
     invs = np.stack([elems[:, 3], (-elems[:, 1]) % p,

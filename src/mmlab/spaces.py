@@ -237,6 +237,13 @@ def _row_blocks(rows, cols, pair_bytes):
     return [slice(r0, r0 + step) for r0 in range(0, rows, step)]
 
 
+def _refuse_non_finite(block, rows, cols):
+    """Raise ValueError naming the first non-finite entry of block, d(rows, cols)."""
+    if not np.isfinite(block).all():
+        i, j = np.argwhere(~np.isfinite(block))[0]
+        raise ValueError(f"not a metric: non-finite distance at ({rows[i]},{cols[j]})")
+
+
 def _tiles(n_rows, n_cols, pair_bytes):
     """Yield (row slice, column slice) pairs of tiles covering n_rows x n_cols."""
     step_r, step_c = _tile_shape(n_rows, n_cols, pair_bytes)

@@ -1,8 +1,8 @@
 """Transportation (earth mover's) distance between probability measures on a
-shared finite metric space: an exact min-cost flow on the measures' supports
-by one network simplex, whose dual certificate is checked on every pair,
-with a witness coupling, and the translate distance of a measure under a
-point permutation."""
+shared finite metric space: an exact min-cost flow of mu1 - mu2 by one
+network simplex, whose dual certificate is checked on every pair the
+measures' supports span, with a witness coupling, and the translate distance
+of a measure under a point permutation."""
 
 from __future__ import annotations
 
@@ -10,13 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import _row_blocks
+from .spaces import _refuse_non_finite, _row_blocks
 
 _MARGINAL_TOL = 1e-9
 _REL_TOL = 1e-9         # slack, relative to d_max, of the metric and certificate checks
 _PAIR_BYTES = 16        # scratch one pair of a row-block pass takes
 _BIG_M = 2.0            # cost of an arc from the simplex's artificial root, over d_max
-_PRICE_PAIRS = 4096     # pairs the simplex prices at a time, in whole rows
+_PRICE_PAIRS = 64       # pairs the simplex prices at a time, in whole rows
 _ENTER_TOL = 1e-14      # stretch, over the artificial cost, a pair needs to enter the tree
 
 
@@ -81,10 +81,7 @@ def _scan_metric(d, src, dst, names):
     d_max = 0.0
     for r in _row_blocks(src.shape[0], dst.shape[0], _PAIR_BYTES):
         block = d[np.ix_(src[r], dst)]
-        if not np.isfinite(block).all():
-            i, j = np.argwhere(~np.isfinite(block))[0]
-            raise ValueError(
-                f"not a metric: non-finite distance at ({names[src[r][i]]},{names[dst[j]]})")
+        _refuse_non_finite(block, names[src[r]], names[dst])
         d_max = max(d_max, float(block.max()))
     both = np.intersect1d(src, dst, assume_unique=True)
     diag = np.abs(d[both, both])
@@ -107,17 +104,18 @@ def _stretch(d, rows, cols, potential):
 
 def _simplex(d, src, dst, excess, d_max):
     """Uncapacitated min-cost flow of the balance excess along the arcs
-    src x dst at costs d[i, j], by one primal network simplex.  Returns the
-    spanning tree's arcs tail -> head (positions in d) with their amounts,
-    and the potential u, which has u_i - u_j = d_ij on those arcs and
-    minimum 0.
+    src x dst at costs d[i, j], by one primal network simplex.  src holds
+    points of positive excess and dst of negative, so no arc leaves dst and
+    every cycle a pivot walks has an arc that blocks.  Returns the spanning
+    tree's arcs tail -> head (positions in d) with their amounts, and the
+    potential u, which has u_i - u_j = d_ij on those arcs.
 
     The first tree is a star on an artificial root: a point with excess >= 0
     ships it by an arc to the root at cost 0, any other point receives its
     deficit by an arc from the root at cost _BIG_M * d_max (1 when d_max is
     0).  Mass through the root goes cheaper straight from a source to a
     target, so an optimal flow leaves those arcs empty, but for the rounding
-    of sum(excess).
+    of sum(excess).  A point of zero excess keeps its empty arc and u = 0.
 
     Pricing walks src in cyclic blocks of whole rows, about _PRICE_PAIRS
     pairs each, straight from d; the block's most stretched pair enters when
@@ -143,16 +141,12 @@ def _simplex(d, src, dst, excess, d_max):
     pos = np.argsort(order)
     potential = np.append(np.where(excess >= 0, 0.0, -big), 0.0)
 
-    step = max(1, _PRICE_PAIRS // cols)
-    blocks = [slice(r0, r0 + step) for r0 in range(0, src.shape[0], step)]
-    # each block's pairs of a point with itself, never priced: a diagonal
-    # entry the metric scan let through below 0 would price as a loop
-    selfs = [np.nonzero(src[r, None] == dst) for r in blocks]
+    step = max(1, _PRICE_PAIRS // max(cols, 1))
+    blocks = [slice(r0, r0 + step) for r0 in range(0, src.shape[0], step)] if cols else []
     b = idle = 0
     while idle < len(blocks):
         rows = src[blocks[b]]
         over = _stretch(d, rows, dst, potential)
-        over[selfs[b]] = -np.inf
         b = (b + 1) % len(blocks)
         i, j = divmod(int(over.argmax()), cols)
         gain = float(over[i, j])
@@ -180,8 +174,6 @@ def _simplex(d, src, dst, excess, d_max):
         for k, y in enumerate(path_h):
             if not up[y] and flow[y] <= delta:
                 delta, out, cut = flow[y], k, path_h
-        if cut is None:
-            raise RuntimeError("transportation solve failed: a cycle of negative cost")
         if delta > 0:
             for x in path_t:
                 flow[x] += -delta if up[x] else delta
@@ -224,19 +216,23 @@ def _simplex(d, src, dst, excess, d_max):
     real = [x for x in range(m) if parent[x] != root]
     tails = np.array([x if up[x] else parent[x] for x in real], dtype=np.intp)
     heads = np.array([parent[x] if up[x] else x for x in real], dtype=np.intp)
-    u = potential[:m]
-    return tails, heads, np.array([flow[x] for x in real]), u - u.min()
+    return tails, heads, np.array([flow[x] for x in real]), potential[:m]
 
 
 def _price(d, rows, cols, potential):
     """Largest stretch u_i - u_j - d_ij of the potential u over rows x cols
-    (positions in d), scanned in row blocks of bounded scratch
-    (spaces._row_blocks)."""
-    return max(float(_stretch(d, rows[r], cols, potential).max())
-               for r in _row_blocks(rows.shape[0], cols.shape[0], _PAIR_BYTES))
+    (positions in d), with its first pair (i, j) in row-major order, scanned
+    in row blocks of bounded scratch (spaces._row_blocks)."""
+    most = (-np.inf, -1, -1)
+    for r in _row_blocks(rows.shape[0], cols.shape[0], _PAIR_BYTES):
+        over = _stretch(d, rows[r], cols, potential)
+        i, j = divmod(int(over.argmax()), cols.shape[0])
+        if over[i, j] > most[0]:
+            most = (float(over[i, j]), int(rows[r][i]), int(cols[j]))
+    return most
 
 
-def _refuse_broken_relays(d, rows, mids, cols, names, tol):
+def _refuse_broken_triangles(d, rows, mids, cols, names, tol):
     """Raise ValueError naming the first pair (i, j) of rows x cols, in
     row-major order, with d_ij > d_ik + d_kj + tol for a k in mids, and the
     k with the shortest legs, if there is such a triple."""
@@ -255,69 +251,35 @@ def _refuse_broken_relays(d, rows, mids, cols, names, tol):
                 f"d[{names[i]},{names[k]}] + d[{names[k]},{names[j]}]={float(legs.min())!r}")
 
 
-def _decompose(tail, head, amount, mu1, mu2):
-    """Coupling carried by an acyclic flow of amount[a] along each arc
-    tail[a] -> head[a]: the mass through a point splits among its out-arcs
-    and its own demand in proportion to their amounts.  Returns the rows of
-    the coupling that belong to the sources, the points with mu1 > 0.
-
-    carried[j, s], the mass from source s through point j, solves
-    (I - P^T) carried = diag(mu1) with P[i, j] = flow(i, j) / through[i].
-    The system is triangular in a topological order of the flow, so it is
-    solved by substitution along the arcs, with no dense factorization.
-    """
-    n = mu1.shape[0]
-    sources = np.flatnonzero(mu1 > 0)
-    used = amount > 0
-    tail, head, amount = tail[used], head[used], amount[used]
-    through = mu2 + np.bincount(tail, weights=amount, minlength=n)
-    share = (amount / through[tail]).tolist()
-    out = [[] for _ in range(n)]
-    for a, i in enumerate(tail.tolist()):
-        out[i].append(a)
-    head = head.tolist()
-    pending = np.bincount(head, minlength=n).tolist()
-    ready = [j for j in range(n) if not pending[j]]
-    carried = np.zeros((n, sources.shape[0]))
-    carried[sources, np.arange(sources.shape[0])] = mu1[sources]
-    settled = 0
-    while ready:
-        i = ready.pop()
-        settled += 1
-        for a in out[i]:
-            j = head[a]
-            carried[j] += carried[i] * share[a]
-            pending[j] -= 1
-            if not pending[j]:
-                ready.append(j)
-    if settled < n:
-        raise RuntimeError("transport flow has a cycle; it is not a basic solution")
-    absorbed = np.divide(mu2, through, out=np.zeros(n), where=through > 0)
-    joint = carried.T * absorbed[None, :]
-    return np.clip(joint, 0.0, None, out=joint)
-
-
 def emd(space, pair):
     """Exact transportation distance min over couplings of sum nu * d.
 
-    Solved on the points with mass in either measure, as an uncapacitated
-    min-cost flow of the balance mu1 - mu2 along every pair from the first
-    support to the second, by one network simplex (see _simplex).  Its
-    potential u is the certificate: one scan of those pairs (see _price)
-    must find u 1-Lipschitz on every pair a coupling can charge, and u must
-    pair with mu1 - mu2 to the flow's value, both within _REL_TOL * d_max,
-    or emd raises RuntimeError.  By Kantorovich duality u then proves that
-    no coupling costs less.  It is extended to the zero-mass points by the
-    McShane formula min_y u_y + d(x, y).
+    On a metric it depends only on mu1 - mu2 (Kantorovich-Rubinstein;
+    Villani, Optimal Transport: Old and New, Thm 5.10): it is the cheapest
+    flow from pos = {mu1 > mu2} to neg = {mu1 < mu2} (each measure rescaled
+    to mass 1 on the support) along pos x neg at costs d_ij, by one network
+    simplex (see _simplex); balanced points and points of neither support
+    s, t stay out.  The witness, diag(min(mu1, mu2)) plus the flow's cells,
+    costs the flow's value, as the scan of s x t holds d_ii at 0.
 
-    The witness coupling is the proportional decomposition of the basic
-    (forest) flow.  By weak duality its cost is at least the transport cost,
-    which is at least the dual value, the flow's value; a witness within
-    _REL_TOL * d_max of that value proves it on any cost matrix.  A larger
-    gap means the flow relayed mass through a point of both supports along
-    a broken triangle, and the space is refused with ValueError naming one.
-    Only the distances from the first support to the second are read, and
-    they must be finite and zero where a point meets itself.
+    The certificate is the simplex's potential u, extended to a balanced z
+    by min over k in neg of u_k + d_zk and shifted to minimum 0.  One scan
+    of s x t, the pairs a coupling can charge (see _price), must find u
+    1-Lipschitz there and pairing with mu1 - mu2 to the flow's value, both
+    within _REL_TOL * d_max; by duality no coupling then costs less.  It
+    reaches a zero-mass x as min_y u_y + d(x, y) (McShane).
+
+    A stretched pair (i, j) shows a broken triangle.  In the optimal tree a
+    j in pos has an arc to some k in neg (u_j = u_k + d_jk) and an i in neg
+    one from some p in pos (u_i = u_p - d_pi), save a point whose whole
+    excess is rounding left on the root.  Pricing gives u_p <= u_k + d_pk,
+    and a balanced z has u_z <= u_k + d_zk, with equality at its own k.  So
+    for j in neg, u_i - u_j <= d_ij unless i is in neg too, where it is at
+    most d_pj - d_pi; for other j, with j's k, it is at most d_ik - d_jk,
+    or d_pk - d_pi - d_jk for i in neg.  A stretch then makes i or j the
+    middle point of a broken triangle on (p, j), (i, k) or (p, k), a pair
+    of s x t, which ValueError names (see _refuse_broken_triangles); a
+    failure that names none raises RuntimeError.
     """
     n = space.n
     if pair.mu1.shape[0] != n:
@@ -326,31 +288,31 @@ def emd(space, pair):
     dist = space.dist
     d = dist if support.shape[0] == n else dist[np.ix_(support, support)]
     # each measure is rescaled to mass 1 on the support, so that the
-    # balances agree to rounding: the measures' sums need only hold to 1e-9
+    # balances agree to rounding: the measures' sums need only hold to 1e-9,
+    # and a point of equal masses ships its share of their drift
     mu1, mu2 = (mu[support] / mu[support].sum() for mu in (pair.mu1, pair.mu2))
     src, dst = np.flatnonzero(mu1 > 0), np.flatnonzero(mu2 > 0)
     d_max = _scan_metric(d, src, dst, support)
     tol = _REL_TOL * d_max
     excess = mu1 - mu2
-    tail, head, amount, u = _simplex(d, src, dst, excess, d_max)
+    neg = np.flatnonzero(excess < 0)
+    tail, head, amount, u = _simplex(d, np.flatnonzero(excess > 0), neg, excess, d_max)
     distance = float(amount @ d[tail, head])
-    stretch, gap = _price(d, src, dst, u), abs(float(u @ excess) - distance)
+    if neg.size:
+        still = np.flatnonzero(excess == 0)
+        for r in _row_blocks(still.shape[0], neg.shape[0], _PAIR_BYTES):
+            u[still[r]] = (u[neg] + d[np.ix_(still[r], neg)]).min(axis=1)
+    u -= u.min()
+    (stretch, i, j), gap = _price(d, src, dst, u), abs(float(u @ excess) - distance)
+    if stretch > tol:
+        _refuse_broken_triangles(d, src, np.array([i, j]), dst, support, tol)
     if stretch > tol or gap > tol:
         raise RuntimeError(
             f"transport certificate failed: potential exceeds the metric by "
             f"{stretch!r} and misses the cost by {gap!r} (tolerance {tol!r})")
-    block = _decompose(tail, head, amount, mu1, mu2)
-    spent = sum(float(np.vdot(block[r], d[src[r]]))
-                for r in _row_blocks(src.shape[0], support.shape[0], _PAIR_BYTES))
-    if spent - distance > tol:
-        used = amount > 0
-        _refuse_broken_relays(d, src, np.intersect1d(tail[used], head[used]), dst,
-                              support, tol)
-        raise RuntimeError(
-            f"transport certificate failed: the witness costs {spent - distance!r} "
-            f"more than the flow (tolerance {tol!r})")
     joint = np.zeros((n, n))
-    joint[np.ix_(support[src], support)] = block
+    joint[support, support] = np.minimum(mu1, mu2)
+    joint[support[tail], support[head]] = amount
     potential = np.zeros(n)
     outside = np.flatnonzero((pair.mu1 <= 0) & (pair.mu2 <= 0))
     for r in _row_blocks(outside.shape[0], support.shape[0], _PAIR_BYTES):

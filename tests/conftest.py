@@ -192,6 +192,12 @@ def count_priced_pairs(monkeypatch):
     return pairs
 
 
+def flow_pairs(pair):
+    """|pos| * |neg|: the pairs from the points where mu1 exceeds mu2 to
+    those where it falls short, which emd's simplex prices."""
+    return int((pair.mu1 > pair.mu2).sum()) * int((pair.mu1 < pair.mu2).sum())
+
+
 def count_pairs(monkeypatch):
     """A one-entry list counting the (row, member) pairs thickenings scan."""
     pairs, within_block = [0], FiniteMMSpace._within_block

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_priced_pairs, emd_full_lp, normalized
+from conftest import count_priced_pairs, emd_full_lp, flow_pairs, normalized
 from mmlab import __version__
 from mmlab.cli import main
 from mmlab.concentration import SearchConfig, alpha_lower_bound
@@ -185,6 +185,34 @@ def test_internal_fault_exits_1(monkeypatch, capsys):
     assert main(["ramsey", "--k", "2", "--l", "3", "--r", "2", "--n", "5"]) == 1
     err = json.loads(capsys.readouterr().err)["error"]
     assert err.startswith("internal error:") and "broken invariant" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["alpha", "--space", "{broken}", "--eps", "0.3"], "invalid JSON in {broken}: "),
+    (["median", "--space", "{cube}", "--values", "{object}"],
+     "{object} must hold a JSON array of numbers"),
+    (["levy", "--curves", "{missing}"], "no such file: {missing}"),
+    (["essential", "--space", "{cube}", "--action", "{action}", "--set", "0,x", "--eps", "0.5",
+      "--family", "0"], "expected comma-separated integers, got '0,x'"),
+    (["alpha", "--space", "{cube}", "--grid", "0.1:1.0"], "--grid must be start:stop:count"),
+    (["alpha", "--space", "{cube}", "--grid", "0.1:x:3"],
+     "--grid must be start:stop:count with numeric fields"),
+    (["essential", "--space", "{cube}", "--action", "{object}", "--set", "0", "--eps", "0.5",
+      "--family", "0"], '{object} must hold {{"permutations": [...]}}'),
+    (["essential", "--space", "{cube}", "--action", "{action}", "--set", "0", "--eps", "0.5",
+      "--family", "0,1"], "family index 1 out of range"),
+])
+def test_malformed_inputs_are_refused_with_their_message(tmp_path, capsys, argv, message):
+    paths = {name: str(tmp_path / name) for name in ("cube", "broken", "object", "action",
+                                                     "missing")}
+    save_space(hamming_cube(3), paths["cube"])
+    Path(paths["broken"]).write_text("{not json")
+    Path(paths["object"]).write_text(json.dumps({"values": [0.0] * 8}))
+    Path(paths["action"]).write_text(json.dumps({"permutations": [list(range(8))]}))
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    out = capsys.readouterr()
+    error = json.loads(out.err)["error"]
+    assert out.out == "" and error.startswith(message.format(**paths)), error
 
 
 def test_generate_requires_family_parameters():
@@ -398,14 +426,15 @@ def test_emd_coupling_payload_is_an_optimal_coupling(cube3, tmp_path):
 
 
 def test_emd_over_pricing_rounds_replays_byte_for_byte(tmp_path, monkeypatch):
-    # a 40-point cloud whose simplex prices its 1,600 pairs over and over
+    # a 40-point cloud whose simplex prices its pos x neg pairs over and
+    # over, before the certificate prices all 1,600 pairs once
     rng = np.random.default_rng(7)
     cloud = FiniteMMSpace(list(range(40)), normalized(rng.integers(1, 10, 40)),
                           points=rng.normal(size=(40, 3)), metric="euclidean")
     pair = MeasurePair(normalized(rng.integers(1, 10, 40)), normalized(rng.integers(1, 10, 40)))
     priced = count_priced_pairs(monkeypatch)
     emd(cloud, pair)
-    assert priced[0] > 2 * 40 * 40
+    assert priced[0] > 2 * flow_pairs(pair) + 40 * 40
 
     space = tmp_path / "cloud.json"
     save_space(cloud, space)

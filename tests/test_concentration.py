@@ -3,6 +3,7 @@ enumerator, search lower bounds, analytic sphere caps, decay fits, and the
 median tail inequality."""
 
 import inspect
+import json
 import re
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ from scipy.special import betainc, betaincc
 
 from conftest import count_pairs, spaces, spaces_with_lipschitz
 from mmlab import concentration, spaces as spaces_module
+from mmlab.cli import main
 from mmlab.concentration import (GaussianFit, LipschitzFunction, SearchConfig,
                                  alpha_lower_bound, concentration_curve,
                                  gaussian_fit, hamming_cube_alpha,
@@ -23,7 +25,7 @@ from mmlab.concentration import (GaussianFit, LipschitzFunction, SearchConfig,
                                  sphere_cap_curve, tail_check)
 from mmlab.generators import SamplerConfig, hamming_cube, sphere_sampled
 from mmlab.spaces import (ConcentrationCurve, FiniteMMSpace, alpha_exact,
-                          diameter)
+                          diameter, space_to_json)
 
 GRID = np.arange(0.1, 1.01, 0.1)
 
@@ -144,7 +146,7 @@ def test_lower_bound_deterministic():
 def test_search_thickenings_scan_a_fraction_of_the_pairs(monkeypatch):
     # every candidate of the search is pruned by its own score: on a geodesic
     # sample the scans read under a fifth of the pairs that the same search
-    # reads with pruning off (0.12 on this sample), for the same value
+    # reads with pruning off (0.052 on this sample), for the same value
     pairs = count_pairs(monkeypatch)
     pruned, full = (sphere_sampled(2, SamplerConfig(seed=1, sample_count=2000), "geodesic")
                     for _ in range(2))
@@ -211,6 +213,38 @@ def test_greedy_refine_turns_down_a_removal_that_raises_the_mass():
     assert mass == pytest.approx(0.8, abs=1e-12)
     assert min(max(1.0 - mass, 0.0), 0.5) <= exact + 1e-12
     assert alpha_lower_bound(space, 0.5) <= exact + 1e-12
+
+
+def test_greedy_refine_on_one_point_has_nothing_to_swap_in():
+    # the swap pass finds no point outside the set and stops
+    point = FiniteMMSpace([0], [1.0], dist=[[0.0]])
+    assert concentration._greedy_refine(point, np.array([True]), 0.5) == 1.0
+    assert alpha_lower_bound(point, 0.5) == 0.0
+
+
+def test_lower_bound_search_refuses_a_non_finite_distance(tmp_path, capsys):
+    # a nan distance once reached rng.uniform(0, nan) (exit 1), and
+    # _greedy_refine's row minimum dropped a row that another member
+    # reaches, for a bound of 0.5 above alpha_exact's 0.3
+    nan = np.array([[0.0, 1.0, 0.1], [1.0, 0.0, np.nan], [0.1, np.nan, 0.0]])
+    space = FiniteMMSpace([0, 1, 2], [0.3, 0.3, 0.4], dist=nan)
+    message = "not a metric: non-finite distance at (1,2)"
+    for search in (lambda: alpha_lower_bound(space, 0.5),
+                   lambda: concentration._greedy_refine(space, np.array([True, True, False]), 0.5)):
+        with pytest.raises(ValueError) as refused:
+            search()
+        assert str(refused.value) == message
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(space_to_json(space)))
+    assert main(["alpha", "--space", str(path), "--eps", "0.5", "--mode", "lower"]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": message}
+    # past 64 points with no ball seeds, the first rows read are a restart's
+    line = np.abs(np.subtract.outer(np.arange(70.0), np.arange(70.0)))
+    line[:, 5] = line[5, :] = np.inf
+    line[5, 5] = 0.0
+    far = FiniteMMSpace(list(range(70)), np.full(70, 1 / 70), dist=line)
+    with pytest.raises(ValueError, match=r"non-finite distance at \(\d+,5\)"):
+        alpha_lower_bound(far, 0.5, SearchConfig(ball_anchors=0))
 
 
 # -- analytic sphere caps --------------------------------------------------------

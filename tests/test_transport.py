@@ -1,8 +1,8 @@
-"""Transportation distance: the flow solver against the full transportation
-LP and the quantized assignment oracle, metric axioms, the network
-simplex's block pricing, the dual certificate, the refusal of a flow that
-relays along a broken triangle, witness feasibility, and the dual pairing
-with 1-Lipschitz observables."""
+"""Transportation distance: the flow of mu1 - mu2 against the full
+transportation LP and the quantized assignment oracle, metric axioms, the
+network simplex's block pricing, the dual certificate, the refusal of a
+space whose broken triangle stretches the certificate, witness feasibility,
+and the dual pairing with 1-Lipschitz observables."""
 
 import json
 import time
@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (cloud_metric, count_priced_pairs, emd_full_lp, emd_oracle,
-                      mcshane_envelope, measures_on, normalized, random_measure,
-                      random_space, spaces)
+                      flow_pairs, mcshane_envelope, measures_on, normalized,
+                      random_measure, random_space, spaces)
 from mmlab import spaces as spaces_module
 from mmlab import transport
 from mmlab.cli import main
@@ -97,15 +97,16 @@ def test_cube_flow_runs_over_its_edges():
 
 
 def test_ten_cube_needs_pricing_rounds(monkeypatch):
-    # the simplex prices blocks of about 4,096 of the 1,048,576 pairs; it
-    # wraps around them before no pair is stretched, and the certificate
-    # prices them once more
+    # the simplex prices blocks of the pos x neg pairs; it wraps around them
+    # before no pair is stretched, and the certificate prices all of s x t
+    # (1,048,576 pairs) once more
     cube = hamming_cube(10)
     rng = np.random.default_rng(10)
     p, q = rng.uniform(0.05, 0.95, 10), rng.uniform(0.05, 0.95, 10)
+    pair = product_pair(cube, p, q)
     priced = count_priced_pairs(monkeypatch)
-    res = emd(cube, product_pair(cube, p, q))
-    assert priced[0] > 2 * 1024 * 1024
+    res = emd(cube, pair)
+    assert priced[0] > 2 * flow_pairs(pair) + 1024 * 1024
     assert abs(res.distance - float(np.abs(p - q).mean())) <= 1e-12
 
 
@@ -113,7 +114,7 @@ def test_pricing_rounds_reach_the_full_lp(monkeypatch):
     cloud, pair = gaussian_cloud(200, 200)
     priced = count_priced_pairs(monkeypatch)
     got = emd(cloud, pair).distance
-    assert priced[0] > 2 * 200 * 200
+    assert priced[0] > 2 * flow_pairs(pair) + 200 * 200
     assert abs(got - emd_full_lp(cloud, pair)) <= 1e-12 * float(cloud.dist.max())
 
 
@@ -135,7 +136,8 @@ def test_the_last_pricing_scan_is_the_certificate(monkeypatch):
 
 
 def test_a_large_full_support_cloud_is_fast():
-    # 1,440,000 pairs, which the simplex prices about 4,096 at a time
+    # 1,440,000 pairs, about a quarter of which (pos x neg) the simplex
+    # prices in blocks
     cloud, pair = gaussian_cloud(1200, 1200)
     cloud.dist  # the dense matrix the space caches
     start = time.perf_counter()
@@ -194,9 +196,9 @@ def test_zero_mass_points_stay_out_of_the_flow():
 
 
 def test_a_common_point_splits_pairs_between_partial_supports():
-    # on the path 0 - 1 - 2 - 3 with mu1 on {0, 1} and mu2 on {1, 3}, the
-    # pair (0, 3) splits at 1, which is in both supports: mass from 0 may
-    # relay through 1 at no extra cost, and the witness still charges d[0, 3]
+    # on the path 0 - 1 - 2 - 3 with mu1 on {0, 1} and mu2 on {1, 3}, point 1
+    # is in both supports: it keeps 0.5 in place and ships its excess 0.25
+    # to 3, beside the 0.25 that 0 ships there
     d = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
     path = FiniteMMSpace([0, 1, 2, 3], np.full(4, 0.25), dist=d)
     pair = MeasurePair([0.25, 0.75, 0.0, 0.0], [0.0, 0.5, 0.0, 0.5])
@@ -205,6 +207,16 @@ def test_a_common_point_splits_pairs_between_partial_supports():
     assert res.distance == pytest.approx(1.25, abs=1e-12)
     res.witness.check(pair, atol=1e-12)
     assert float((res.witness.joint * d).sum()) == pytest.approx(1.25, abs=1e-12)
+    assert res.witness.joint[1, 1] == 0.5
+    # with mu1 = mu2 at point 1 it leaves the flow: it keeps its mass in
+    # place and takes the potential min over the deficit points k of
+    # u_k + d[1, k]; point 2, of no mass, takes min_y u_y + d[2, y]
+    balanced = MeasurePair([0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.0, 0.5])
+    res = emd(path, balanced)
+    assert res.distance == 1.5
+    assert res.witness.joint.tolist() == [[0.0, 0.0, 0.0, 0.5], [0.0, 0.5, 0.0, 0.0],
+                                          [0.0] * 4, [0.0] * 4]
+    assert res.potential.tolist() == [3.0, 2.0, 1.0, 0.0]
 
 
 def test_small_supports_on_a_large_cloud_stay_cheap():
@@ -279,11 +291,21 @@ def test_certificate_rejects_a_perturbed_potential(monkeypatch):
     certify(bumped)
     with pytest.raises(RuntimeError, match="transport certificate failed"):
         emd(cube, pair)
-    # a potential that pairs to the cost but is not 1-Lipschitz from 1 to 0
+    # a potential that is not 1-Lipschitz from 1 to 0, on a metric: no
+    # broken triangle to name, so the failure is the solver's
     two = FiniteMMSpace([0, 1], [0.5, 0.5], dist=[[0.0, 1.0], [1.0, 0.0]])
     certify([0.0, 2.0])
     with pytest.raises(RuntimeError, match="transport certificate failed"):
-        emd(two, MeasurePair([0.5, 0.5], [0.5, 0.5]))
+        emd(two, MeasurePair([0.75, 0.25], [0.25, 0.75]))
+    # on the line 0 - 1 - 2 - 3, a potential that pairs with mu1 - mu2 to the
+    # flow's value exactly but stretches (0, 1), two sources of no flow arc:
+    # only the stretch fails, on a metric, so no triangle is named
+    d = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
+    line = FiniteMMSpace([0, 1, 2, 3], np.full(4, 0.25), dist=d)
+    spread = MeasurePair([0.5, 0.5, 0.0, 0.0], np.full(4, 0.25))
+    certify([4.0, 1.0, 1.0, 0.0])
+    with pytest.raises(RuntimeError, match="exceeds the metric by 2.0 and misses the cost by 0.0"):
+        emd(line, spread)
     # only pairs from the first support to the second are ever charged: from
     # point 0 to points 1 and 2 this potential proves the cost, though it
     # stretches (1, 2), a pair emd never reads
@@ -337,11 +359,12 @@ def test_a_space_that_is_not_a_metric_is_refused(tmp_path, capsys):
     # 0 and 2 cost d[0, 2], the transport cost on the sub-space {0, 2}
     masses = MeasurePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
     assert emd(space, masses).distance == 3.0
-    # small supports ship directly; only a point in both supports relays.
-    # Point 0 has no mass, so the supports are points 1-4 of the space.
-    relay = np.ones((5, 5)) - np.eye(5)
-    relay[1, 3] = relay[3, 1] = 3.0
-    five = FiniteMMSpace(list(range(5)), np.full(5, 0.2), dist=relay)
+    # a point in both supports, 2, is the middle point of the triangle that
+    # a coupling could use: (1, 2) is stretched and names it.  Point 0 has no
+    # mass, so the supports are points 1-4 of the space.
+    broken = np.ones((5, 5)) - np.eye(5)
+    broken[1, 3] = broken[3, 1] = 3.0
+    five = FiniteMMSpace(list(range(5)), np.full(5, 0.2), dist=broken)
     with pytest.raises(ValueError, match=r"d\[1,3\]=3\.0 exceeds d\[1,2\] \+ d\[2,3\]=2\.0"):
         emd(five, MeasurePair([0.0, 0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.25, 0.5, 0.25]))
     # entries are named by their points in the space, not in the supports
@@ -349,6 +372,10 @@ def test_a_space_that_is_not_a_metric_is_refused(tmp_path, capsys):
                          dist=[[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.5]])
     with pytest.raises(ValueError, match=r"d\[2,2\]=0\.5 is not zero"):
         emd(loop, MeasurePair([0.0, 0.5, 0.5], [0.0, 0.5, 0.5]))
+    gap = FiniteMMSpace([0, 1, 2], np.full(3, 1 / 3),
+                        dist=[[0.0, 1.0, 1.0], [1.0, 0.0, np.inf], [1.0, np.inf, 0.0]])
+    with pytest.raises(ValueError, match=r"not a metric: non-finite distance at \(1,2\)"):
+        emd(gap, MeasurePair([0.0, 1.0, 0.0], [0.0, 0.0, 1.0]))
     # a failure within 1e-9 * d_max is float noise, not a broken metric, and
     # a diagonal entry that far below zero is no loop of negative cost
     d[0][2] = d[2][0] = 2.0 + 1e-12
@@ -369,13 +396,25 @@ def test_a_space_that_is_not_a_metric_is_refused(tmp_path, capsys):
     assert "not a metric: d[0,2]=3.0" in json.loads(capsys.readouterr().err)["error"]
 
 
-def test_a_cycle_of_negative_cost_fails_the_solve():
-    # points 0 and 1 are in both supports and d[0, 1] = -1: mass could run
-    # around 0 -> 1 -> 0 forever, each lap cheaper than the last
-    space = FiniteMMSpace([0, 1, 2], np.full(3, 1 / 3),
-                          dist=[[0.0, -1.0, 1.0], [-1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    with pytest.raises(RuntimeError, match="a cycle of negative cost"):
-        emd(space, MeasurePair([0.5, 0.5, 0.0], [0.5, 0.25, 0.25]))
+def test_a_negative_distance_is_refused(tmp_path, capsys):
+    # points 0 and 1 are in both supports and d[0, 1] = -1: balanced point 0
+    # gets a potential that d[0, 1] cannot hold, and the stretched pair names
+    # the triangle 0 -> 1 -> 0, an input error
+    d = [[0.0, -1.0, 1.0], [-1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    space = FiniteMMSpace([0, 1, 2], np.full(3, 1 / 3), dist=d)
+    message = "not a metric: d[0,0]=0.0 exceeds d[0,1] + d[1,0]=-2.0"
+    pair = MeasurePair([0.5, 0.5, 0.0], [0.5, 0.25, 0.25])
+    with pytest.raises(ValueError) as refused:
+        emd(space, pair)
+    assert str(refused.value) == message
+    files = {"space.json": space_to_json(space), "mu1.json": pair.mu1.tolist(),
+             "mu2.json": pair.mu2.tolist()}
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = ["emd", "--space", tmp_path / "space.json", "--mu1", tmp_path / "mu1.json",
+            "--mu2", tmp_path / "mu2.json"]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == message
 
 
 def test_measure_pair_validation():
@@ -385,6 +424,8 @@ def test_measure_pair_validation():
         MeasurePair([-0.1, 1.1], [0.5, 0.5])
     with pytest.raises(ValueError):
         MeasurePair([0.4, 0.4], [0.5, 0.5])
+    with pytest.raises(ValueError, match="measure length does not match the space"):
+        emd(hamming_cube(2), MeasurePair([0.5, 0.5], [0.25, 0.75]))
 
 
 def test_point_masses_recover_the_metric():
@@ -407,6 +448,29 @@ def test_identical_measures_cost_nothing():
     cube = hamming_cube(3)
     mu = random_measure(np.random.default_rng(0), 8)
     assert emd(cube, MeasurePair(mu, mu)).distance <= 1e-12
+    # equal but at one point, by less than the sums' tolerance: after the
+    # rescaling every point ships or takes its share of the drift
+    nu = mu.copy()
+    nu[3] += 1e-10
+    for pair in (MeasurePair(nu, mu), MeasurePair(mu, nu)):
+        res = emd(cube, pair)
+        assert 0.0 < res.distance <= 3e-10
+        res.witness.check(pair, atol=1e-9)
+
+
+def test_sums_off_by_their_tolerance_keep_the_flow_balanced():
+    # on the line 0 - 1 - 2 point 1 has mass 0.9 in both measures, whose sums
+    # are 1e-9 apart: rescaled, its two masses differ by about 1.8e-9, and
+    # unless that difference joins the flow the excess misses zero by it,
+    # the pairing gap reaches about 2 * 1.8e-9 and row 0 of the witness is
+    # short by as much
+    d = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
+    line = FiniteMMSpace([0, 1, 2], np.full(3, 1 / 3), dist=d)
+    pair = MeasurePair([0.1 + 0.99e-9, 0.9, 0.0], [0.0, 0.9, 0.1 - 0.99e-9])
+    res = emd(line, pair)
+    assert res.distance == pytest.approx(0.2, abs=1e-8)
+    assert abs(res.distance - emd_full_lp(line, pair)) <= 1e-8
+    res.witness.check(pair)
 
 
 @settings(max_examples=40, deadline=None)
@@ -481,8 +545,14 @@ def test_coupling_marginals():
     assert np.allclose(c.row_marginal, [0.5, 0.5])
     assert np.allclose(c.col_marginal, [0.25, 0.75])
     c.check(MeasurePair([0.5, 0.5], [0.25, 0.75]), atol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="row marginal"):
         c.check(MeasurePair([0.9, 0.1], [0.25, 0.75]), atol=1e-9)
+    with pytest.raises(ValueError, match="column marginal does not match mu2"):
+        c.check(MeasurePair([0.5, 0.5], [0.5, 0.5]), atol=1e-9)
+    with pytest.raises(ValueError, match="coupling must be a matrix"):
+        Coupling(np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="coupling has negative entries"):
+        Coupling(np.array([[0.6, -0.1], [0.0, 0.5]]))
 
 
 def test_coupling_check_has_no_relative_slack():
