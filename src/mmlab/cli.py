@@ -36,12 +36,17 @@ def _json_text(obj):
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
-def _read_json(path):
+def _read_text(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
+
+
+def _read_json(path):
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise InputError(f"invalid JSON in {path}: {e}")
 
@@ -60,35 +65,42 @@ def _read_vector(path):
     return np.asarray(data, dtype=float)
 
 
-def _read_curve(path):
+def _index_list(text, size, what):
+    """The comma-separated integers of text, each refused outside [0, size)."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return ConcentrationCurve.from_csv_text(fh.read())
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}")
-
-
-def _int_list(text):
-    try:
-        return [int(x) for x in str(text).split(",") if x != ""]
+        out = [int(x) for x in str(text).split(",") if x != ""]
     except ValueError:
         raise InputError(f"expected comma-separated integers, got {text!r}")
+    for i in out:
+        if not 0 <= i < size:
+            raise InputError(f"{what} index {i} out of range")
+    return out
 
 
-def _emit(args, argv, text, inputs, parameters):
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-        manifest = {"command": args.command,
-                    "argv": argv,
-                    "inputs": list(inputs),
-                    "seed": int(getattr(args, "seed", 0) or 0),
-                    "parameters": parameters,
-                    "tool_version": __version__}
-        Path(str(out) + ".manifest.json").write_text(_json_text(manifest),
-                                                     encoding="utf-8")
-    else:
+def _emit(args, argv, text, parameters=None):
+    """Write text to --out with a manifest beside it, or to stdout.  The
+    manifest's inputs are the command's FILE flags in table order, and its
+    parameters every other flag of the command that holds a value, unless
+    the caller passes its own."""
+    if not args.out:
         sys.stdout.write(text)
+        return
+    inputs, given = [], {}
+    for flag, kw in COMMANDS[args.command][1].items():
+        dest = flag[2:].replace("-", "_")
+        value = getattr(args, dest)
+        if kw.get("metavar") == "FILE":
+            inputs += value if isinstance(value, list) else [value]
+        elif value is not None:
+            given[dest] = value
+    manifest = {"command": args.command,
+                "argv": argv,
+                "inputs": inputs,
+                "seed": args.seed,
+                "parameters": given if parameters is None else parameters,
+                "tool_version": __version__}
+    Path(args.out).write_text(text, encoding="utf-8")
+    Path(args.out + ".manifest.json").write_text(_json_text(manifest), encoding="utf-8")
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -117,7 +129,7 @@ def _generate_descriptor(args):
 def _cmd_generate(args, argv):
     desc = _generate_descriptor(args)
     text = _json_text(space_to_json(build_space(desc)))
-    _emit(args, argv, text, inputs=[], parameters=desc)
+    _emit(args, argv, text, desc)
     return 0
 
 
@@ -126,16 +138,14 @@ def _cmd_validate(args, argv):
         space = _read_space(args.space)
     except ValueError as e:
         # construction-time rejects (bad weights, ragged matrix) are violations too
-        sys.stderr.write(_json_text({"error": "space validation failed",
-                                     "violations": [str(e)]}))
-        return 2
-    violations = validate_space(space)
+        violations = [str(e)]
+    else:
+        violations = validate_space(space)
     if violations:
         sys.stderr.write(_json_text({"error": "space validation failed",
                                      "violations": violations}))
         return 2
-    _emit(args, argv, _json_text({"violations": []}),
-          inputs=[args.space], parameters={})
+    _emit(args, argv, _json_text({"violations": []}))
     return 0
 
 
@@ -160,38 +170,30 @@ def _cmd_alpha(args, argv):
     grid = [args.eps] if args.grid is None else _parse_grid(args.grid)
     curve = concentration_curve(space, grid, mode=args.mode,
                                 cfg=SearchConfig(seed=args.seed), exhaustive_cap=args.cap)
-    params = {"mode": args.mode, "cap": args.cap}
-    if args.grid is None:
-        params["eps"] = args.eps
-        text = _json_text({"alpha": float(curve.alpha[0])})
-    else:
-        params["grid"] = args.grid
-        text = curve.to_csv_text()
-    _emit(args, argv, text, inputs=[args.space], parameters=params)
+    text = (_json_text({"alpha": float(curve.alpha[0])}) if args.grid is None
+            else curve.to_csv_text())
+    _emit(args, argv, text)
     return 0
 
 
 def _cmd_fit(args, argv):
     if len(args.curves) != len(args.indices):
         raise InputError("--curves and --indices must have matching lengths")
-    pairs = [(idx, _read_curve(p)) for idx, p in zip(args.indices, args.curves)]
+    pairs = [(idx, ConcentrationCurve.from_csv_text(_read_text(p)))
+             for idx, p in zip(args.indices, args.curves)]
     fit = gaussian_fit(pairs)
-    _emit(args, argv,
-          _json_text({"c1": fit.c1, "c2": fit.c2, "residual": fit.residual}),
-          inputs=list(args.curves), parameters={"indices": list(args.indices)})
+    _emit(args, argv, _json_text({"c1": fit.c1, "c2": fit.c2, "residual": fit.residual}))
     return 0
 
 
 def _cmd_levy(args, argv):
-    curves = [_read_curve(p) for p in args.curves]
+    curves = [ConcentrationCurve.from_csv_text(_read_text(p)) for p in args.curves]
     res = levy_check(curves, threshold=args.threshold, slack=args.slack)
     _emit(args, argv, _json_text({
         "is_levy_trend": res.is_levy_trend,
         "eps": [float(x) for x in res.eps_grid],
         "table": [[float(x) for x in row] for row in res.table],
-        "threshold": res.threshold, "slack": res.slack}),
-        inputs=list(args.curves),
-        parameters={"threshold": args.threshold, "slack": args.slack})
+        "threshold": res.threshold, "slack": res.slack}))
     return 0
 
 
@@ -202,9 +204,7 @@ def _cmd_emd(args, argv):
     payload = {"distance": res.distance}
     if args.coupling:
         payload["coupling"] = [[float(x) for x in row] for row in res.witness.joint]
-    _emit(args, argv, _json_text(payload),
-          inputs=[args.space, args.mu1, args.mu2],
-          parameters={"coupling": bool(args.coupling)})
+    _emit(args, argv, _json_text(payload))
     return 0
 
 
@@ -217,16 +217,14 @@ def _cmd_obsdist(args, argv):
     _emit(args, argv, _json_text({
         "upper": res.upper,
         "anchors": [int(res.anchor[0]), int(res.anchor[1])],
-        "coupling": [[float(x) for x in row] for row in res.coupling]}),
-        inputs=[args.x, args.y], parameters={"budget": args.budget})
+        "coupling": [[float(x) for x in row] for row in res.coupling]}))
     return 0
 
 
 def _cmd_median(args, argv):
     space = _read_space(args.space)
     f = LipschitzFunction(_read_vector(args.values), constant=args.constant)
-    _emit(args, argv, _json_text({"median": median(space, f)}),
-          inputs=[args.space, args.values], parameters={"constant": args.constant})
+    _emit(args, argv, _json_text({"median": median(space, f)}))
     return 0
 
 
@@ -236,9 +234,7 @@ def _cmd_tail(args, argv):
     res = tail_check(space, f, args.eps)
     _emit(args, argv, _json_text({
         "tail_mass": res.tail_mass, "bound": res.bound,
-        "holds": res.holds, "bound_kind": res.bound_kind}),
-        inputs=[args.space, args.values],
-        parameters={"eps": args.eps, "constant": args.constant})
+        "holds": res.holds, "bound_kind": res.bound_kind}))
     return 0
 
 
@@ -248,20 +244,11 @@ def _cmd_essential(args, argv):
     if not isinstance(doc, dict) or "permutations" not in doc:
         raise InputError(f"{args.action} must hold {{\"permutations\": [...]}}")
     action = IsometricAction(space, doc["permutations"])
-    members = _int_list(args.set)
     mask = np.zeros(space.n, dtype=bool)
-    for i in members:
-        if not 0 <= i < space.n:
-            raise InputError(f"set index {i} out of range")
-        mask[i] = True
-    family = _int_list(args.family)
-    for g in family:
-        if not 0 <= g < len(action.elements):
-            raise InputError(f"family index {g} out of range")
+    mask[_index_list(args.set, space.n, "set")] = True
+    family = _index_list(args.family, len(action.elements), "family")
     res = is_essential(action, mask, args.eps, family)
-    _emit(args, argv, _json_text({"essential": res.essential, "witness": res.witness}),
-          inputs=[args.space, args.action],
-          parameters={"set": args.set, "family": args.family, "eps": args.eps})
+    _emit(args, argv, _json_text({"essential": res.essential, "witness": res.witness}))
     return 0
 
 
@@ -276,9 +263,7 @@ def _cmd_leader(args, argv):
         emp = leader_empirical(args.dim_half, args.samples, args.eps, seed=args.seed)
         payload["violations"] = emp.violations
         payload["sample_count"] = emp.sample_count
-    _emit(args, argv, _json_text(payload), inputs=[],
-          parameters={"dim_half": args.dim_half, "samples": args.samples,
-                      "eps": args.eps})
+    _emit(args, argv, _json_text(payload))
     return 0
 
 
@@ -290,8 +275,7 @@ def _cmd_ramsey(args, argv):
         cx = {"n": h.n, "k": h.k, "r": h.r,
               "colors": [int(c) for c in h.colors]}
     _emit(args, argv, _json_text({"all_colorings_contain": res.all_colorings_contain,
-                                  "counterexample": cx}),
-          inputs=[], parameters={"k": args.k, "l": args.l, "r": args.r, "n": args.n})
+                                  "counterexample": cx}))
     return 0
 
 
@@ -306,119 +290,74 @@ def _cmd_replay(args, argv):
     return _dispatch([str(a) for a in stored])
 
 
-# -- parser --------------------------------------------------------------------
+# -- command table -------------------------------------------------------------
+
+# name -> (help, {flag: add_argument keywords}).  A flag of metavar FILE names
+# input files, the manifest's inputs.  Every command but replay also takes the
+# _COMMON flags.  Each is run by the _cmd_<name> of this module, looked up at
+# every call, so a wrapper set on that module attribute runs instead.
+_FILE = {"required": True, "metavar": "FILE"}
+COMMANDS = {
+    "generate": ("emit a generated space as JSON", {
+        "--family": {"required": True,
+                     "choices": [f for f in FAMILIES if not f.endswith("_sampled")]},
+        "--n": {"type": int}, "--dim": {"type": int}, "--p": {"type": int},
+        "--samples": {"type": int, "default": 0},
+        "--metric": {"choices": ("euclidean", "geodesic"), "default": "euclidean"},
+        "--base": {"help": "comma-separated base weights for product"}}),
+    "validate": ("check metric/measure axioms", {"--space": _FILE}),
+    "alpha": ("concentration function value or curve", {
+        "--space": _FILE, "--eps": {"type": float},
+        "--grid": {"help": "start:stop:count for a CSV curve"},
+        "--mode": {"choices": ("exact", "lower"), "default": "exact"},
+        "--cap": {"type": int, "default": _EXHAUSTIVE_CAP}}),
+    "fit": ("gaussian decay fit over curves", {
+        "--curves": {**_FILE, "nargs": "+"},
+        "--indices": {"nargs": "+", "type": int, "required": True}}),
+    "levy": ("vanishing-trend check over curves", {
+        "--curves": {**_FILE, "nargs": "+"},
+        "--threshold": {"type": float, "default": 0.05},
+        "--slack": {"type": float, "default": 0.02}}),
+    "emd": ("transportation distance", {
+        "--space": _FILE, "--mu1": _FILE, "--mu2": _FILE,
+        "--coupling": {"action": "store_true",
+                       "help": "include the witness coupling (quadratic payload)"}}),
+    "obsdist": ("observable distance estimate: a lower bound against the one-point "
+                "space, certified neither way for other pairs", {
+        "--x": _FILE, "--y": _FILE, "--budget": {"type": int, "default": 8}}),
+    "median": ("median of a function on a space", {
+        "--space": _FILE, "--values": _FILE, "--constant": {"type": float, "default": 1.0}}),
+    "tail": ("median tail-mass bound check", {
+        "--space": _FILE, "--values": _FILE,
+        "--eps": {"type": float, "required": True},
+        "--constant": {"type": float, "default": 1.0}}),
+    "essential": ("common point of translated thickenings", {
+        "--space": _FILE, "--action": _FILE,
+        "--set": {"required": True, "help": "comma-separated point indices"},
+        "--eps": {"type": float, "required": True},
+        "--family": {"required": True, "help": "comma-separated element indices"}}),
+    "leader": ("block-sphere inessential-set demonstration", {
+        "--dim-half": {"type": int, "default": 150}, "--samples": {"type": int, "default": 0},
+        "--eps": {"type": float, "required": True}}),
+    "ramsey": ("exhaustive monochromatic-subset check",
+               {f"--{k}": {"type": int, "required": True} for k in "klrn"}),
+    "replay": ("re-run a stored manifest", {"--manifest": _FILE}),
+}
+_COMMON = {
+    "--out": {"help": "output file (stdout when omitted)"},
+    "--threads": {"type": int, "default": 1,
+                  "help": "accepted for batch symmetry; results never depend on it"},
+    "--seed": {"type": int, "default": 0}}
+
 
 def _build_parser():
     top = argparse.ArgumentParser(prog="mmlab",
                                   description="finite metric-measure space laboratory")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", help="output file (stdout when omitted)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for batch symmetry; results never depend on it")
-        p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("generate", help="emit a generated space as JSON")
-    p.add_argument("--family", required=True,
-                   choices=[f for f in FAMILIES if not f.endswith("_sampled")])
-    p.add_argument("--n", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--metric", choices=("euclidean", "geodesic"), default="euclidean")
-    p.add_argument("--base", help="comma-separated base weights for product")
-    common(p)
-    p.set_defaults(handler=_cmd_generate)
-
-    p = sub.add_parser("validate", help="check metric/measure axioms")
-    p.add_argument("--space", required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("alpha", help="concentration function value or curve")
-    p.add_argument("--space", required=True)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--grid", help="start:stop:count for a CSV curve")
-    p.add_argument("--mode", choices=("exact", "lower"), default="exact")
-    p.add_argument("--cap", type=int, default=_EXHAUSTIVE_CAP)
-    common(p)
-    p.set_defaults(handler=_cmd_alpha)
-
-    p = sub.add_parser("fit", help="gaussian decay fit over curves")
-    p.add_argument("--curves", nargs="+", required=True)
-    p.add_argument("--indices", nargs="+", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_fit)
-
-    p = sub.add_parser("levy", help="vanishing-trend check over curves")
-    p.add_argument("--curves", nargs="+", required=True)
-    p.add_argument("--threshold", type=float, default=0.05)
-    p.add_argument("--slack", type=float, default=0.02)
-    common(p)
-    p.set_defaults(handler=_cmd_levy)
-
-    p = sub.add_parser("emd", help="transportation distance")
-    p.add_argument("--space", required=True)
-    p.add_argument("--mu1", required=True)
-    p.add_argument("--mu2", required=True)
-    p.add_argument("--coupling", action="store_true",
-                   help="include the witness coupling (quadratic payload)")
-    common(p)
-    p.set_defaults(handler=_cmd_emd)
-
-    about = ("observable distance estimate: a lower bound against the one-point "
-             "space, certified neither way for other pairs")
-    p = sub.add_parser("obsdist", help=about, description=about)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--budget", type=int, default=8)
-    common(p)
-    p.set_defaults(handler=_cmd_obsdist)
-
-    p = sub.add_parser("median", help="median of a function on a space")
-    p.add_argument("--space", required=True)
-    p.add_argument("--values", required=True)
-    p.add_argument("--constant", type=float, default=1.0)
-    common(p)
-    p.set_defaults(handler=_cmd_median)
-
-    p = sub.add_parser("tail", help="median tail-mass bound check")
-    p.add_argument("--space", required=True)
-    p.add_argument("--values", required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--constant", type=float, default=1.0)
-    common(p)
-    p.set_defaults(handler=_cmd_tail)
-
-    p = sub.add_parser("essential", help="common point of translated thickenings")
-    p.add_argument("--space", required=True)
-    p.add_argument("--action", required=True)
-    p.add_argument("--set", required=True, help="comma-separated point indices")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--family", required=True, help="comma-separated element indices")
-    common(p)
-    p.set_defaults(handler=_cmd_essential)
-
-    p = sub.add_parser("leader", help="block-sphere inessential-set demonstration")
-    p.add_argument("--dim-half", dest="dim_half", type=int, default=150)
-    p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--eps", type=float, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_leader)
-
-    p = sub.add_parser("ramsey", help="exhaustive monochromatic-subset check")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_ramsey)
-
-    p = sub.add_parser("replay", help="re-run a stored manifest")
-    p.add_argument("--manifest", required=True)
-    p.set_defaults(handler=_cmd_replay)
-
+    for name, (about, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=about, description=about)
+        for flag, kw in {**flags, **(_COMMON if name != "replay" else {})}.items():
+            p.add_argument(flag, **kw)
     return top
 
 
@@ -426,17 +365,14 @@ def _dispatch(argv):
     args = _build_parser().parse_args(argv)
     if getattr(args, "seed", 0) < 0:  # replay takes no --seed
         raise InputError(f"--seed must be at least 0, got {args.seed}")
-    return args.handler(args, argv)
+    return globals()[f"_cmd_{args.command}"](args, argv)
 
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
     try:
         return _dispatch(argv)
-    except InputError as e:
-        sys.stderr.write(_json_text({"error": str(e)}))
-        return 2
-    except (ValueError, OSError) as e:
+    except (InputError, ValueError, OSError) as e:
         sys.stderr.write(_json_text({"error": str(e)}))
         return 2
     except Exception as e:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import (_EXHAUSTIVE_CAP, _MATERIALIZE_CAP, HALF_TOL, ConcentrationCurve,
+from .spaces import (_EXHAUSTIVE_CAP, HALF_TOL, ConcentrationCurve,
                      _refuse_non_finite, _row_blocks, alpha_exact, measure)
 
 _EXHAUSTIVE_BALL_LIMIT = 64  # spaces this small try a ball around every point
@@ -85,7 +85,7 @@ class TailCheckResult:
     tail_mass: float
     bound: float
     holds: bool
-    bound_kind: str  # "exact", "majority_ball", or "trivial"
+    bound_kind: str  # "exact" or "majority_ball"
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,9 @@ def tail_check(space, f, eps):
     function.  Uses the exact alpha within the exhaustive range and the
     majority-ball upper bound beyond it (flagged in bound_kind).  The tail
     counts |f - m| > eps with the relative 1e-9 band of the Lipschitz check,
-    so a deviation of exactly eps is not counted whatever its rounding."""
+    so a deviation of exactly eps is not counted whatever its rounding.
+    That check reads space.dist, so past its 8,192-point cap the space is
+    refused with a ValueError."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     f.check(space)
@@ -279,12 +281,9 @@ def tail_check(space, f, eps):
     if space.n <= _EXHAUSTIVE_CAP:
         bound = 2.0 * alpha_exact(space, eps)
         kind = "exact"
-    elif space.n <= _MATERIALIZE_CAP:
+    else:
         bound = 2.0 * majority_ball_upper(space, eps)
         kind = "majority_ball"
-    else:
-        bound = 1.0
-        kind = "trivial"
     return TailCheckResult(tail_mass=tail, bound=bound,
                            holds=bool(tail <= bound + 1e-12), bound_kind=kind)
 

@@ -17,8 +17,8 @@ from mmlab import __version__
 from mmlab.cli import main
 from mmlab.concentration import SearchConfig, alpha_lower_bound
 from mmlab.generators import FAMILIES, build_space, hamming_cube
-from mmlab.spaces import (FiniteMMSpace, alpha_exact, load_space, save_space,
-                          space_to_json)
+from mmlab.spaces import (ConcentrationCurve, FiniteMMSpace, alpha_exact, load_space,
+                          point_space, save_space, space_to_json)
 from mmlab.transport import MeasurePair, emd
 
 
@@ -256,6 +256,23 @@ def test_validate_clean_and_violations(cube3, tmp_path):
     assert r.returncode == 2
     err = json.loads(r.stderr)
     assert err["violations"]
+
+
+def test_validate_reports_negative_weights_and_samples_past_its_cap(tmp_path, monkeypatch,
+                                                                    capsys):
+    path = str(tmp_path / "space.json")
+    d = 1.0 - np.eye(3)
+    save_space(FiniteMMSpace([0, 1, 2], [-0.1, 0.6, 0.5], dist=d), path)
+    assert main(["validate", "--space", path]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "space validation failed",
+                                                   "violations": ["negative weight at 0"]}
+    # past the cap only a seeded sample of points is checked: a self-distance
+    # of 0.1 on all five points is reported on three of them
+    save_space(FiniteMMSpace(range(5), np.full(5, 0.2), dist=1.0 - 0.9 * np.eye(5)), path)
+    monkeypatch.setattr("mmlab.spaces._TRIANGLE_SAMPLE_CAP", 3)
+    assert main(["validate", "--space", path]) == 2
+    violations = json.loads(capsys.readouterr().err)["violations"]
+    assert len(violations) == 3 and all("nonzero self-distance" in v for v in violations)
 
 
 def test_permutation_words_past_255_symbols_validate(tmp_path):
@@ -560,6 +577,62 @@ def test_leader_output_and_replay_are_pinned_bytes(tmp_path, monkeypatch, capsys
     (tmp_path / "leader.json").unlink()
     assert main(["replay", "--manifest", "leader.json.manifest.json"]) == 0
     assert (tmp_path / "leader.json").read_text(encoding="utf-8") == payload
+
+
+def test_every_emitting_command_pins_its_manifest(tmp_path, monkeypatch, capsys):
+    # inputs are the file flags in table order; parameters are the other flags
+    # that hold a value, defaults included, or generate's family descriptor
+    monkeypatch.chdir(tmp_path)
+    save_space(hamming_cube(3), "cube.json")
+    save_space(point_space(), "point.json")
+    Path("curve.csv").write_text(
+        ConcentrationCurve([0.2, 0.4], [0.25, 0.125], kind="exact").to_csv_text())
+    Path("mu1.json").write_text(json.dumps([1, 0, 0, 0, 0, 0, 0, 0]))
+    Path("mu2.json").write_text(json.dumps([0, 0, 0, 0, 0, 0, 0, 1]))
+    Path("f.json").write_text(json.dumps((np.bitwise_count(np.arange(8)) / 3.0).tolist()))
+    Path("act.json").write_text(json.dumps({"permutations": [list(range(8))]}))
+    runs = [
+        (["generate", "--family", "hamming_cube", "--n", "3"], [],
+         {"family": "hamming_cube", "n": 3}),
+        (["generate", "--family", "sphere", "--dim", "2", "--samples", "6", "--seed", "3",
+          "--threads", "4"], [],
+         {"family": "sphere", "dim": 2, "samples": 6, "seed": 3, "metric": "euclidean"}),
+        (["validate", "--space", "cube.json"], ["cube.json"], {}),
+        (["alpha", "--space", "cube.json", "--eps", "0.3"], ["cube.json"],
+         {"eps": 0.3, "mode": "exact", "cap": 20}),
+        (["alpha", "--space", "cube.json", "--grid", "0.2:0.6:3", "--cap", "8"],
+         ["cube.json"], {"grid": "0.2:0.6:3", "mode": "exact", "cap": 8}),
+        (["fit", "--curves", "curve.csv", "curve.csv", "--indices", "3", "4"],
+         ["curve.csv", "curve.csv"], {"indices": [3, 4]}),
+        (["levy", "--curves", "curve.csv", "--slack", "0.1"], ["curve.csv"],
+         {"threshold": 0.05, "slack": 0.1}),
+        (["emd", "--space", "cube.json", "--mu1", "mu1.json", "--mu2", "mu2.json"],
+         ["cube.json", "mu1.json", "mu2.json"], {"coupling": False}),
+        (["emd", "--coupling", "--mu2", "mu2.json", "--space", "cube.json", "--mu1",
+          "mu1.json"], ["cube.json", "mu1.json", "mu2.json"], {"coupling": True}),
+        (["obsdist", "--x", "cube.json", "--y", "point.json", "--budget", "2"],
+         ["cube.json", "point.json"], {"budget": 2}),
+        (["median", "--space", "cube.json", "--values", "f.json"],
+         ["cube.json", "f.json"], {"constant": 1.0}),
+        (["tail", "--space", "cube.json", "--values", "f.json", "--eps", "0.34"],
+         ["cube.json", "f.json"], {"eps": 0.34, "constant": 1.0}),
+        (["essential", "--space", "cube.json", "--action", "act.json", "--set", "0,1",
+          "--eps", "0.34", "--family", "0"], ["cube.json", "act.json"],
+         {"set": "0,1", "eps": 0.34, "family": "0"}),
+        (["leader", "--eps", "0.1"], [], {"dim_half": 150, "samples": 0, "eps": 0.1}),
+        (["ramsey", "--k", "2", "--l", "3", "--r", "2", "--n", "5"], [],
+         {"k": 2, "l": 3, "r": 2, "n": 5}),
+    ]
+    for i, (argv, inputs, parameters) in enumerate(runs):
+        argv = argv + ["--out", f"run{i}.out"]
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+        seed = 3 if "--seed" in argv else 0
+        assert json.loads(Path(f"run{i}.out.manifest.json").read_text()) == {
+            "command": argv[0], "argv": argv, "inputs": inputs, "seed": seed,
+            "parameters": parameters, "tool_version": __version__}, argv
+    assert {argv[0] for argv, _, _ in runs} == {
+        "generate", "validate", "alpha", "fit", "levy", "emd", "obsdist", "median", "tail",
+        "essential", "leader", "ramsey"}
 
 
 def test_ramsey_command():

@@ -454,6 +454,23 @@ def test_tail_check_requires_unit_constant():
         tail_check(cube, f, 0.3)
 
 
+def test_tail_check_past_the_dense_cap_is_refused(tmp_path, monkeypatch, capsys):
+    # the Lipschitz check reads space.dist, which refuses past the cap: so
+    # does tail_check and `mmlab tail`, with exit 2 and the cap's message
+    pos = np.arange(5) / 5
+    line = FiniteMMSpace(list(range(5)), np.full(5, 0.2),
+                         dist=np.abs(pos[:, None] - pos[None, :]))
+    (tmp_path / "line.json").write_text(json.dumps(space_to_json(line)))
+    (tmp_path / "f.json").write_text(json.dumps(pos.tolist()))
+    monkeypatch.setattr(spaces_module, "_MATERIALIZE_CAP", 4)
+    with pytest.raises(ValueError, match="space has 5 points, too many for a dense matrix"):
+        tail_check(line, LipschitzFunction(pos), 0.3)
+    assert main(["tail", "--space", str(tmp_path / "line.json"),
+                 "--values", str(tmp_path / "f.json"), "--eps", "0.3"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and json.loads(out.err)["error"].startswith("space has 5 points")
+
+
 def test_lipschitz_check_catches_violations():
     cube = hamming_cube(2)
     bad = LipschitzFunction([0.0, 5.0, 0.0, 0.0])
