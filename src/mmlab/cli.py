@@ -157,7 +157,7 @@ def _parse_grid(text):
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise InputError("--grid must be start:stop:count with numeric fields")
-    if count < 1 or start <= 0 or stop < start:
+    if not (count >= 1 and start > 0 and stop >= start):
         raise InputError("--grid needs 0 < start <= stop and count >= 1")
     return np.linspace(start, stop, count)
 
@@ -191,8 +191,8 @@ def _cmd_levy(args, argv):
     res = levy_check(curves, threshold=args.threshold, slack=args.slack)
     _emit(args, argv, _json_text({
         "is_levy_trend": res.is_levy_trend,
-        "eps": [float(x) for x in res.eps_grid],
-        "table": [[float(x) for x in row] for row in res.table],
+        "eps": res.eps_grid.tolist(),
+        "table": res.table.tolist(),
         "threshold": res.threshold, "slack": res.slack}))
     return 0
 
@@ -203,7 +203,7 @@ def _cmd_emd(args, argv):
     res = emd(space, pair)
     payload = {"distance": res.distance}
     if args.coupling:
-        payload["coupling"] = [[float(x) for x in row] for row in res.witness.joint]
+        payload["coupling"] = res.witness.joint.tolist()
     _emit(args, argv, _json_text(payload))
     return 0
 
@@ -217,7 +217,7 @@ def _cmd_obsdist(args, argv):
     _emit(args, argv, _json_text({
         "upper": res.upper,
         "anchors": [int(res.anchor[0]), int(res.anchor[1])],
-        "coupling": [[float(x) for x in row] for row in res.coupling]}))
+        "coupling": res.coupling.tolist()}))
     return 0
 
 
@@ -273,7 +273,7 @@ def _cmd_ramsey(args, argv):
     if res.counterexample is not None:
         h = res.counterexample
         cx = {"n": h.n, "k": h.k, "r": h.r,
-              "colors": [int(c) for c in h.colors]}
+              "colors": h.colors.tolist()}
     _emit(args, argv, _json_text({"all_colorings_contain": res.all_colorings_contain,
                                   "counterexample": cx}))
     return 0

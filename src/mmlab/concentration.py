@@ -54,7 +54,7 @@ class LipschitzFunction:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
-        if self.constant < 0:
+        if not self.constant >= 0:
             raise ValueError("Lipschitz constant must be nonnegative")
 
     def check(self, space):
@@ -175,7 +175,7 @@ def alpha_lower_bound(space, eps, cfg=None):
     shifted rows), which its thickening scan prunes by.  It refuses (ValueError)
     a non-finite distance in a score row or in the greedy swaps' matrix.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     cfg = cfg or SearchConfig()
     n = space.n
@@ -228,7 +228,7 @@ def majority_ball_upper(space, eps):
     smallest majority radius depends on its own row alone, so rows are
     processed in blocks of bounded scratch.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     n = space.n
     all_idx = np.arange(n)
@@ -269,13 +269,13 @@ def tail_check(space, f, eps):
     so a deviation of exactly eps is not counted whatever its rounding.
     That check reads space.dist, so past its 8,192-point cap the space is
     refused with a ValueError."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
-    f.check(space)
     if f.constant > 1.0 + 1e-9:
         raise ValueError(
             f"tail bound needs a 1-Lipschitz function; constant is {f.constant}, "
             "rescale the values first")
+    f.check(space)
     m = median(space, f)
     tail = float(space.weight[np.abs(f.values - m) > eps * (1.0 + _LIPSCHITZ_REL_TOL)].sum())
     if space.n <= _EXHAUSTIVE_CAP:
@@ -324,8 +324,7 @@ def levy_check(curves, threshold=0.05, slack=0.02):
             raise ValueError("curves do not share an eps grid")
     table = np.stack([c.alpha for c in curves])
     below = table[-1] < threshold
-    mono = (np.diff(table, axis=0) <= slack).all(axis=0) if len(curves) > 1 \
-        else np.ones_like(below)
+    mono = (np.diff(table, axis=0) <= slack).all(axis=0)
     return LevyCheckResult(eps_grid=grid.copy(), table=table,
                            is_levy_trend=bool((below & mono).all()),
                            threshold=threshold, slack=slack)
@@ -347,7 +346,7 @@ def sphere_cap_alpha(dim, eps):
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if eps >= math.pi / 2:
         return 0.0
@@ -380,7 +379,7 @@ def hamming_cube_alpha(n, eps):
     """
     if not 1 <= n <= _CUBE_ALPHA_MAX_DIM:
         raise ValueError(f"cube dimension {n} outside [1, {_CUBE_ALPHA_MAX_DIM}]")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     r = min((n - 1) // 2 + math.floor(n * eps + 1e-9), n)
     size = sum(math.comb(n, k) for k in range(r + 1))

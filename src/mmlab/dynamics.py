@@ -144,7 +144,7 @@ def leader_certificate(eps):
     (sqrt(2)/2 - eps)^2 on a unit vector once 3*(sqrt(2)/2 - eps)^2 > 1,
     i.e. once eps < sqrt(2)/2 - sqrt(3)/3.  Above the threshold nothing is
     claimed."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     return LeaderCertificate(inessential_certified=bool(eps < LEADER_THRESHOLD),
                              threshold=LEADER_THRESHOLD)
@@ -177,7 +177,7 @@ def leader_empirical(dim_half, sample_count, eps, seed=0):
     d = 2 * dim_half
     if d % 6 != 0:
         raise ValueError("2*dim_half must be divisible by 6 for three equal blocks")
-    if eps >= LEADER_THRESHOLD:
+    if not eps < LEADER_THRESHOLD:
         raise ValueError("eps must be below the certificate threshold")
     if sample_count < 1:
         raise ValueError("sample_count must be positive")

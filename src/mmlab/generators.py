@@ -19,7 +19,7 @@ from .spaces import FiniteMMSpace
 _SAMPLE_BLOCK = 8192
 _CUBE_MAX_DIM = 20          # hamming_cube materializes 2^n points up to this
 _SYMMETRIC_MAX_N = 7        # symmetric_group materializes n! points up to this
-_SL2_MAX_P = 13             # sl2_word_metric builds (p^3 - p)^2 distances up to this
+_SL2_PRIMES = (2, 3, 5, 7, 11, 13)  # sl2_word_metric builds (p^3 - p)^2 distances for these
 _PRODUCT_MAX_POINTS = 4096  # product_space materializes k^n points up to this
 
 
@@ -152,19 +152,6 @@ def so_n_sampled(n, cfg):
 
 # -- special linear groups over prime fields ---------------------------------
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def sl2_word_metric(p):
     """SL(2, F_p) as a space: uniform measure, and the word metric of the two
     elementary generators and their inverses.  Group order is p^3 - p.
@@ -172,10 +159,10 @@ def sl2_word_metric(p):
     The element [[a, b], [c, d]] is labelled "a,b,c,d", in lexicographic
     order.  dist[i, j] is the word length of g_i * g_j^{-1}, so the metric is
     right-invariant: dist(g h, f h) = dist(g, f)."""
-    if not _is_prime(p):
+    if p > _SL2_PRIMES[-1]:
+        raise ValueError(f"p={p} exceeds the cap {_SL2_PRIMES[-1]} (order grows as p^3)")
+    if p not in _SL2_PRIMES:
         raise ValueError(f"{p} is not prime")
-    if p > _SL2_MAX_P:
-        raise ValueError(f"p={p} exceeds the cap {_SL2_MAX_P} (order grows as p^3)")
 
     def mul(x, y):
         # products mod p of row-major 2x2 matrices, (..., 4) each, broadcast

@@ -216,41 +216,33 @@ def _nw_corner(wx, wy, order_x, order_y):
 
 def _candidate_couplings(X, Y, cfg):
     nx, ny = X.n, Y.n
-    out = []
-    kept = np.empty((8, nx, ny))  # out's candidates stacked, grown by doubling
-
-    def push(pi):
-        # first seen wins, so a larger budget only appends candidates
-        nonlocal kept
-        k = len(out)
-        if k and np.abs(kept[:k] - pi).max(axis=(1, 2)).min() <= _COUPLING_TOL:
-            return
-        if k == kept.shape[0]:
-            kept = np.concatenate([kept, np.empty_like(kept)])
-        kept[k] = pi
-        out.append(pi)
-
-    def corner(order_x, order_y):
-        # the north-west-corner plan along the two orders, rescaled to mass 1
-        pi = np.zeros((nx, ny))
-        rows, cols, mass = _nw_corner(X.weight, Y.weight, order_x, order_y)
-        pi[rows, cols] = mass
-        push(pi / pi.sum())
-
+    plans = [np.outer(X.weight, Y.weight)]
     if nx == ny and np.allclose(X.weight, Y.weight, rtol=0, atol=1e-12):
-        push(np.diag(X.weight.astype(float)))
-    push(np.outer(X.weight, Y.weight))
-    corner(np.arange(nx), np.arange(ny))
-    corner(np.argsort(-X.weight, kind="stable"), np.argsort(-Y.weight, kind="stable"))
+        plans.insert(0, np.diag(X.weight.astype(float)))
+    orders = [(np.arange(nx), np.arange(ny)),
+              (np.argsort(-X.weight, kind="stable"), np.argsort(-Y.weight, kind="stable"))]
     if math.factorial(nx) * math.factorial(ny) <= _EXHAUSTIVE_COUPLINGS:
-        for px in itertools.permutations(range(nx)):
-            for py in itertools.permutations(range(ny)):
-                corner(np.array(px), np.array(py))
+        orders += [(np.array(px), np.array(py)) for px in itertools.permutations(range(nx))
+                   for py in itertools.permutations(range(ny))]
     else:
         for r in range(cfg.restarts):
             rng = np.random.default_rng([cfg.seed, 100 + r])
-            corner(rng.permutation(nx), rng.permutation(ny))
-    return out
+            orders.append((rng.permutation(nx), rng.permutation(ny)))
+    stack = np.zeros((len(plans) + len(orders), nx, ny))
+    stack[:len(plans)] = plans
+    for pi, (order_x, order_y) in zip(stack[len(plans):], orders):
+        # the north-west-corner plan along the two orders, rescaled to mass 1
+        rows, cols, mass = _nw_corner(X.weight, Y.weight, order_x, order_y)
+        pi[rows, cols] = mass
+        pi /= pi.sum()
+    # first seen wins, so a larger budget only appends candidates; the kept
+    # plans are moved to the front of the stack as they are found
+    kept = 0
+    for pi in stack:
+        if not kept or np.abs(stack[:kept] - pi).max(axis=(1, 2)).min() > _COUPLING_TOL:
+            stack[kept] = pi
+            kept += 1
+    return list(stack[:kept])
 
 
 def _family_hausdorff(masses, A, B, fit_a, fit_b, best=math.inf):

@@ -16,6 +16,7 @@ import collections
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import warnings
@@ -491,7 +492,7 @@ def neighborhood(space, mask, eps):
 
     The closed form keeps finite computations stable at exact distance ties.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     return space.thickened(mask, eps)
 
@@ -521,17 +522,11 @@ def validate_space(space):
     for i, j in np.argwhere(sub < -_VALIDATE_ATOL)[:5]:
         out.append(f"negative distance at ({idx[i]},{idx[j]})")
 
-    reported = 0
-    for jj in range(idx.shape[0]):
-        if reported >= 5:
-            break
-        rhs = sub[:, jj:jj + 1] + sub[jj:jj + 1, :]  # d(i,j) + d(j,k)
-        for i, k in np.argwhere(sub > rhs + _VALIDATE_ATOL):
-            out.append(
-                f"triangle inequality violated at ({idx[i]},{idx[jj]},{idx[k]})")
-            reported += 1
-            if reported >= 5:
-                break
+    # d(i,k) > d(i,j) + d(j,k), middle point by middle point, read lazily up to five
+    triangles = (f"triangle inequality violated at ({idx[i]},{idx[j]},{idx[k]})"
+                 for j in range(idx.shape[0])
+                 for i, k in np.argwhere(sub > sub[:, j:j + 1] + sub[j:j + 1, :] + _VALIDATE_ATOL))
+    out += itertools.islice(triangles, 5)
 
     # the constructor already holds the weight sum to 1
     for i in np.flatnonzero(space.weight < -_VALIDATE_ATOL)[:5]:
@@ -554,7 +549,7 @@ def alpha_exact(space, eps, exhaustive_cap=_EXHAUSTIVE_CAP):
     must have at most exhaustive_cap points (default 20); whatever the cap,
     the tables (17 bytes per subset) must fit in 1 GiB, so n <= 25.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     n = space.n
     if n > exhaustive_cap:
@@ -607,13 +602,13 @@ class ConcentrationCurve:
             raise ValueError("eps and alpha must be 1-d arrays of equal length")
         if eps.size == 0:
             raise ValueError("empty curve")
-        if (eps <= 0).any():
+        if not (eps > 0).all():
             raise ValueError("eps grid must be strictly positive")
-        if (np.diff(eps) <= 0).any():
+        if not (np.diff(eps) > 0).all():
             raise ValueError("eps grid must be strictly ascending")
-        if (alpha < -1e-12).any() or (alpha > 0.5 + 1e-12).any():
+        if not ((alpha >= -1e-12) & (alpha <= 0.5 + 1e-12)).all():
             raise ValueError("alpha values must lie in [0, 1/2]")
-        if (np.diff(alpha) > 1e-9).any():
+        if not (np.diff(alpha) <= 1e-9).all():
             raise ValueError("alpha values must be non-increasing in eps")
         if kind not in CURVE_KINDS:
             raise ValueError(f"kind must be one of {CURVE_KINDS}")

@@ -34,8 +34,8 @@ class MeasurePair:
         for name, mu in (("mu1", self.mu1), ("mu2", self.mu2)):
             if (mu < -_MARGINAL_TOL).any():
                 raise ValueError(f"{name} has negative mass")
-            if abs(mu.sum() - 1.0) > _MARGINAL_TOL:
-                raise ValueError(f"{name} sums to {mu.sum()!r}, expected 1")
+            if not abs(mu.sum() - 1.0) <= _MARGINAL_TOL:
+                raise ValueError(f"{name} sums to {float(mu.sum())!r}, expected 1")
 
 
 @dataclass
@@ -93,12 +93,8 @@ def _scan_metric(d, src, dst, names):
 
 def _stretch(d, rows, cols, potential):
     """u_i - u_j - d_ij of the potential u over rows x cols (positions in d)."""
-    if cols.shape[0] == d.shape[1]:  # every column: whole rows of d
-        over = potential[rows, None] - potential[None, :cols.shape[0]]
-        over -= d[rows]
-    else:
-        over = potential[rows, None] - potential[None, cols]
-        over -= d[rows[:, None], cols]
+    over = potential[rows, None] - potential[None, cols]
+    over -= d[rows[:, None], cols]
     return over
 
 

@@ -201,14 +201,35 @@ def test_internal_fault_exits_1(monkeypatch, capsys):
       "--family", "0"], '{object} must hold {{"permutations": [...]}}'),
     (["essential", "--space", "{cube}", "--action", "{action}", "--set", "0", "--eps", "0.5",
       "--family", "0,1"], "family index 1 out of range"),
+    # a nan where a positive or non-negative number is required
+    (["alpha", "--space", "{cube}", "--eps", "nan"], "eps must be positive"),
+    (["alpha", "--space", "{cube}", "--eps", "nan", "--mode", "lower"], "eps must be positive"),
+    (["alpha", "--space", "{cube}", "--grid", "nan:0.5:2"],
+     "--grid needs 0 < start <= stop and count >= 1"),
+    (["tail", "--space", "{cube}", "--values", "{flat}", "--eps", "nan"], "eps must be positive"),
+    (["tail", "--space", "{cube}", "--values", "{steep}", "--eps", "0.3", "--constant", "nan"],
+     "Lipschitz constant must be nonnegative"),
+    (["leader", "--eps", "nan", "--samples", "10"], "eps must be positive"),
+    (["essential", "--space", "{cube}", "--action", "{action}", "--set", "0", "--eps", "nan",
+      "--family", "0"], "eps must be nonnegative"),
+    (["levy", "--curves", "{nan_curve}"], "eps grid must be strictly positive"),
+    (["emd", "--space", "{cube}", "--mu1", "{nan_mu}", "--mu2", "{mu}"],
+     "mu1 sums to nan, expected 1"),
 ])
 def test_malformed_inputs_are_refused_with_their_message(tmp_path, capsys, argv, message):
     paths = {name: str(tmp_path / name) for name in ("cube", "broken", "object", "action",
-                                                     "missing")}
+                                                     "missing", "flat", "steep", "nan_curve",
+                                                     "mu", "nan_mu")}
     save_space(hamming_cube(3), paths["cube"])
     Path(paths["broken"]).write_text("{not json")
     Path(paths["object"]).write_text(json.dumps({"values": [0.0] * 8}))
     Path(paths["action"]).write_text(json.dumps({"permutations": [list(range(8))]}))
+    hops = np.bitwise_count(np.arange(8)) / 3.0  # 1-Lipschitz on the normalized cube
+    Path(paths["flat"]).write_text(json.dumps(hops.tolist()))
+    Path(paths["steep"]).write_text(json.dumps((3.0 * hops).tolist()))
+    Path(paths["nan_curve"]).write_text("eps,alpha,kind\nnan,0.25,exact\n")
+    Path(paths["mu"]).write_text(json.dumps([1 / 8] * 8))
+    Path(paths["nan_mu"]).write_text(json.dumps([float("nan")] + [1 / 8] * 7))
     assert main([arg.format(**paths) for arg in argv]) == 2
     out = capsys.readouterr()
     error = json.loads(out.err)["error"]

@@ -3,18 +3,22 @@ branches: one case each, with the exact message or value it gives."""
 
 import pytest
 
-from mmlab.concentration import (LipschitzFunction, concentration_curve, hamming_cube_alpha,
-                                 levy_check, majority_ball_upper, median, tail_check)
+from mmlab.concentration import (LipschitzFunction, alpha_lower_bound, concentration_curve,
+                                 hamming_cube_alpha, levy_check, majority_ball_upper, median,
+                                 sphere_cap_alpha, tail_check)
 from mmlab.dynamics import (Cover, IsometricAction, concentration_property_check,
-                            is_essential, leader_empirical)
+                            is_essential, leader_certificate, leader_empirical)
 from mmlab.generators import (SamplerConfig, hamming_cube, hamming_cube_sampled, product_space,
                               sl2_word_metric, so_n_sampled, sphere_sampled,
                               symmetric_group_sampled)
 from mmlab.observable import StepFunction
-from mmlab.spaces import ConcentrationCurve, FiniteMMSpace, measure, point_space
+from mmlab.spaces import (ConcentrationCurve, FiniteMMSpace, alpha_exact, measure,
+                          neighborhood, point_space)
+from mmlab.transport import MeasurePair
 
 CURVE = ConcentrationCurve([0.1, 0.2], [0.25, 0.0], kind="exact")
 CSV = "eps,alpha,kind\n"
+NAN = float("nan")
 
 
 def outcome(call):
@@ -29,17 +33,27 @@ CASES = {
     # concentration
     "lipschitz-negative-constant": (lambda: LipschitzFunction([0.0], constant=-1.0),
                                     "Lipschitz constant must be nonnegative"),
+    "lipschitz-nan-constant": (lambda: LipschitzFunction([0.0], constant=NAN),
+                               "Lipschitz constant must be nonnegative"),
     "lipschitz-check-length": (lambda: LipschitzFunction([0.0]).check(hamming_cube(1)),
                                "value vector length does not match the space"),
     "majority-ball-eps": (lambda: majority_ball_upper(point_space(), 0.0),
                           "eps must be positive"),
+    "majority-ball-nan-eps": (lambda: majority_ball_upper(point_space(), NAN),
+                              "eps must be positive"),
+    "lower-bound-nan-eps": (lambda: alpha_lower_bound(point_space(), NAN),
+                            "eps must be positive"),
     "median-length": (lambda: median(hamming_cube(1), LipschitzFunction([0.0])),
                       "value vector length does not match the space"),
     "tail-eps": (lambda: tail_check(point_space(), LipschitzFunction([0.0]), 0.0),
                  "eps must be positive"),
+    "tail-nan-eps": (lambda: tail_check(point_space(), LipschitzFunction([0.0]), NAN),
+                     "eps must be positive"),
     "levy-no-curves": (lambda: levy_check([]), "no curves"),
     "levy-one-curve": (lambda: levy_check([CURVE], threshold=0.3).is_levy_trend, True),
     "cube-alpha-eps": (lambda: hamming_cube_alpha(3, 0.0), "eps must be positive"),
+    "cube-alpha-nan-eps": (lambda: hamming_cube_alpha(3, NAN), "eps must be positive"),
+    "sphere-cap-nan-eps": (lambda: sphere_cap_alpha(2, NAN), "eps must be positive"),
     "curve-mode": (lambda: concentration_curve(point_space(), [0.1], mode="upper"),
                    "unknown mode 'upper'"),
     # dynamics
@@ -50,6 +64,9 @@ CASES = {
     "essential-empty-set": (lambda: is_essential(IsometricAction(point_space(), [[0]]),
                                                  [False], 0.1, [0]),
                             "empty set has no neighborhood"),
+    "leader-certificate-nan-eps": (lambda: leader_certificate(NAN), "eps must be positive"),
+    "leader-nan-eps": (lambda: leader_empirical(3, 10, NAN),
+                       "eps must be below the certificate threshold"),
     "leader-sample-count": (lambda: leader_empirical(3, 0, 0.1),
                             "sample_count must be positive"),
     # generators
@@ -65,6 +82,8 @@ CASES = {
     "so-n-degree": (lambda: so_n_sampled(1, SamplerConfig()), "rotation group needs n >= 2"),
     "sl2-one": (lambda: sl2_word_metric(1), "1 is not prime"),
     "sl2-odd-composite": (lambda: sl2_word_metric(9), "9 is not prime"),
+    "sl2-composite-above-cap": (lambda: sl2_word_metric(15),
+                                "p=15 exceeds the cap 13 (order grows as p^3)"),
     "product-empty-base": (lambda: product_space([], 2),
                            "base_weights must be a nonempty vector"),
     "product-n": (lambda: product_space([1.0], 0), "n must be positive"),
@@ -84,6 +103,9 @@ CASES = {
     "space-points-shape": (lambda: FiniteMMSpace([0], [1.0], points=[1.0], metric="euclidean"),
                            "points shape (1,), expected (1, d)"),
     "space-repr": (lambda: repr(hamming_cube(2)), "FiniteMMSpace(n=4, metric='hamming')"),
+    "neighborhood-nan-eps": (lambda: neighborhood(point_space(), [True], NAN),
+                             "eps must be nonnegative"),
+    "alpha-exact-nan-eps": (lambda: alpha_exact(point_space(), NAN), "eps must be positive"),
     "dist-to-empty-set": (lambda: point_space().dist_to_set([False]),
                           "empty set has no neighborhood"),
     "thickened-score-shape": (lambda: hamming_cube(2).thickened(
@@ -95,11 +117,19 @@ CASES = {
     "curve-empty": (lambda: ConcentrationCurve([], [], kind="exact"), "empty curve"),
     "curve-eps-zero": (lambda: ConcentrationCurve([0.0], [0.1], kind="exact"),
                        "eps grid must be strictly positive"),
+    "curve-eps-nan": (lambda: ConcentrationCurve([0.1, NAN], [0.1, 0.1], kind="exact"),
+                      "eps grid must be strictly positive"),
+    "curve-alpha-nan": (lambda: ConcentrationCurve([0.1], [NAN], kind="exact"),
+                        "alpha values must lie in [0, 1/2]"),
     "curve-len": (lambda: len(CURVE), 2),
     "csv-blank-row": (lambda: ConcentrationCurve.from_csv_text(
         CSV + "\n0.1,0.25,exact\n").alpha.tolist(), [0.25]),
     "csv-kinds": (lambda: ConcentrationCurve.from_csv_text(
         CSV + "0.1,0.25,exact\n0.2,0.0,analytic_cap\n"), "curve rows disagree on kind"),
+    # transport
+    "measure-nan-mass": (lambda: MeasurePair([NAN, 0.5], [0.5, 0.5]),
+                         "mu1 sums to nan, expected 1"),
+    "measure-sum": (lambda: MeasurePair([0.5, 0.5], [4.0, 4.0]), "mu2 sums to 8.0, expected 1"),
 }
 
 

@@ -545,6 +545,18 @@ def test_validate_space_reports_each_axiom():
     assert any("triangle" in v for v in out)
 
 
+def test_validate_space_lists_the_first_five_triangles_in_order():
+    # legs of 1 to the middle points 0 (from 2, 3) and 1 (from 2, 3, 4), 3
+    # elsewhere: 2 violations through 0, 6 through 1, more through 2 and 3
+    d = np.full((5, 5), 3.0)
+    np.fill_diagonal(d, 0.0)
+    for j, ends in ((0, [2, 3]), (1, [2, 3, 4])):
+        d[j, ends] = d[ends, j] = 1.0
+    out = validate_space(FiniteMMSpace(list(range(5)), [0.2] * 5, dist=d))
+    assert out == [f"triangle inequality violated at ({i},{j},{k})"
+                   for i, j, k in ((2, 0, 3), (3, 0, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2))]
+
+
 def test_curve_validation_and_csv_roundtrip():
     c = ConcentrationCurve([0.1, 0.2, 0.3], [0.5, 0.25, 0.0], kind="exact")
     back = ConcentrationCurve.from_csv_text(c.to_csv_text())
