@@ -159,6 +159,8 @@ def _parse_grid(text):
         raise InputError("--grid must be start:stop:count with numeric fields")
     if not (count >= 1 and start > 0 and stop >= start):
         raise InputError("--grid needs 0 < start <= stop and count >= 1")
+    if not np.isfinite(stop):
+        raise InputError(f"--grid needs a finite stop, got {parts[1]!r}")
     return np.linspace(start, stop, count)
 
 

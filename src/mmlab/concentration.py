@@ -315,7 +315,10 @@ def gaussian_fit(indexed_curves):
 def levy_check(curves, threshold=0.05, slack=0.02):
     """Trend check across an ordered family of curves on a shared eps grid:
     at every eps the sequence must be non-increasing up to the slack and end
-    below the threshold."""
+    below the threshold.  Both must be finite numbers."""
+    for name, value in (("threshold", threshold), ("slack", slack)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
     if not curves:
         raise ValueError("no curves")
     grid = curves[0].eps

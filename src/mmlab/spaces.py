@@ -569,12 +569,13 @@ def alpha_exact(space, eps, exhaustive_cap=_EXHAUSTIVE_CAP):
     nb = (within * bits[None, :]).sum(axis=1, dtype=np.uint64)
 
     size = 1 << n
-    reach = np.zeros(size, dtype=np.uint64)   # bitmask of A_eps for each subset A
-    wsum = np.zeros(size, dtype=float)        # mu(A) for each bitmask A
+    reach = np.empty(size, dtype=np.uint64)   # bitmask of A_eps for each subset A
+    wsum = np.empty(size, dtype=float)        # mu(A) for each bitmask A
+    reach[0] = wsum[0] = 0
     for b in range(n):
         lo = 1 << b
-        reach[lo:2 * lo] = reach[:lo] | nb[b]
-        wsum[lo:2 * lo] = wsum[:lo] + w[b]
+        np.bitwise_or(reach[:lo], nb[b], out=reach[lo:2 * lo])
+        np.add(wsum[:lo], w[b], out=wsum[lo:2 * lo])
 
     feasible = wsum >= 0.5 - HALF_TOL
     feasible[0] = False

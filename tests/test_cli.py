@@ -215,11 +215,16 @@ def test_internal_fault_exits_1(monkeypatch, capsys):
     (["levy", "--curves", "{nan_curve}"], "eps grid must be strictly positive"),
     (["emd", "--space", "{cube}", "--mu1", "{nan_mu}", "--mu2", "{mu}"],
      "mu1 sums to nan, expected 1"),
+    (["levy", "--curves", "{curve}", "--threshold", "nan"],
+     "threshold must be a finite number, got nan"),
+    (["levy", "--curves", "{curve}", "--slack", "nan"], "slack must be a finite number, got nan"),
+    # an infinite stop, which numpy would spread into nan and inf
+    (["alpha", "--space", "{cube}", "--grid", "0.1:inf:3"], "--grid needs a finite stop, got 'inf'"),
 ])
 def test_malformed_inputs_are_refused_with_their_message(tmp_path, capsys, argv, message):
     paths = {name: str(tmp_path / name) for name in ("cube", "broken", "object", "action",
                                                      "missing", "flat", "steep", "nan_curve",
-                                                     "mu", "nan_mu")}
+                                                     "curve", "mu", "nan_mu")}
     save_space(hamming_cube(3), paths["cube"])
     Path(paths["broken"]).write_text("{not json")
     Path(paths["object"]).write_text(json.dumps({"values": [0.0] * 8}))
@@ -228,12 +233,22 @@ def test_malformed_inputs_are_refused_with_their_message(tmp_path, capsys, argv,
     Path(paths["flat"]).write_text(json.dumps(hops.tolist()))
     Path(paths["steep"]).write_text(json.dumps((3.0 * hops).tolist()))
     Path(paths["nan_curve"]).write_text("eps,alpha,kind\nnan,0.25,exact\n")
+    Path(paths["curve"]).write_text("eps,alpha,kind\n0.3,0.25,exact\n")
     Path(paths["mu"]).write_text(json.dumps([1 / 8] * 8))
     Path(paths["nan_mu"]).write_text(json.dumps([float("nan")] + [1 / 8] * 7))
     assert main([arg.format(**paths) for arg in argv]) == 2
     out = capsys.readouterr()
     error = json.loads(out.err)["error"]
     assert out.out == "" and error.startswith(message.format(**paths)), error
+
+
+def test_an_infinite_grid_stop_writes_only_its_message(cube3):
+    # a process of its own, where a numpy RuntimeWarning would reach stderr
+    r = run_cli("alpha", "--space", cube3, "--grid", "0.1:inf:3")
+    assert r.returncode == 2 and r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "--grid needs a finite stop, got 'inf'"}
 
 
 def test_generate_requires_family_parameters():

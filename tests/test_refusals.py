@@ -51,6 +51,10 @@ CASES = {
                      "eps must be positive"),
     "levy-no-curves": (lambda: levy_check([]), "no curves"),
     "levy-one-curve": (lambda: levy_check([CURVE], threshold=0.3).is_levy_trend, True),
+    "levy-nan-threshold": (lambda: levy_check([CURVE], threshold=NAN),
+                           "threshold must be a finite number, got nan"),
+    "levy-nan-slack": (lambda: levy_check([CURVE], slack=NAN),
+                       "slack must be a finite number, got nan"),
     "cube-alpha-eps": (lambda: hamming_cube_alpha(3, 0.0), "eps must be positive"),
     "cube-alpha-nan-eps": (lambda: hamming_cube_alpha(3, NAN), "eps must be positive"),
     "sphere-cap-nan-eps": (lambda: sphere_cap_alpha(2, NAN), "eps must be positive"),

@@ -97,17 +97,126 @@ def test_cube_flow_runs_over_its_edges():
 
 
 def test_ten_cube_needs_pricing_rounds(monkeypatch):
-    # the simplex prices blocks of the pos x neg pairs; it wraps around them
-    # before no pair is stretched, and the certificate prices all of s x t
-    # (1,048,576 pairs) once more
+    # the simplex prices blocks of the pos x neg pairs until one full cycle
+    # of them finds no stretched pair, and the certificate prices all of
+    # s x t (1,048,576 pairs) once more; on these product measures the
+    # cheapest-cell tree is already optimal, so that one cycle is all
     cube = hamming_cube(10)
     rng = np.random.default_rng(10)
     p, q = rng.uniform(0.05, 0.95, 10), rng.uniform(0.05, 0.95, 10)
     pair = product_pair(cube, p, q)
     priced = count_priced_pairs(monkeypatch)
     res = emd(cube, pair)
-    assert priced[0] > 2 * flow_pairs(pair) + 1024 * 1024
+    assert priced[0] == flow_pairs(pair) + 1024 * 1024
     assert abs(res.distance - float(np.abs(p - q).mean())) <= 1e-12
+
+
+def first_tree(monkeypatch, space, pair):
+    """The inputs of the simplex emd(space, pair) runs, with big, its
+    artificial cost, and the tree it starts from."""
+    seen, simplex = [], transport._simplex
+
+    def recorded(d, src, dst, excess, d_max):
+        big = transport._BIG_M * d_max or 1.0
+        seen.append((d, src, dst, excess, big, transport._first_tree(d, src, dst, excess, big)))
+        return simplex(d, src, dst, excess, d_max)
+
+    monkeypatch.setattr(transport, "_simplex", recorded)
+    emd(space, pair)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def check_first_tree(d, src, dst, excess, big, tree):
+    parent, up, flow, size, order, pos, u = tree
+    m = excess.shape[0]
+    root = m
+    # a spanning tree on the points and the root, whose preorder holds each
+    # subtree as the slice its size gives
+    below = [{x} for x in range(m)] + [set(range(m + 1))]
+    for y in range(m):
+        x, steps = parent[y], 0
+        while x != root:
+            below[x].add(y)
+            x, steps = parent[x], steps + 1
+            assert steps <= m
+    assert order[0] == root and size[root] == m + 1
+    for x in range(m + 1):
+        assert pos[x] == order.tolist().index(x)
+        assert set(order[pos[x]:pos[x] + size[x]].tolist()) == below[x]
+    # each point's excess is conserved, every arc off the root runs from
+    # src to dst, and every empty arc points to the root
+    sign = [1.0 if up[x] else -1.0 for x in range(m)]
+    balance = [sign[x] * flow[x] for x in range(m)]
+    for x in range(m):
+        assert flow[x] >= 0.0 and (flow[x] > 0.0 or up[x])
+        if parent[x] != root:
+            balance[parent[x]] -= sign[x] * flow[x]
+            tail, head = (x, parent[x]) if up[x] else (parent[x], x)
+            assert tail in src and head in dst
+            assert u[tail] - u[head] == pytest.approx(d[tail, head], abs=1e-12 * big)
+        else:
+            assert u[x] == (0.0 if up[x] else -big)
+    assert np.allclose(balance, excess, rtol=0, atol=1e-15)
+    assert u[root] == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(spaces(), lattice_spaces(), lattice_spaces(distinct=False)), st.data())
+def test_first_tree_is_a_strongly_feasible_spanning_tree(space, data):
+    measures = st.one_of(measures_on(space.n), sparse_measures_on(space.n))
+    pair = MeasurePair(data.draw(measures), data.draw(measures))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        check_first_tree(*first_tree(monkeypatch, space, pair))
+
+
+def test_first_tree_cuts_an_arc_whose_flow_is_rounding(monkeypatch):
+    # sums that drift by their tolerance (as in
+    # test_sums_off_by_their_tolerance_keep_the_flow_balanced) cut nothing;
+    # in the two spaces after it tenths whose sums round leave a greedy cell
+    # whose subtree's excess sums to rounding against it, so that arc is cut
+    # and its subtree hung from the root.  In the last the cut subtree comes
+    # before the rest of its component in the DFS order, and must move after.
+    line = [np.abs(np.subtract.outer(np.arange(k), np.arange(k))) for k in (3.0, 6.0)]
+    perturbed = [[0.0, 1.2, 1.8, 1.3, 1.7, 1.9, 1.0], [1.2, 0.0, 1.8, 1.9, 1.1, 1.1, 1.4],
+                 [1.8, 1.8, 0.0, 1.1, 1.0, 1.8, 1.8], [1.3, 1.9, 1.1, 0.0, 1.3, 1.8, 1.3],
+                 [1.7, 1.1, 1.0, 1.3, 0.0, 1.9, 1.3], [1.9, 1.1, 1.8, 1.8, 1.9, 0.0, 1.8],
+                 [1.0, 1.4, 1.8, 1.3, 1.3, 1.8, 0.0]]
+    cases = [(FiniteMMSpace([0, 1, 2], np.full(3, 1 / 3), dist=line[0]),
+              MeasurePair([0.1 + 0.99e-9, 0.9, 0.0], [0.0, 0.9, 0.1 - 0.99e-9]), 0),
+             (FiniteMMSpace(list(range(6)), np.full(6, 1 / 6), dist=line[1]),
+              MeasurePair([0.19999999999999998, 0.2, 0.0, 0.3, 0.2, 0.1],
+                          [0.2, 0.1, 0.3, 0.1, 0.3, 0.0]), 1),
+             (FiniteMMSpace(list(range(7)), np.full(7, 1 / 7), dist=perturbed),
+              MeasurePair([0.19999999999999998, 0.1, 0.1, 0.5, 0.0, 0.1, 0.0],
+                          [0.1, 0.0, 0.2, 0.3, 0.3, 0.0, 0.09999999999999987]), 1)]
+    for space, pair, cuts in cases:
+        d, src, dst, excess, big, tree = first_tree(monkeypatch, space, pair)
+        check_first_tree(d, src, dst, excess, big, tree)
+        kept = sum(p != excess.shape[0] for p in tree[0])
+        assert kept == len(transport._greedy_arcs(d, src, dst, excess)) - cuts
+        # within the drift of the sums
+        assert abs(emd(space, pair).distance - emd_full_lp(space, pair)) <= 1e-8
+
+
+def test_the_shortlist_scratch_follows_the_row_blocks(monkeypatch):
+    # 537 sources against 663 targets: one float block of all of them takes
+    # 2.8 MB; in 64 kB row blocks the greedy holds far less, and ships along
+    # the same cells
+    cloud, pair = gaussian_cloud(1200, 1200)
+    d = cloud.dist
+    excess = pair.mu1 - pair.mu2
+    src, dst = np.flatnonzero(excess > 0), np.flatnonzero(excess < 0)
+    whole = transport._greedy_arcs(d, src, dst, excess)
+    monkeypatch.setattr(spaces_module, "_TILE_BYTES", 1 << 16)
+    tracemalloc.start()
+    try:
+        blocked = transport._greedy_arcs(d, src, dst, excess)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocked == whole
+    assert peak < 2 ** 20 < 8 * src.shape[0] * dst.shape[0]
 
 
 def test_pricing_rounds_reach_the_full_lp(monkeypatch):
@@ -456,6 +565,28 @@ def test_identical_measures_cost_nothing():
         res = emd(cube, pair)
         assert 0.0 < res.distance <= 3e-10
         res.witness.check(pair, atol=1e-9)
+
+
+def test_points_on_no_flow_arc_take_the_balanced_potential():
+    # on the line 0 - ... - 5 point 5 has mass 0.2 in both measures, up to
+    # one ulp: its excess, 1.1e-16, is left over once the targets are full,
+    # so it stays on the root with no flow arc, and its potential must come
+    # from the flow's targets, as a balanced point's does, or (3, 5) stretches
+    d = np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0)))
+    line = FiniteMMSpace(list(range(6)), np.full(6, 1 / 6), dist=d)
+    pair = MeasurePair([0.2000000000000001, 0.0, 0.0, 0.5, 0.1, 0.2],
+                       [0.5, 0.0, 0.0, 0.1, 0.2, 0.19999999999999998])
+    res = emd(line, pair)
+    assert abs(res.distance - emd_full_lp(line, pair)) <= 1e-12 * 5
+    assert res.distance == pytest.approx(1.0, abs=1e-12)
+    # mu1 is mu2 shrunk by 1e-11, within the sums' tolerance: rescaled, the
+    # excess is -2.8e-17 at points 0 and 1 and 0 at point 2, with no point to
+    # ship from, so nothing flows and the potential is flat
+    res = emd(FiniteMMSpace([0, 1, 2], np.full(3, 1 / 3), dist=d[:3, :3]),
+              MeasurePair([0.1428571428557143, 0.21428571428357143, 0.6428571428507144],
+                          [0.14285714285714288, 0.2142857142857143, 0.6428571428571429]))
+    assert res.distance == 0.0
+    assert res.potential.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_sums_off_by_their_tolerance_keep_the_flow_balanced():
