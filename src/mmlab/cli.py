@@ -16,16 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
+# the parser needs FAMILIES and _EXHAUSTIVE_CAP; each handler imports the
+# rest of what it runs, so a command loads only its own modules
 from . import __version__
-from .concentration import (LipschitzFunction, SearchConfig, concentration_curve,
-                            gaussian_fit, levy_check, median, tail_check)
-from .dynamics import (IsometricAction, is_essential, leader_certificate,
-                       leader_empirical, ramsey_verify)
 from .generators import FAMILIES, build_space
-from .observable import obs_distance
 from .spaces import (_EXHAUSTIVE_CAP, ConcentrationCurve, space_from_json,
                      space_to_json, validate_space)
-from .transport import MeasurePair, emd
 
 
 class InputError(Exception):
@@ -165,6 +161,7 @@ def _parse_grid(text):
 
 
 def _cmd_alpha(args, argv):
+    from .concentration import SearchConfig, concentration_curve
     if (args.eps is None) == (args.grid is None):
         raise InputError("alpha needs exactly one of --eps or --grid")
     space = _read_space(args.space)
@@ -179,6 +176,7 @@ def _cmd_alpha(args, argv):
 
 
 def _cmd_fit(args, argv):
+    from .concentration import gaussian_fit
     if len(args.curves) != len(args.indices):
         raise InputError("--curves and --indices must have matching lengths")
     pairs = [(idx, ConcentrationCurve.from_csv_text(_read_text(p)))
@@ -189,6 +187,7 @@ def _cmd_fit(args, argv):
 
 
 def _cmd_levy(args, argv):
+    from .concentration import levy_check
     curves = [ConcentrationCurve.from_csv_text(_read_text(p)) for p in args.curves]
     res = levy_check(curves, threshold=args.threshold, slack=args.slack)
     _emit(args, argv, _json_text({
@@ -200,6 +199,7 @@ def _cmd_levy(args, argv):
 
 
 def _cmd_emd(args, argv):
+    from .transport import MeasurePair, emd
     space = _read_space(args.space)
     pair = MeasurePair(_read_vector(args.mu1), _read_vector(args.mu2))
     res = emd(space, pair)
@@ -211,6 +211,8 @@ def _cmd_emd(args, argv):
 
 
 def _cmd_obsdist(args, argv):
+    from .concentration import SearchConfig
+    from .observable import obs_distance
     X = _read_space(args.x)
     Y = _read_space(args.y)
     cfg = SearchConfig(seed=args.seed, restarts=args.budget,
@@ -224,6 +226,7 @@ def _cmd_obsdist(args, argv):
 
 
 def _cmd_median(args, argv):
+    from .concentration import LipschitzFunction, median
     space = _read_space(args.space)
     f = LipschitzFunction(_read_vector(args.values), constant=args.constant)
     _emit(args, argv, _json_text({"median": median(space, f)}))
@@ -231,6 +234,7 @@ def _cmd_median(args, argv):
 
 
 def _cmd_tail(args, argv):
+    from .concentration import LipschitzFunction, tail_check
     space = _read_space(args.space)
     f = LipschitzFunction(_read_vector(args.values), constant=args.constant)
     res = tail_check(space, f, args.eps)
@@ -241,6 +245,7 @@ def _cmd_tail(args, argv):
 
 
 def _cmd_essential(args, argv):
+    from .dynamics import IsometricAction, is_essential
     space = _read_space(args.space)
     doc = _read_json(args.action)
     if not isinstance(doc, dict) or "permutations" not in doc:
@@ -255,6 +260,7 @@ def _cmd_essential(args, argv):
 
 
 def _cmd_leader(args, argv):
+    from .dynamics import leader_certificate, leader_empirical
     if args.samples < 0:
         raise InputError(f"--samples must be at least 0 (0 means certificate only), "
                          f"got {args.samples}")
@@ -270,6 +276,7 @@ def _cmd_leader(args, argv):
 
 
 def _cmd_ramsey(args, argv):
+    from .dynamics import ramsey_verify
     res = ramsey_verify(args.k, args.l, args.r, args.n)
     cx = None
     if res.counterexample is not None:
@@ -367,6 +374,8 @@ def _dispatch(argv):
     args = _build_parser().parse_args(argv)
     if getattr(args, "seed", 0) < 0:  # replay takes no --seed
         raise InputError(f"--seed must be at least 0, got {args.seed}")
+    if getattr(args, "threads", 1) < 1:
+        raise InputError(f"--threads must be at least 1, got {args.threads}")
     return globals()[f"_cmd_{args.command}"](args, argv)
 
 

@@ -37,6 +37,11 @@ class SearchConfig:
     ball_anchors: int = 4
     anchor_budget: int = 8
 
+    def __post_init__(self):
+        for name in ("restarts", "ball_anchors", "anchor_budget"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class GaussianFit:

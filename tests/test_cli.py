@@ -83,6 +83,32 @@ def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
         float(np.abs(p - q).mean()), abs=1e-12)
 
 
+def test_each_command_imports_only_its_own_modules(tmp_path):
+    cube, mu = str(tmp_path / "cube.json"), str(tmp_path / "mu.json")
+    save_space(hamming_cube(3), cube)
+    Path(mu).write_text(json.dumps([1 / 8] * 8))
+    added = {  # argv -> the mmlab modules the command adds to those of the parser
+        ("validate", "--space", cube): [],
+        ("emd", "--space", cube, "--mu1", mu, "--mu2", mu): ["mmlab.transport"],
+        ("ramsey", "--k", "2", "--l", "3", "--r", "2", "--n", "5"): ["mmlab.dynamics"],
+        ("obsdist", "--x", cube, "--y", cube, "--budget", "1"):
+            ["mmlab.concentration", "mmlab.observable"],
+    }
+    for argv, modules in added.items():
+        code = ("import json, sys\n"
+                "def loaded():\n"
+                "    return sorted(m for m in sys.modules if m.split('.')[0] == 'mmlab')\n"
+                "import mmlab.cli\n"
+                "before = loaded()\n"
+                f"assert mmlab.cli.main({list(argv)!r}) == 0\n"
+                "print(json.dumps([before, sorted(set(loaded()) - set(before))]))\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        before, new = json.loads(r.stdout.splitlines()[-1])
+        assert before == ["mmlab", "mmlab.cli", "mmlab.generators", "mmlab.spaces"]
+        assert new == modules, argv
+
+
 # one generate command per FAMILIES row, the _sampled rows included
 GENERATE_ROWS = {
     "hamming_cube": ("--family", "hamming_cube", "--n", 3),
@@ -181,7 +207,7 @@ def test_internal_fault_exits_1(monkeypatch, capsys):
     def broken(*args):
         raise RuntimeError("broken invariant")
 
-    monkeypatch.setattr("mmlab.cli.ramsey_verify", broken)
+    monkeypatch.setattr("mmlab.dynamics.ramsey_verify", broken)
     assert main(["ramsey", "--k", "2", "--l", "3", "--r", "2", "--n", "5"]) == 1
     err = json.loads(capsys.readouterr().err)["error"]
     assert err.startswith("internal error:") and "broken invariant" in err
@@ -220,6 +246,10 @@ def test_internal_fault_exits_1(monkeypatch, capsys):
     (["levy", "--curves", "{curve}", "--slack", "nan"], "slack must be a finite number, got nan"),
     # an infinite stop, which numpy would spread into nan and inf
     (["alpha", "--space", "{cube}", "--grid", "0.1:inf:3"], "--grid needs a finite stop, got 'inf'"),
+    # negative search budgets and thread counts
+    (["obsdist", "--x", "{cube}", "--y", "{cube}", "--budget", "-1"],
+     "restarts must be at least 0, got -1"),
+    (["validate", "--space", "{cube}", "--threads", "0"], "--threads must be at least 1, got 0"),
 ])
 def test_malformed_inputs_are_refused_with_their_message(tmp_path, capsys, argv, message):
     paths = {name: str(tmp_path / name) for name in ("cube", "broken", "object", "action",

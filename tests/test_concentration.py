@@ -215,6 +215,14 @@ def test_greedy_refine_turns_down_a_removal_that_raises_the_mass():
     assert alpha_lower_bound(space, 0.5) <= exact + 1e-12
 
 
+def test_greedy_refine_drops_a_member_the_half_mass_can_spare():
+    # three of the 2-cube's four points hold 3/4: dropping the first keeps
+    # half the mass, and at eps 0.25 the thickening is the set itself
+    mass = concentration._greedy_refine(hamming_cube(2), np.array([True, True, True, False]),
+                                        0.25)
+    assert mass == 0.5
+
+
 def test_greedy_refine_on_one_point_has_nothing_to_swap_in():
     # the swap pass finds no point outside the set and stops
     point = FiniteMMSpace([0], [1.0], dist=[[0.0]])

@@ -3,9 +3,9 @@ branches: one case each, with the exact message or value it gives."""
 
 import pytest
 
-from mmlab.concentration import (LipschitzFunction, alpha_lower_bound, concentration_curve,
-                                 hamming_cube_alpha, levy_check, majority_ball_upper, median,
-                                 sphere_cap_alpha, tail_check)
+from mmlab.concentration import (LipschitzFunction, SearchConfig, alpha_lower_bound,
+                                 concentration_curve, hamming_cube_alpha, levy_check,
+                                 majority_ball_upper, median, sphere_cap_alpha, tail_check)
 from mmlab.dynamics import (Cover, IsometricAction, concentration_property_check,
                             is_essential, leader_certificate, leader_empirical)
 from mmlab.generators import (SamplerConfig, hamming_cube, hamming_cube_sampled, product_space,
@@ -60,6 +60,11 @@ CASES = {
     "sphere-cap-nan-eps": (lambda: sphere_cap_alpha(2, NAN), "eps must be positive"),
     "curve-mode": (lambda: concentration_curve(point_space(), [0.1], mode="upper"),
                    "unknown mode 'upper'"),
+    "search-restarts": (lambda: SearchConfig(restarts=-1), "restarts must be at least 0, got -1"),
+    "search-ball-anchors": (lambda: SearchConfig(ball_anchors=-1),
+                            "ball_anchors must be at least 0, got -1"),
+    "search-anchor-budget": (lambda: SearchConfig(anchor_budget=-1),
+                             "anchor_budget must be at least 0, got -1"),
     # dynamics
     "cover-no-parts": (lambda: Cover([]), "cover needs at least one part"),
     "cover-empty-part": (lambda: concentration_property_check(
