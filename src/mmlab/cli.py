@@ -157,7 +157,10 @@ def _parse_grid(text):
         raise InputError("--grid needs 0 < start <= stop and count >= 1")
     if not np.isfinite(stop):
         raise InputError(f"--grid needs a finite stop, got {parts[1]!r}")
-    return np.linspace(start, stop, count)
+    grid = np.linspace(start, stop, count)
+    if not (np.diff(grid) > 0).all():  # start == stop, or too close for count
+        raise InputError(f"--grid must give ascending eps values, got {text!r}")
+    return grid
 
 
 def _cmd_alpha(args, argv):

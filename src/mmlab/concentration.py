@@ -15,6 +15,8 @@ _EXHAUSTIVE_BALL_LIMIT = 64  # spaces this small try a ball around every point
 _LIPSCHITZ_ANCHORS = 3       # points under each random 1-Lipschitz restart score
 _SWAP_PASSES = 2             # greedy removal-and-swap passes
 _SWAP_CAP = 256              # largest space the greedy swaps run on
+_HEAD_SORT_MIN = 1024        # smallest space whose half-mass prefix sorts only
+                             # a head; below it one full sort is faster
 _LIPSCHITZ_REL_TOL = 1e-9    # relative slack LipschitzFunction.check allows
 _CUBE_ALPHA_MAX_DIM = 24     # largest cube hamming_cube_alpha evaluates
 _BALL_PAIR_BYTES = 33        # majority_ball_upper's scratch per pair: distance,
@@ -61,6 +63,12 @@ class LipschitzFunction:
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
         if not self.constant >= 0:
             raise ValueError("Lipschitz constant must be nonnegative")
+        # a nan or inf value (inf - inf is nan) gives a nan excess, where
+        # check's argmax stops, hiding every violation
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            raise ValueError(f"Lipschitz values must be finite: value {bad[0]} "
+                             f"is {float(self.values[bad[0]])!r}")
 
     def check(self, space):
         """Raise if the claimed constant fails on some pair."""
@@ -105,11 +113,29 @@ class LevyCheckResult:
 # -- lower bound search ------------------------------------------------------
 
 def _prefix_mask(weight, scores):
-    """Smallest prefix of the score ordering whose mass reaches one half."""
-    order = np.argsort(scores, kind="stable")
-    cum = np.cumsum(weight[order])
-    k = int(np.searchsorted(cum, 0.5 - HALF_TOL)) + 1
-    mask = np.zeros(weight.shape[0], dtype=bool)
+    """Smallest prefix of the stable score ordering whose mass reaches one
+    half.  From _HEAD_SORT_MIN points on, only the head of that ordering is
+    sorted: the points scored at most the m-th smallest score, found by
+    np.partition, are its first entries in the same order, with the same
+    running masses.  Without a negative weight those never fall, so once
+    the head's last one reaches one half the prefix ends inside it.  m is a
+    sixteenth past half the points; a head that falls short widens to all.
+    """
+    n = weight.shape[0]
+    need = 0.5 - HALF_TOL
+    order = None
+    if n >= _HEAD_SORT_MIN and weight.min() >= 0:
+        m = n // 2 + 1 + n // 16
+        head = np.flatnonzero(scores <= np.partition(scores, m - 1)[m - 1])
+        order = head[np.argsort(scores[head], kind="stable")]
+        cum = np.cumsum(weight[order])
+        if not (cum.size and cum[-1] >= need):
+            order = None
+    if order is None:
+        order = np.argsort(scores, kind="stable")
+        cum = np.cumsum(weight[order])
+    k = int(np.searchsorted(cum, need)) + 1
+    mask = np.zeros(n, dtype=bool)
     mask[order[:k]] = True
     return mask
 
@@ -177,8 +203,10 @@ def alpha_lower_bound(space, eps, cfg=None):
     instances.  Every candidate set has mass at least one half, so one minus
     the best thickened mass can never exceed the exact value.  Each
     candidate is a sublevel set of its score (a distance row, or a min of
-    shifted rows), which its thickening scan prunes by.  It refuses (ValueError)
-    a non-finite distance in a score row or in the greedy swaps' matrix.
+    shifted rows), which its thickening scan prunes by.  A scan stops once its
+    mass reaches the best so far, as that candidate can no longer win; the
+    value is the same.  It refuses (ValueError) a non-finite distance in a
+    score row or in the greedy swaps' matrix.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -193,29 +221,45 @@ def alpha_lower_bound(space, eps, cfg=None):
         rng = np.random.default_rng([cfg.seed, 0])
         anchors = sorted(rng.choice(n, size=min(cfg.ball_anchors, n), replace=False))
 
-    best = 1.0
-    best_mask = None
-    for a in anchors:
-        row = space.pairwise(np.array([a]), all_idx)[0]
-        _refuse_non_finite(row[None], [a], all_idx)
-        mask = _prefix_mask(w, row)
-        mu = measure(space, space.thickened(mask, eps, row))
-        if mu < best:
-            best, best_mask = mu, mask
+    def scores():
+        for a in anchors:
+            row = space.pairwise(np.array([a]), all_idx)[0]
+            _refuse_non_finite(row[None], [a], all_idx)
+            yield row
+        scale = None
+        for r in range(cfg.restarts):
+            rng = np.random.default_rng([cfg.seed, 1 + r])
+            picks = rng.choice(n, size=min(_LIPSCHITZ_ANCHORS, n), replace=False)
+            rows = space.pairwise(np.asarray(picks), all_idx)
+            _refuse_non_finite(rows, picks, all_idx)
+            if scale is None:
+                scale = float(rows.max()) or 1.0
+            offsets = rng.uniform(0.0, scale, size=picks.shape[0])
+            yield (rows + offsets[:, None]).min(axis=0)
 
-    scale = None
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, 1 + r])
-        picks = rng.choice(n, size=min(_LIPSCHITZ_ANCHORS, n), replace=False)
-        rows = space.pairwise(np.asarray(picks), all_idx)
-        _refuse_non_finite(rows, picks, all_idx)
-        if scale is None:
-            scale = float(rows.max()) or 1.0
-        offsets = rng.uniform(0.0, scale, size=picks.shape[0])
-        f = (rows + offsets[:, None]).min(axis=0)
-        mask = _prefix_mask(w, f)
-        mu = measure(space, space.thickened(mask, eps, f))
-        if mu < best:
+    # A scan stops once its running mass reaches best + slack, when its
+    # measure, the same weights summed in another order, cannot fall below
+    # best.  Each sum makes at most n roundings of 2^-53 on nonnegative
+    # weights, so slack n 2^-52 (or HALF_TOL) covers both.  Equal weights w
+    # need none: below 2^26 points a float sum of k copies of w is nearer k w
+    # than any other multiple, and numpy sums k equal floats alike each time,
+    # so the candidate has at least best's count of points and a measure of
+    # best or more.  That drops exact ties, as at an eps below every
+    # distance.  A negative weight can lower a running mass: no stop.  The
+    # starting 1.0 is no candidate's mass, and the whole space may measure
+    # 1 - 2^-53, so it is never a stop.
+    if w.min() < 0:
+        slack = None
+    elif w.min() == w.max():
+        slack = 0.0
+    else:
+        slack = max(HALF_TOL, n * 2.0**-52)
+    best, best_mask = 1.0, None
+    for score in scores():
+        mask = _prefix_mask(w, score)
+        stop = None if slack is None or best_mask is None else best + slack
+        marked = space.thickened(mask, eps, score, stop=stop)
+        if marked is not None and (mu := measure(space, marked)) < best:
             best, best_mask = mu, mask
 
     if best_mask is not None and n <= _SWAP_CAP:

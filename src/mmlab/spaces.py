@@ -150,7 +150,7 @@ class FiniteMMSpace:
             out[r] = np.minimum(out[r], self._kernel.block(rows[r], members[c]).min(axis=1))
         return out
 
-    def thickened(self, mask, eps, score=None):
+    def thickened(self, mask, eps, score=None, *, stop=None):
         """Boolean mask of the closed eps-thickening of the masked set.
 
         Same points as dist_to_set(mask) <= eps, with members in at any
@@ -173,12 +173,21 @@ class FiniteMMSpace:
         one by one, so the mask is the same whatever their order.  Kernels
         whose distances may break the triangle inequality by an unknown
         amount have no score_slack and scan in full.
+
+        stop, if given, is a mass the caller no longer needs to reach: the
+        scan keeps the running mass of the marked points, the set's own
+        measure plus the weights of the rows each tile marks, and returns
+        None as soon as that mass reaches stop.
         """
         mask = _as_mask(self, mask)
         members = mask.nonzero()[0]
         if members.shape[0] == 0:
             raise ValueError("empty set has no neighborhood")
         out = mask & (0.0 <= eps)  # a member is at distance 0 from the set
+        if stop is not None:
+            mass = float(self.weight[out].sum())
+            if mass >= stop:
+                return None
         todo = (~mask).nonzero()[0]
         slack = self._kernel.score_slack
         floors = None  # negated member scores, ascending, on the ordered scan
@@ -210,6 +219,10 @@ class FiniteMMSpace:
             while c0 < end and left.shape[0]:
                 hit = self._within_block(left, members[c0:min(c0 + width, end)], eps)
                 out[left] = hit  # the rows left are unmarked
+                if stop is not None:
+                    mass += float(self.weight[left[hit]].sum())
+                    if mass >= stop:
+                        return None
                 left = left[~hit]
                 c0 += width
                 width = min(2 * width, cols)

@@ -3,7 +3,8 @@
 plain seeded constructors for the bulk randomized sweeps; thickenings and
 distances to sets by dense matrix reads; step functions from cell masses and
 constants; the Hausdorff me1 distance between finite families, pair by
-pair, and between lifted families by a scan of every member pair; two
+pair, and between lifted families by a scan of every member pair; the
+concentration lower-bound search with every candidate scanned in full; two
 transport oracles independent of the flow solver: the full
 transportation LP and a grid-quantized assignment; and counters of the
 pairs the flow's simplex prices, of the pairs thickenings scan and of the
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import strategies as st
 
-from mmlab import observable, transport
+from mmlab import concentration, observable, transport
 from mmlab.observable import StepFunction, me1
-from mmlab.spaces import FiniteMMSpace, _tiles
+from mmlab.spaces import HALF_TOL, FiniteMMSpace, _tiles, measure
 
 
 def normalized(raw):
@@ -166,6 +167,51 @@ def full_scan_family_hausdorff(masses, A, B, fit_a, fit_b, best=math.inf):
         np.minimum(near_a[r], vals.min(axis=1), out=near_a[r])
         np.minimum(near_b[c], vals.min(axis=0), out=near_b[c])
     return float(max(near_a.max(), near_b.max()))
+
+
+def full_order_prefix_mask(weight, scores):
+    """concentration._prefix_mask by one stable sort of every score."""
+    order = np.argsort(scores, kind="stable")
+    cum = np.cumsum(weight[order])
+    k = int(np.searchsorted(cum, 0.5 - HALF_TOL)) + 1
+    mask = np.zeros(weight.shape[0], dtype=bool)
+    mask[order[:k]] = True
+    return mask
+
+
+def full_scan_alpha_lower_bound(space, eps, cfg=None):
+    """concentration.alpha_lower_bound with every candidate's thickening
+    scanned to the end and its prefix found by full_order_prefix_mask: the
+    same candidates, from the same random draws, and the same greedy swaps.
+    It assumes finite distances."""
+    cfg = cfg or concentration.SearchConfig()
+    n = space.n
+    w = space.weight
+    all_idx = np.arange(n)
+    if n <= concentration._EXHAUSTIVE_BALL_LIMIT:
+        anchors = list(range(n))
+    else:
+        rng = np.random.default_rng([cfg.seed, 0])
+        anchors = sorted(rng.choice(n, size=min(cfg.ball_anchors, n), replace=False))
+    candidates = [space.pairwise(np.array([a]), all_idx)[0] for a in anchors]
+    scale = None
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng([cfg.seed, 1 + r])
+        picks = rng.choice(n, size=min(concentration._LIPSCHITZ_ANCHORS, n), replace=False)
+        rows = space.pairwise(np.asarray(picks), all_idx)
+        if scale is None:
+            scale = float(rows.max()) or 1.0
+        offsets = rng.uniform(0.0, scale, size=picks.shape[0])
+        candidates.append((rows + offsets[:, None]).min(axis=0))
+    best, best_mask = 1.0, None
+    for score in candidates:
+        mask = full_order_prefix_mask(w, score)
+        mu = measure(space, space.thickened(mask, eps, score))
+        if mu < best:
+            best, best_mask = mu, mask
+    if best_mask is not None and n <= concentration._SWAP_CAP:
+        best = min(best, concentration._greedy_refine(space, best_mask, eps))
+    return float(min(max(1.0 - best, 0.0), 0.5))
 
 
 def _apportion(mu, grid):

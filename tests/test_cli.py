@@ -250,6 +250,15 @@ def test_internal_fault_exits_1(monkeypatch, capsys):
     (["obsdist", "--x", "{cube}", "--y", "{cube}", "--budget", "-1"],
      "restarts must be at least 0, got -1"),
     (["validate", "--space", "{cube}", "--threads", "0"], "--threads must be at least 1, got 0"),
+    # ranges too short for their count, once computed in full and then
+    # refused as a curve
+    (["alpha", "--space", "{cube}", "--grid", "0.1:0.1:3"],
+     "--grid must give ascending eps values, got '0.1:0.1:3'"),
+    (["alpha", "--space", "{cube}", "--grid", "0.1:0.10000000000000002:3"],
+     "--grid must give ascending eps values, got '0.1:0.10000000000000002:3'"),
+    # a nan value, which once hid every Lipschitz violation
+    (["tail", "--space", "{cube}", "--values", "{nan_mu}", "--eps", "0.3"],
+     "Lipschitz values must be finite: value 0 is nan"),
 ])
 def test_malformed_inputs_are_refused_with_their_message(tmp_path, capsys, argv, message):
     paths = {name: str(tmp_path / name) for name in ("cube", "broken", "object", "action",
@@ -279,6 +288,11 @@ def test_an_infinite_grid_stop_writes_only_its_message(cube3):
     lines = r.stderr.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"error": "--grid needs a finite stop, got 'inf'"}
+
+
+def test_a_one_point_grid_may_start_at_its_stop(cube3, capsys):
+    assert main(["alpha", "--space", str(cube3), "--grid", "0.1:0.1:1"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["eps,alpha,kind", "0.1,0.5,exact"]
 
 
 def test_generate_requires_family_parameters():

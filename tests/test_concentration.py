@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc, betaincc
 
-from conftest import count_pairs, spaces, spaces_with_lipschitz
+from conftest import (count_pairs, full_order_prefix_mask, full_scan_alpha_lower_bound, spaces,
+                      spaces_with_lipschitz)
 from mmlab import concentration, spaces as spaces_module
 from mmlab.cli import main
 from mmlab.concentration import (GaussianFit, LipschitzFunction, SearchConfig,
@@ -23,7 +24,8 @@ from mmlab.concentration import (GaussianFit, LipschitzFunction, SearchConfig,
                                  hamming_cube_curve, levy_check,
                                  majority_ball_upper, median, sphere_cap_alpha,
                                  sphere_cap_curve, tail_check)
-from mmlab.generators import SamplerConfig, hamming_cube, sphere_sampled
+from mmlab.generators import (SamplerConfig, hamming_cube, hamming_cube_sampled, sphere_sampled,
+                              symmetric_group)
 from mmlab.spaces import (ConcentrationCurve, FiniteMMSpace, alpha_exact,
                           diameter, space_to_json)
 
@@ -169,6 +171,95 @@ def test_search_thickenings_meet_the_members_nearest_the_boundary_first(monkeypa
     space = sphere_sampled(2, SamplerConfig(seed=1, sample_count=2000), "geodesic")
     alpha_lower_bound(space, 0.3, SearchConfig(seed=0))
     assert pairs[0] < 0.08 * 12 * 1000 * 1000
+
+
+@settings(max_examples=60, deadline=None)
+@given(spaces(max_n=8), st.sampled_from([0.2, 0.6, 1.1, 1.7]), st.integers(0, 3))
+def test_dropping_losing_candidates_keeps_the_value(space, eps, seed):
+    cfg = SearchConfig(seed=seed, restarts=4)
+    assert (alpha_lower_bound(space, eps, cfg).hex()
+            == full_scan_alpha_lower_bound(space, eps, cfg).hex())
+
+
+def weighted_clouds():
+    """Point clouds large enough for the head sort, under weights with zeros,
+    with a negative entry, and all equal."""
+    rng = np.random.default_rng(5)
+    n = concentration._HEAD_SORT_MIN + 76
+    pts = rng.normal(size=(n, 2))
+    zeros = rng.integers(0, 4, size=n).astype(float)
+    zeros[0] += 1.0
+    negative = rng.integers(1, 5, size=n).astype(float)
+    negative[7] = -0.5
+    for raw in (zeros, negative, np.ones(n)):
+        yield FiniteMMSpace(list(range(n)), raw / raw.sum(), points=pts, metric="euclidean")
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.3, 0.8])
+def test_dropping_keeps_the_value_under_zero_negative_and_equal_weights(eps):
+    for space in weighted_clouds():
+        for seed in range(3):
+            cfg = SearchConfig(seed=seed)
+            assert (alpha_lower_bound(space, eps, cfg).hex()
+                    == full_scan_alpha_lower_bound(space, eps, cfg).hex())
+
+
+def test_the_first_candidate_is_never_measured_against_the_starting_one():
+    # every candidate's thickening is all of S_5, whose 120 weights sum to
+    # 1 - 2^-53; a stop at the starting 1.0 would drop each scan whose
+    # running mass rounds up to 1.0, and leave no candidate at all
+    s5 = symmetric_group(5)
+    assert alpha_lower_bound(s5, 0.6) == 1.1102230246251565e-16
+    assert alpha_lower_bound(s5, 0.6) == full_scan_alpha_lower_bound(s5, 0.6)
+
+
+def test_below_the_smallest_distance_later_candidates_stop_at_their_own_mass(monkeypatch):
+    # below every pair's distance a thickening is its set, so all candidates
+    # tie with the first; on equal weights each later one is dropped before
+    # its scan starts, and the search reads only the first candidate's pairs
+    space = hamming_cube_sampled(64, SamplerConfig(seed=3, sample_count=300))
+    eps = 0.2  # the sample's smallest distance is 0.234375
+    cfg = SearchConfig(seed=3)
+    pairs = count_pairs(monkeypatch)
+    got = alpha_lower_bound(space, eps, cfg)
+    dropped, pairs[0] = pairs[0], 0
+    assert got.hex() == full_scan_alpha_lower_bound(space, eps, cfg).hex()
+    # 4 balls and 8 restarts, each scanning its 150 rows against the members
+    # of its annulus (266,702 pairs in all against 22,350)
+    assert pairs[0] > 11 * dropped
+
+
+def test_dropping_losing_candidates_scans_fewer_pairs_for_the_same_value(monkeypatch):
+    pairs = count_pairs(monkeypatch)
+    space = sphere_sampled(2, SamplerConfig(seed=1, sample_count=2000), "geodesic")
+    cfg = SearchConfig(seed=0)
+    got = alpha_lower_bound(space, 0.3, cfg)
+    dropped, pairs[0] = pairs[0], 0
+    assert got == full_scan_alpha_lower_bound(space, 0.3, cfg)
+    assert dropped < pairs[0]
+
+
+def test_prefix_mask_sorts_a_head_of_the_full_stable_order():
+    # distance rows take 12 values on the 11-cube, so ties straddle every
+    # threshold; weights 4^(11 score) leave the head, the points scored at
+    # most the m-th smallest score, short of half the mass, so it widens to
+    # every point, and a negative weight sorts every point from the start
+    cube = hamming_cube(11)
+    n = cube.n
+    assert n >= concentration._HEAD_SORT_MIN
+    m = n // 2 + 1 + n // 16
+    rng = np.random.default_rng(0)
+    widened = 0
+    for anchor in range(0, n, 173):
+        score = cube.pairwise([anchor], np.arange(n))[0]
+        signed = rng.integers(1, 5, size=n) + 0.0
+        signed[anchor] = -1.0
+        for raw in (np.ones(n), rng.integers(0, 5, size=n) + 0.0, 4.0 ** (11 * score), signed):
+            w = raw / raw.sum()
+            widened += w[score <= np.partition(score, m - 1)[m - 1]].sum() < 0.5
+            np.testing.assert_array_equal(concentration._prefix_mask(w, score),
+                                          full_order_prefix_mask(w, score))
+    assert widened >= 12
 
 
 def test_lower_bound_swap_refinement_keeps_half_mass():

@@ -35,6 +35,10 @@ CASES = {
                                     "Lipschitz constant must be nonnegative"),
     "lipschitz-nan-constant": (lambda: LipschitzFunction([0.0], constant=NAN),
                                "Lipschitz constant must be nonnegative"),
+    "lipschitz-nan-value": (lambda: LipschitzFunction([0.0, NAN, 1.0]),
+                            "Lipschitz values must be finite: value 1 is nan"),
+    "lipschitz-inf-value": (lambda: LipschitzFunction([float("-inf"), 0.0]),
+                            "Lipschitz values must be finite: value 0 is -inf"),
     "lipschitz-check-length": (lambda: LipschitzFunction([0.0]).check(hamming_cube(1)),
                                "value vector length does not match the space"),
     "majority-ball-eps": (lambda: majority_ball_upper(point_space(), 0.0),
