@@ -78,7 +78,10 @@ class LipschitzFunction:
         v = self.values
         n = space.n
         worst, at = 0.0, None  # the first largest excess, in row blocks
+        idx = np.arange(n)
         for r in _row_blocks(n, n, _CHECK_PAIR_BYTES):
+            # a nan distance gives a nan excess, where argmax stops
+            _refuse_non_finite(d[r], idx[r], idx)
             gaps = np.abs(v[r, None] - v[None, :])
             scaled = self.constant * d[r] * (1.0 + _LIPSCHITZ_REL_TOL)
             excess = gaps - scaled - 1e-12
@@ -239,15 +242,16 @@ def alpha_lower_bound(space, eps, cfg=None):
 
     # A scan stops once its running mass reaches best + slack, when its
     # measure, the same weights summed in another order, cannot fall below
-    # best.  Each sum makes at most n roundings of 2^-53 on nonnegative
-    # weights, so slack n 2^-52 (or HALF_TOL) covers both.  Equal weights w
-    # need none: below 2^26 points a float sum of k copies of w is nearer k w
-    # than any other multiple, and numpy sums k equal floats alike each time,
-    # so the candidate has at least best's count of points and a measure of
-    # best or more.  That drops exact ties, as at an eps below every
-    # distance.  A negative weight can lower a running mass: no stop.  The
-    # starting 1.0 is no candidate's mass, and the whole space may measure
-    # 1 - 2^-53, so it is never a stop.
+    # best; one that would stop on its last tile comes back whole and loses
+    # on that measure.  Each sum makes at most n roundings of 2^-53 on
+    # nonnegative weights, so slack n 2^-52 (or HALF_TOL) covers both.
+    # Equal weights w need none: below 2^26 points a float sum of k copies
+    # of w is nearer k w than any other multiple, and numpy sums k equal
+    # floats alike each time, so the candidate has at least best's count of
+    # points and a measure of best or more.  That drops exact ties, as at an
+    # eps below every distance.  A negative weight can lower a running mass:
+    # no stop.  The starting 1.0 is no candidate's mass, and the whole space
+    # may measure 1 - 2^-53, so it is never a stop.
     if w.min() < 0:
         slack = None
     elif w.min() == w.max():

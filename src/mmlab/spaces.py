@@ -32,7 +32,8 @@ HALF_TOL = 1e-12
 
 _MATERIALIZE_CAP = 8192  # space.dist refuses more points, a stored matrix too
 _EXHAUSTIVE_CAP = 20  # default largest space alpha_exact enumerates
-_SUBSET_TABLE_BUDGET = 1 << 30  # bytes for alpha_exact's per-subset tables
+_SUBSET_TABLE_BUDGET = 1 << 30  # bytes for alpha_exact's mass table and blocks
+_SUBSET_BLOCK_BITS = 14  # alpha_exact walks the subsets in blocks of 2^14
 _TILE_BYTES = 1 << 25  # scratch bytes one distance tile may hold
 # columns of the first tile of a score-ordered thickening scan; each next
 # tile doubles, up to the _TILE_BYTES width
@@ -177,7 +178,8 @@ class FiniteMMSpace:
         stop, if given, is a mass the caller no longer needs to reach: the
         scan keeps the running mass of the marked points, the set's own
         measure plus the weights of the rows each tile marks, and returns
-        None as soon as that mass reaches stop.
+        None as soon as that mass reaches stop, but for the scan's last
+        tile, where stopping saves nothing: that tile returns the mask.
         """
         mask = _as_mask(self, mask)
         members = mask.nonzero()[0]
@@ -215,11 +217,13 @@ class FiniteMMSpace:
                 # block's lowest score
                 end = int(np.searchsorted(floors, reach - score[left[0]], side="right"))
                 width = min(_FIRST_TILE_COLS, cols)
+            last = r0 + rows >= todo.shape[0]  # the scan's last row block
             c0 = 0
             while c0 < end and left.shape[0]:
                 hit = self._within_block(left, members[c0:min(c0 + width, end)], eps)
                 out[left] = hit  # the rows left are unmarked
-                if stop is not None:
+                # a stop on the scan's last tile would save no work
+                if stop is not None and not (last and c0 + width >= end):
                     mass += float(self.weight[left[hit]].sum())
                     if mass >= stop:
                         return None
@@ -554,13 +558,27 @@ def diameter(space):
                          for r, c in _tiles(space.n, space.n, space._kernel.pair_bytes)]))
 
 
+def _reach_table(nb):
+    """reach[s], for every bitmask s < 2^len(nb): the OR of nb[b] over the
+    bits b set in s."""
+    reach = np.empty(1 << nb.shape[0], dtype=np.uint64)
+    reach[0] = 0
+    for b in range(nb.shape[0]):
+        lo = 1 << b
+        np.bitwise_or(reach[:lo], nb[b], out=reach[lo:2 * lo])
+    return reach
+
+
 def alpha_exact(space, eps, exhaustive_cap=_EXHAUSTIVE_CAP):
     """Exact concentration function value by subset enumeration.
 
     alpha(eps) = 1 - min{ mu(A_eps) : mu(A) >= 1/2 }, closed thickening.
     Enumerates all 2^n subsets with a bitmask dynamic program, so the space
-    must have at most exhaustive_cap points (default 20); whatever the cap,
-    the tables (17 bytes per subset) must fit in 1 GiB, so n <= 25.
+    must have at most exhaustive_cap points (default 20).  It keeps one
+    mass per subset (8 bytes each) and walks the subsets in blocks of
+    2^_SUBSET_BLOCK_BITS, whose thickenings join the reach of the block's
+    low points with that of its high ones in one reused buffer; whatever
+    the cap, the masses and the blocks must fit in 1 GiB, so n <= 26.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -569,9 +587,14 @@ def alpha_exact(space, eps, exhaustive_cap=_EXHAUSTIVE_CAP):
         raise ValueError(
             f"space has {n} points, exhaustive enumeration is capped at "
             f"{exhaustive_cap}; use alpha_lower_bound for larger instances")
-    if 17 << n > _SUBSET_TABLE_BUDGET:  # uint64 reach, float64 mass, bool flag
+    low = min(n, _SUBSET_BLOCK_BITS)
+    # the float64 masses; for each subset of a block, the uint64 reach of
+    # its low points and of all, the flag and the two gathers; the uint64
+    # reach of the high points
+    need = (8 << n) + (33 << low) + (8 << (n - low))
+    if need > _SUBSET_TABLE_BUDGET:
         raise ValueError(
-            f"space has {n} points; exhaustive enumeration needs {17 << n} bytes, "
+            f"space has {n} points; exhaustive enumeration needs {need} bytes, "
             f"over the {_SUBSET_TABLE_BUDGET}-byte budget")
     d = space.dist
     w = space.weight
@@ -581,18 +604,27 @@ def alpha_exact(space, eps, exhaustive_cap=_EXHAUSTIVE_CAP):
     bits = (np.uint64(1) << np.arange(n, dtype=np.uint64))
     nb = (within * bits[None, :]).sum(axis=1, dtype=np.uint64)
 
-    size = 1 << n
-    reach = np.empty(size, dtype=np.uint64)   # bitmask of A_eps for each subset A
-    wsum = np.empty(size, dtype=float)        # mu(A) for each bitmask A
-    reach[0] = wsum[0] = 0
+    wsum = np.empty(1 << n, dtype=float)  # mu(A) for each bitmask A
+    wsum[0] = 0
     for b in range(n):
         lo = 1 << b
-        np.bitwise_or(reach[:lo], nb[b], out=reach[lo:2 * lo])
         np.add(wsum[:lo], w[b], out=wsum[lo:2 * lo])
 
-    feasible = wsum >= 0.5 - HALF_TOL
-    feasible[0] = False
-    best = wsum[reach[feasible]].min()
+    # the subsets (h << low) | l, for l < 2^low, have thickening
+    # reach_lo[l] | reach_hi[h]
+    reach_lo, reach_hi = _reach_table(nb[:low]), _reach_table(nb[low:])
+    size = reach_lo.shape[0]
+    reach = np.empty(size, dtype=np.uint64)
+    feasible = np.empty(size, dtype=bool)
+    best = np.inf
+    for h, high in enumerate(reach_hi):
+        np.greater_equal(wsum[h * size:(h + 1) * size], 0.5 - HALF_TOL, out=feasible)
+        if h == 0:
+            feasible[0] = False  # the empty set
+        np.bitwise_or(reach_lo, high, out=reach)
+        masses = wsum[reach[feasible]]
+        if masses.size:
+            best = min(best, masses.min())
     return float(min(max(1.0 - best, 0.0), 0.5))
 
 

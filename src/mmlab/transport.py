@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import _refuse_non_finite, _row_blocks
+from .spaces import _TILE_BYTES, _refuse_non_finite, _row_blocks
 
 _MARGINAL_TOL = 1e-9
 _REL_TOL = 1e-9         # slack, relative to d_max, of the metric and certificate checks
@@ -218,14 +218,18 @@ def _simplex(d, src, dst, excess, d_max):
 
     Pricing walks src in cyclic blocks of whole rows, about _PRICE_PAIRS
     pairs each, straight from d; the block's most stretched pair enters when
-    u_i - u_j - d_ij exceeds _ENTER_TOL times the artificial cost.  A full
-    cycle of blocks with no such pair ends the solve.  Every empty tree arc
-    points to the root (the tree is strongly feasible), and the leaving arc
-    is the last blocking arc met walking the cycle from its apex along the
-    entering arc (Cunningham 1976), so degenerate pivots cannot cycle.  The
-    tree is kept as parent arcs, subtree sizes and a preorder, so that a
-    pivot walks the cycle in Python and moves the cut subtree, re-rooted at
-    the entering arc, as slices of the preorder.
+    u_i - u_j - d_ij exceeds _ENTER_TOL times the artificial cost.  After a
+    block with no such pair, one scan takes the next 2, 4, 8, ... blocks, up
+    to those the cycle has left and to _TILE_BYTES of scratch, and the first
+    of them with such a pair gives its own; the pivots are those of one
+    block at a time.  A full cycle of blocks with no such pair ends the
+    solve.  Every empty tree arc points to the root (the tree is strongly
+    feasible), and the leaving arc is the last blocking arc met walking the
+    cycle from its apex along the entering arc (Cunningham 1976), so
+    degenerate pivots cannot cycle.  The tree is kept as parent arcs,
+    subtree sizes and a preorder, so that a pivot walks the cycle in Python
+    and moves the cut subtree, re-rooted at the entering arc, as slices of
+    the preorder.
     """
     m, cols = excess.shape[0], dst.shape[0]
     root = m
@@ -234,18 +238,30 @@ def _simplex(d, src, dst, excess, d_max):
     parent, up, flow, size, order, pos, potential = _first_tree(d, src, dst, excess, big)
 
     step = max(1, _PRICE_PAIRS // max(cols, 1))
-    blocks = [slice(r0, r0 + step) for r0 in range(0, src.shape[0], step)] if cols else []
-    b = idle = 0
-    while idle < len(blocks):
-        rows = src[blocks[b]]
+    blocks = -(-src.shape[0] // step) if cols else 0  # block g is src[g * step:(g + 1) * step]
+    widest = max(1, _TILE_BYTES // (_PAIR_BYTES * step * max(cols, 1)))  # blocks a scan may take
+    b, idle, run = 0, 0, 1
+    while idle < blocks:
+        run = min(run, blocks - idle, widest)
+        rows = src[b * step:(b + run) * step]
+        if b + run > blocks:  # the run wraps round to block 0
+            rows = np.concatenate((rows, src[:(b + run - blocks) * step]))
         over = _stretch(d, rows, dst, potential)
-        b = (b + 1) % len(blocks)
-        i, j = divmod(int(over.argmax()), cols)
-        gain = float(over[i, j])
-        if not gain > enter:
-            idle += 1
+        hit = int(over.argmax())
+        if not over.flat[hit] > enter:
+            b, idle, run = (b + run) % blocks, idle + run, 2 * run
             continue
-        idle = 0
+        g = b
+        if run > 1:
+            # the first block with a stretched pair gives its own most
+            # stretched pair, as when each block is scanned alone
+            first = int(np.argmax(over.max(axis=1) > enter))
+            row = (b * step + first) % src.shape[0]  # that row's place in src
+            g, lo = row // step, first - row % step
+            hit = lo * cols + int(over[lo:lo + min(step, src.shape[0] - g * step)].argmax())
+        i, j = divmod(hit, cols)
+        gain = float(over[i, j])
+        b, idle, run = (g + 1) % blocks, 0, 1
         tail, head = int(rows[i]), int(dst[j])
         # the cycle: the tree paths from tail and from head up to their apex
         path_t, path_h = [], []

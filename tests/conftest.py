@@ -4,7 +4,8 @@ plain seeded constructors for the bulk randomized sweeps; thickenings and
 distances to sets by dense matrix reads; step functions from cell masses and
 constants; the Hausdorff me1 distance between finite families, pair by
 pair, and between lifted families by a scan of every member pair; the
-concentration lower-bound search with every candidate scanned in full; two
+concentration lower-bound search with every candidate scanned in full; the
+exact concentration value from full per-subset reach and mass tables; two
 transport oracles independent of the flow solver: the full
 transportation LP and a grid-quantized assignment; and counters of the
 pairs the flow's simplex prices, of the pairs thickenings scan and of the
@@ -211,6 +212,26 @@ def full_scan_alpha_lower_bound(space, eps, cfg=None):
             best, best_mask = mu, mask
     if best_mask is not None and n <= concentration._SWAP_CAP:
         best = min(best, concentration._greedy_refine(space, best_mask, eps))
+    return float(min(max(1.0 - best, 0.0), 0.5))
+
+
+def full_table_alpha_exact(space, eps):
+    """spaces.alpha_exact from a 2^n reach table and a 2^n mass table, each
+    built by one doubling loop over all n points."""
+    n = space.n
+    w = space.weight
+    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    nb = ((space.dist <= eps) * bits[None, :]).sum(axis=1, dtype=np.uint64)
+    reach = np.empty(1 << n, dtype=np.uint64)
+    wsum = np.empty(1 << n, dtype=float)
+    reach[0] = wsum[0] = 0
+    for b in range(n):
+        lo = 1 << b
+        np.bitwise_or(reach[:lo], nb[b], out=reach[lo:2 * lo])
+        np.add(wsum[:lo], w[b], out=wsum[lo:2 * lo])
+    feasible = wsum >= 0.5 - HALF_TOL
+    feasible[0] = False
+    best = wsum[reach[feasible]].min()
     return float(min(max(1.0 - best, 0.0), 0.5))
 
 

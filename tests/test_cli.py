@@ -295,6 +295,21 @@ def test_a_one_point_grid_may_start_at_its_stop(cube3, capsys):
     assert capsys.readouterr().out.splitlines() == ["eps,alpha,kind", "0.1,0.5,exact"]
 
 
+def test_tail_refuses_a_non_finite_distance(tmp_path, capsys):
+    # once the nan stopped the Lipschitz check's argmax, and (0,2)'s
+    # violation went unreported
+    space = FiniteMMSpace([0, 1, 2], [1 / 3] * 3, dist=[[0.0, float("nan"), 0.1],
+                                                        [float("nan"), 0.0, 1.0],
+                                                        [0.1, 1.0, 0.0]])
+    save_space(space, tmp_path / "space.json")
+    (tmp_path / "values.json").write_text(json.dumps([0.0, 0.0, 1.0]))
+    assert main(["tail", "--space", str(tmp_path / "space.json"),
+                 "--values", str(tmp_path / "values.json"), "--eps", "0.5"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": "not a metric: non-finite distance at (0,1)"}
+
+
 def test_generate_requires_family_parameters():
     cases = [
         (("hamming_cube",), "hamming_cube needs --n"),
@@ -808,12 +823,12 @@ def test_levy_refuses_a_curve_row_with_too_few_fields(tmp_path):
 
 def test_alpha_cap_beyond_memory_budget_is_an_input_error(tmp_path):
     from mmlab.spaces import FiniteMMSpace, space_to_json
-    pos = np.arange(26, dtype=float)
-    space = FiniteMMSpace(list(range(26)), np.full(26, 1 / 26),
-                          dist=np.abs(pos[:, None] - pos[None, :]) / 26)
-    path = tmp_path / "line26.json"
+    pos = np.arange(27, dtype=float)
+    space = FiniteMMSpace(list(range(27)), np.full(27, 1 / 27),
+                          dist=np.abs(pos[:, None] - pos[None, :]) / 27)
+    path = tmp_path / "line27.json"
     path.write_text(json.dumps(space_to_json(space)))
-    r = run_cli("alpha", "--space", path, "--eps", 0.5, "--cap", 26)
+    r = run_cli("alpha", "--space", path, "--eps", 0.5, "--cap", 27)
     assert r.returncode == 2
     assert "budget" in json.loads(r.stderr)["error"]
 

@@ -41,6 +41,11 @@ CASES = {
                             "Lipschitz values must be finite: value 0 is -inf"),
     "lipschitz-check-length": (lambda: LipschitzFunction([0.0]).check(hamming_cube(1)),
                                "value vector length does not match the space"),
+    # a nan distance once stopped the check's argmax before (0,2)'s violation
+    "lipschitz-check-nan-distance": (lambda: LipschitzFunction([0.0, 0.0, 1.0]).check(
+        FiniteMMSpace([0, 1, 2], [1 / 3] * 3, dist=[[0.0, NAN, 0.1], [NAN, 0.0, 1.0],
+                                                     [0.1, 1.0, 0.0]])),
+                                     "not a metric: non-finite distance at (0,1)"),
     "majority-ball-eps": (lambda: majority_ball_upper(point_space(), 0.0),
                           "eps must be positive"),
     "majority-ball-nan-eps": (lambda: majority_ball_upper(point_space(), NAN),

@@ -3,13 +3,15 @@ and serialization round trips."""
 
 import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_pairs, dense_dist_to_set, dense_thickening, spaces
+from conftest import (count_pairs, dense_dist_to_set, dense_thickening, full_table_alpha_exact,
+                      normalized, spaces)
 from mmlab import spaces as spaces_module
 from mmlab.concentration import SearchConfig, alpha_lower_bound
 from mmlab.generators import (hamming_cube, hamming_cube_sampled, so_n_sampled,
@@ -502,16 +504,76 @@ def dense_line(n):
 
 def test_alpha_exact_refuses_tables_over_budget_before_allocating():
     import tracemalloc
-    space = dense_line(26)
+    space = dense_line(27)
     space.dist  # noqa: B018  (build the matrix outside the traced window)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="budget"):
-            alpha_exact(space, 0.5, exhaustive_cap=26)
+            alpha_exact(space, 0.5, exhaustive_cap=27)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@st.composite
+def signed_spaces(draw):
+    """A space of spaces() whose weights may be zero or negative."""
+    space = draw(spaces(max_n=10))
+    raw = draw(st.lists(st.integers(-3, 9), min_size=space.n, max_size=space.n)
+               .filter(lambda v: sum(v) > 0))
+    return FiniteMMSpace(space.labels, normalized(raw), dist=space.dist)
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_spaces(), st.integers(0, 4), st.data())
+def test_alpha_exact_blocks_give_the_full_tables_value(space, block_bits, data):
+    # eps half the time on one of the space's own distances, an exact tie
+    # of the closed balls; blocks of 1 to 16 subsets split even small spaces
+    ties = sorted(set(space.dist[space.dist > 0].tolist()))
+    eps = data.draw(st.one_of(st.sampled_from(ties), st.floats(0.05, 2.5)))
+    want = full_table_alpha_exact(space, eps)
+    assert alpha_exact(space, eps) == want
+    with mock.patch.object(spaces_module, "_SUBSET_BLOCK_BITS", block_bits):
+        assert alpha_exact(space, eps) == want
+
+
+def test_alpha_exact_blocks_around_the_block_size():
+    # 13 and 14 points fill one block, 15 two, 17 eight
+    rng = np.random.default_rng(30)
+    for n in (13, 14, 15, 17):
+        pts = rng.integers(0, 6, size=(n, 2)).astype(float)
+        dist = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2)) / 6.0
+        for w in (np.full(n, 1.0 / n), normalized(rng.integers(0, 9, n) + 0.5),
+                  normalized(np.r_[-0.5, rng.uniform(0.5, 1.5, n - 1)])):
+            space = FiniteMMSpace(list(range(n)), w, dist=dist)
+            for eps in (1.0 / 6.0, 0.2, np.sqrt(2.0) / 6.0, 0.5):
+                assert alpha_exact(space, eps) == full_table_alpha_exact(space, eps), (n, eps)
+    # the qualification boundary, with each subset a block of its own
+    for w in ((0.5 - 1e-13, 0.5 + 1e-13), (0.5 - 1e-9, 0.5 + 1e-9)):
+        x = two_point(d=1.0, w=w)
+        for bits in (0, 1, 14):
+            with mock.patch.object(spaces_module, "_SUBSET_BLOCK_BITS", bits):
+                assert alpha_exact(x, 0.5) == full_table_alpha_exact(x, 0.5), (w, bits)
+
+
+def test_a_thickening_stops_before_its_last_tile_only(monkeypatch):
+    cube = hamming_cube(4)
+    first = np.arange(16) == 0
+    want = cube.thickened(first, 0.25)
+    # the set's own measure reaches the stop before any tile
+    assert cube.thickened(first, 0.25, stop=1 / 16) is None
+    # one tile, where a stop would save nothing
+    assert np.array_equal(cube.thickened(first, 0.25, stop=0.1), want)
+    monkeypatch.setattr(spaces_module, "_TILE_BYTES", 1)  # one pair a tile
+    assert cube.thickened(first, 0.25, stop=0.1) is None
+    # the last point's neighbours are 7, 11, 13 and 14, the scan's last row:
+    # 0.2 is reached on 13's tile, 0.3 only on the last
+    last = np.arange(16) == 15
+    want = cube.thickened(last, 0.25)
+    assert want.sum() == 5 and want[14]
+    assert cube.thickened(last, 0.25, stop=0.2) is None
+    assert np.array_equal(cube.thickened(last, 0.25, stop=0.3), want)
 
 
 @settings(max_examples=40, deadline=None)

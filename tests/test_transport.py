@@ -111,6 +111,56 @@ def test_ten_cube_needs_pricing_rounds(monkeypatch):
     assert abs(res.distance - float(np.abs(p - q).mean())) <= 1e-12
 
 
+def test_an_idle_cycle_is_priced_in_doubling_runs(monkeypatch):
+    # the ten-cube's cheapest-cell tree is optimal, so the simplex scans one
+    # idle cycle, one row a block: runs of 1, 2, 4, ... blocks, the last cut
+    # to the blocks left; then the certificate scans s x t in one block
+    cube = hamming_cube(10)
+    rng = np.random.default_rng(10)
+    pair = product_pair(cube, rng.uniform(0.05, 0.95, 10), rng.uniform(0.05, 0.95, 10))
+    assert int((pair.mu1 < pair.mu2).sum()) > transport._PRICE_PAIRS
+    scans, stretch = [], transport._stretch
+
+    def counted(d, rows, cols, potential):
+        scans.append(rows.shape[0])
+        return stretch(d, rows, cols, potential)
+
+    monkeypatch.setattr(transport, "_stretch", counted)
+    emd(cube, pair)
+    left, runs = int((pair.mu1 > pair.mu2).sum()), []
+    while left:
+        runs.append(min(2 ** len(runs), left))
+        left -= runs[-1]
+    assert scans == runs + [1024]
+
+
+def test_a_pricing_run_holds_to_the_tile_budget(monkeypatch):
+    # with room for three one-row blocks a scan, the runs go 1, 2, 3, 3, ...
+    # and the solve is the same to the bit
+    cube = hamming_cube(10)
+    rng = np.random.default_rng(10)
+    pair = product_pair(cube, rng.uniform(0.05, 0.95, 10), rng.uniform(0.05, 0.95, 10))
+    want = emd(cube, pair)
+    neg = int((pair.mu1 < pair.mu2).sum())
+    monkeypatch.setattr(transport, "_TILE_BYTES", 3 * transport._PAIR_BYTES * neg)
+    scans, stretch = [], transport._stretch
+
+    def counted(d, rows, cols, potential):
+        scans.append(rows.shape[0])
+        return stretch(d, rows, cols, potential)
+
+    monkeypatch.setattr(transport, "_stretch", counted)
+    got = emd(cube, pair)
+    left, runs = int((pair.mu1 > pair.mu2).sum()), []
+    while left:
+        runs.append(min(2 ** len(runs), 3, left))
+        left -= runs[-1]
+    assert scans == runs + [1024]
+    assert got.distance == want.distance
+    assert np.array_equal(got.potential, want.potential)
+    assert np.array_equal(got.witness.joint, want.witness.joint)
+
+
 def first_tree(monkeypatch, space, pair):
     """The inputs of the simplex emd(space, pair) runs, with big, its
     artificial cost, and the tree it starts from."""
