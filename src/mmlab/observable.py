@@ -64,7 +64,9 @@ def _me1_rows(masses, gaps):
     For each row: inf{lam > 0 : mass{gaps > lam} < lam}.  The tail-mass
     function is constant between distinct gap values, so the infimum is
     attained as max(window start, window tail) over the finitely many
-    windows, evaluated here for all rows at once.
+    windows, evaluated here for all rows at once.  Cell masses form a
+    probability measure, so the value is capped at 1: a tail summed from
+    rounded cell masses can land a few ulps above it.
     """
     gaps = np.abs(np.asarray(gaps, dtype=float))
     order = np.argsort(gaps, axis=1, kind="stable")
@@ -84,7 +86,7 @@ def _me1_rows(masses, gaps):
     next0 = np.where(g > 0, g, np.inf).min(axis=1)
     cand0 = np.where(tail0 < next0, tail0, np.inf)
 
-    return np.minimum(cand.min(axis=1), cand0)
+    return np.minimum(np.minimum(cand.min(axis=1), cand0), 1.0)
 
 
 def _refine_pair(h1, h2):

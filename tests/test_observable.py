@@ -104,6 +104,13 @@ def test_me1_metric_axioms(a, b, c):
     assert 0.0 <= me1(a, b) <= 1.0
 
 
+def test_me1_stays_at_most_one_when_cell_masses_round_up():
+    # the common refinement's cell masses sum to 1 + 2**-52 here, and every
+    # gap exceeds 1, so the whole-measure tail must not leak past 1
+    a = StepFunction([0.0, 0.5, 1.0], [1.5, 1.25])
+    b = StepFunction([0.0, 1 / 9, 2 / 9, 13 / 27, 2 / 3, 1.0], [0.0] * 5)
+    assert me1(a, b) == 1.0
+
 def test_step_function_validation():
     with pytest.raises(ValueError):
         StepFunction([0.0, 0.4], [1.0])           # must end at 1
