@@ -23,6 +23,8 @@ from .generators import FAMILIES, build_space
 from .spaces import (_EXHAUSTIVE_CAP, ConcentrationCurve, space_from_json,
                      space_to_json, validate_space)
 
+_GRID_CAP = 10_000  # most eps values --grid may ask for
+
 
 class InputError(Exception):
     pass
@@ -155,6 +157,8 @@ def _parse_grid(text):
         raise InputError("--grid must be start:stop:count with numeric fields")
     if not (count >= 1 and start > 0 and stop >= start):
         raise InputError("--grid needs 0 < start <= stop and count >= 1")
+    if count > _GRID_CAP:
+        raise InputError(f"--grid count {count} is over the cap {_GRID_CAP}")
     if not np.isfinite(stop):
         raise InputError(f"--grid needs a finite stop, got {parts[1]!r}")
     grid = np.linspace(start, stop, count)

@@ -15,8 +15,6 @@ _EXHAUSTIVE_BALL_LIMIT = 64  # spaces this small try a ball around every point
 _LIPSCHITZ_ANCHORS = 3       # points under each random 1-Lipschitz restart score
 _SWAP_PASSES = 2             # greedy removal-and-swap passes
 _SWAP_CAP = 256              # largest space the greedy swaps run on
-_HEAD_SORT_MIN = 1024        # smallest space whose half-mass prefix sorts only
-                             # a head; below it one full sort is faster
 _LIPSCHITZ_REL_TOL = 1e-9    # relative slack LipschitzFunction.check allows
 _CUBE_ALPHA_MAX_DIM = 24     # largest cube hamming_cube_alpha evaluates
 _BALL_PAIR_BYTES = 33        # majority_ball_upper's scratch per pair: distance,
@@ -115,31 +113,28 @@ class LevyCheckResult:
 
 # -- lower bound search ------------------------------------------------------
 
-def _prefix_mask(weight, scores):
-    """Smallest prefix of the stable score ordering whose mass reaches one
-    half.  From _HEAD_SORT_MIN points on, only the head of that ordering is
-    sorted: the points scored at most the m-th smallest score, found by
-    np.partition, are its first entries in the same order, with the same
-    running masses.  Without a negative weight those never fall, so once
-    the head's last one reaches one half the prefix ends inside it.  m is a
-    sixteenth past half the points; a head that falls short widens to all.
-    """
-    n = weight.shape[0]
-    need = 0.5 - HALF_TOL
-    order = None
-    if n >= _HEAD_SORT_MIN and weight.min() >= 0:
-        m = n // 2 + 1 + n // 16
-        head = np.flatnonzero(scores <= np.partition(scores, m - 1)[m - 1])
-        order = head[np.argsort(scores[head], kind="stable")]
-        cum = np.cumsum(weight[order])
-        if not (cum.size and cum[-1] >= need):
-            order = None
-    if order is None:
+def _equal_prefix_size(weight):
+    """Size of every half-mass prefix when all weights are equal, else None.
+    Equal weights give the same running masses in any order."""
+    if weight.min() != weight.max():
+        return None
+    return int(np.searchsorted(np.cumsum(weight), 0.5 - HALF_TOL)) + 1
+
+
+def _prefix_mask(weight, scores, size=None):
+    """Smallest prefix of the stable score ordering, ties in index order,
+    whose mass reaches one half.  Given its size (_equal_prefix_size), the
+    prefix is found without a sort: the points scored below the size-th
+    smallest score, found by np.partition, then the first tied ones."""
+    if size is None:
         order = np.argsort(scores, kind="stable")
-        cum = np.cumsum(weight[order])
-    k = int(np.searchsorted(cum, need)) + 1
-    mask = np.zeros(n, dtype=bool)
-    mask[order[:k]] = True
+        size = int(np.searchsorted(np.cumsum(weight[order]), 0.5 - HALF_TOL)) + 1
+        mask = np.zeros(weight.shape[0], dtype=bool)
+        mask[order[:size]] = True
+        return mask
+    kth = np.partition(scores, size - 1)[size - 1]
+    mask = scores < kth
+    mask[np.flatnonzero(scores == kth)[:size - np.count_nonzero(mask)]] = True
     return mask
 
 
@@ -252,15 +247,16 @@ def alpha_lower_bound(space, eps, cfg=None):
     # eps below every distance.  A negative weight can lower a running mass:
     # no stop.  The starting 1.0 is no candidate's mass, and the whole space
     # may measure 1 - 2^-53, so it is never a stop.
+    size = _equal_prefix_size(w)
     if w.min() < 0:
         slack = None
-    elif w.min() == w.max():
+    elif size is not None:
         slack = 0.0
     else:
         slack = max(HALF_TOL, n * 2.0**-52)
     best, best_mask = 1.0, None
     for score in scores():
-        mask = _prefix_mask(w, score)
+        mask = _prefix_mask(w, score, size)
         stop = None if slack is None or best_mask is None else best + slack
         marked = space.thickened(mask, eps, score, stop=stop)
         if marked is not None and (mu := measure(space, marked)) < best:

@@ -17,6 +17,7 @@ import numpy as np
 from .spaces import FiniteMMSpace
 
 _SAMPLE_BLOCK = 8192
+_SAMPLE_BUDGET = 1 << 28    # bytes the stacked samples of one sampled space may hold
 _CUBE_MAX_DIM = 20          # hamming_cube materializes 2^n points up to this
 _SYMMETRIC_MAX_N = 7        # symmetric_group materializes n! points up to this
 _SL2_PRIMES = (2, 3, 5, 7, 11, 13)  # sl2_word_metric builds (p^3 - p)^2 distances for these
@@ -41,8 +42,13 @@ def _blocks(seed, count, draw):
                    min(_SAMPLE_BLOCK, count - b0))
 
 
-def _sample_blocks(cfg, draw):
-    """All of cfg's blocks of draw, stacked."""
+def _sample_blocks(cfg, draw, row_bytes):
+    """All of cfg's blocks of draw, stacked.  Samples of row_bytes each that
+    would pass _SAMPLE_BUDGET are refused before the first block is drawn."""
+    need = cfg.sample_count * row_bytes
+    if need > _SAMPLE_BUDGET:
+        raise ValueError(f"sample_count {cfg.sample_count} needs {need} bytes of samples, "
+                         f"over the budget of {_SAMPLE_BUDGET}")
     return np.concatenate(list(_blocks(cfg.seed, cfg.sample_count, draw)), axis=0)
 
 
@@ -76,7 +82,7 @@ def hamming_cube_sampled(n, cfg):
     if n < 1:
         raise ValueError("cube dimension must be positive")
     pts = _sample_blocks(cfg, lambda rng, take: rng.integers(
-        0, 2, size=(take, n), dtype=np.uint8))
+        0, 2, size=(take, n), dtype=np.uint8), n)
     labels = ["".join(map(str, row)) for row in pts]
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
     return FiniteMMSpace(labels, w, points=pts, metric="hamming")
@@ -101,8 +107,9 @@ def symmetric_group_sampled(n, cfg):
     """Uniformly sampled permutations of n symbols, empirical measure."""
     if n < 1:
         raise ValueError("degree must be positive")
+    dtype = np.min_scalar_type(n - 1)
     pts = _sample_blocks(cfg, lambda rng, take: rng.permuted(
-        np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), (take, 1)), axis=1))
+        np.tile(np.arange(n, dtype=dtype), (take, 1)), axis=1), n * dtype.itemsize)
     labels = ["".join(map(str, row)) for row in pts]
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
     return FiniteMMSpace(labels, w, points=pts, metric="hamming")
@@ -120,7 +127,7 @@ def sphere_sampled(dim, cfg, metric="euclidean"):
         raise ValueError("sphere dimension must be positive")
     if metric not in ("euclidean", "geodesic"):
         raise ValueError(f"metric must be euclidean or geodesic, got {metric!r}")
-    pts = _sample_blocks(cfg, lambda rng, take: _unit_vectors(rng, take, dim + 1))
+    pts = _sample_blocks(cfg, lambda rng, take: _unit_vectors(rng, take, dim + 1), 8 * (dim + 1))
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
     kind = "euclidean" if metric == "euclidean" else "sphere_geodesic"
     return FiniteMMSpace(list(range(cfg.sample_count)), w, points=pts, metric=kind)
@@ -145,7 +152,7 @@ def so_n_sampled(n, cfg):
         q[dets < 0, :, -1] *= -1.0
         return q.reshape(take, n * n)
 
-    pts = _sample_blocks(cfg, draw)
+    pts = _sample_blocks(cfg, draw, 8 * n * n)
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
     return FiniteMMSpace(list(range(cfg.sample_count)), w, points=pts, metric="operator_norm")
 

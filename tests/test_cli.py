@@ -259,6 +259,11 @@ def test_internal_fault_exits_1(monkeypatch, capsys):
     # a nan value, which once hid every Lipschitz violation
     (["tail", "--space", "{cube}", "--values", "{nan_mu}", "--eps", "0.3"],
      "Lipschitz values must be finite: value 0 is nan"),
+    # a count whose grid alone once ran out of memory
+    (["alpha", "--space", "{cube}", "--grid", "0.1:0.2:1000000000000"],
+     "--grid count 1000000000000 is over the cap 10000"),
+    (["generate", "--family", "sphere", "--dim", "2", "--samples", "1000000000000"],
+     "sample_count 1000000000000 needs 24000000000000 bytes of samples, over the budget"),
 ])
 def test_malformed_inputs_are_refused_with_their_message(tmp_path, capsys, argv, message):
     paths = {name: str(tmp_path / name) for name in ("cube", "broken", "object", "action",

@@ -182,10 +182,10 @@ def test_dropping_losing_candidates_keeps_the_value(space, eps, seed):
 
 
 def weighted_clouds():
-    """Point clouds large enough for the head sort, under weights with zeros,
-    with a negative entry, and all equal."""
+    """Point clouds under weights with zeros, with a negative entry, and all
+    equal."""
     rng = np.random.default_rng(5)
-    n = concentration._HEAD_SORT_MIN + 76
+    n = 1100
     pts = rng.normal(size=(n, 2))
     zeros = rng.integers(0, 4, size=n).astype(float)
     zeros[0] += 1.0
@@ -239,27 +239,36 @@ def test_dropping_losing_candidates_scans_fewer_pairs_for_the_same_value(monkeyp
     assert dropped < pairs[0]
 
 
-def test_prefix_mask_sorts_a_head_of_the_full_stable_order():
+def test_both_prefix_paths_give_the_full_stable_orders_prefix():
     # distance rows take 12 values on the 11-cube, so ties straddle every
-    # threshold; weights 4^(11 score) leave the head, the points scored at
-    # most the m-th smallest score, short of half the mass, so it widens to
-    # every point, and a negative weight sorts every point from the start
+    # threshold; equal weights may take the selection path, and every
+    # weighting, zero and negative weights too, takes the full sort
     cube = hamming_cube(11)
     n = cube.n
-    assert n >= concentration._HEAD_SORT_MIN
-    m = n // 2 + 1 + n // 16
     rng = np.random.default_rng(0)
-    widened = 0
+    cases = []
     for anchor in range(0, n, 173):
         score = cube.pairwise([anchor], np.arange(n))[0]
+        zeros = rng.integers(0, 5, size=n) + 0.0
         signed = rng.integers(1, 5, size=n) + 0.0
         signed[anchor] = -1.0
-        for raw in (np.ones(n), rng.integers(0, 5, size=n) + 0.0, 4.0 ** (11 * score), signed):
-            w = raw / raw.sum()
-            widened += w[score <= np.partition(score, m - 1)[m - 1]].sum() < 0.5
-            np.testing.assert_array_equal(concentration._prefix_mask(w, score),
-                                          full_order_prefix_mask(w, score))
-    assert widened >= 12
+        cases += [(raw / raw.sum(), score) for raw in (np.ones(n), zeros, signed)]
+    # equal weights where 1/n is mostly inexact: ties, signed zeros, no ties
+    for n in (1, 2, 3, 7, 2200, 12000):
+        w = np.full(n, 1.0 / n)
+        signed_zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        cases += [(w, score) for score in (rng.integers(0, 4, size=n) + 0.0, signed_zeros,
+                                           rng.normal(size=n))]
+    selected = 0
+    for w, score in cases:
+        want = full_order_prefix_mask(w, score)
+        np.testing.assert_array_equal(concentration._prefix_mask(w, score), want)
+        size = concentration._equal_prefix_size(w)
+        assert (size is None) == (w.min() != w.max())
+        if size is not None:
+            selected += 1
+            np.testing.assert_array_equal(concentration._prefix_mask(w, score, size), want)
+    assert selected == 12 + 18
 
 
 def test_lower_bound_swap_refinement_keeps_half_mass():

@@ -1,10 +1,14 @@
 """Generator correctness: axiom cleanliness, invariances, distributional
-checks on the samplers, and bit-identical determinism."""
+checks on the samplers, bit-identical determinism, and the samplers' memory
+budget."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from mmlab import generators
 from mmlab.generators import (SamplerConfig, build_space, hamming_cube,
                               hamming_cube_sampled, product_space,
                               sl2_word_metric, so_n_sampled, sphere_sampled,
@@ -188,3 +192,30 @@ def test_build_space_dispatch():
                         "seed": 1}).n == 7
     with pytest.raises(ValueError):
         build_space({"family": "klein_bottle"})
+
+
+SAMPLERS = [(hamming_cube_sampled, 64, 64), (symmetric_group_sampled, 300, 600),
+            (sphere_sampled, 2, 24), (so_n_sampled, 3, 72)]
+
+
+@pytest.mark.parametrize("sampler, size, row_bytes", SAMPLERS)
+def test_oversized_sample_counts_are_refused_before_drawing(sampler, size, row_bytes):
+    count = 10**12
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            sampler(size, cfg(n=count))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == (f"sample_count {count} needs {count * row_bytes} bytes of "
+                                  f"samples, over the budget of {1 << 28}")
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("sampler, size, row_bytes", SAMPLERS)
+def test_the_sample_budget_holds_a_count_that_fits_it(monkeypatch, sampler, size, row_bytes):
+    monkeypatch.setattr(generators, "_SAMPLE_BUDGET", 5 * row_bytes)
+    assert sampler(size, cfg(n=5)).points.nbytes == 5 * row_bytes
+    with pytest.raises(ValueError, match="over the budget"):
+        sampler(size, cfg(n=6))
