@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import (_EXHAUSTIVE_CAP, HALF_TOL, ConcentrationCurve,
-                     _refuse_non_finite, _row_blocks, alpha_exact, measure)
+from .spaces import _EXHAUSTIVE_CAP, HALF_TOL, ConcentrationCurve, alpha_exact, measure
 
 _EXHAUSTIVE_BALL_LIMIT = 64  # spaces this small try a ball around every point
 _LIPSCHITZ_ANCHORS = 3       # points under each random 1-Lipschitz restart score
@@ -19,8 +18,8 @@ _LIPSCHITZ_REL_TOL = 1e-9    # relative slack LipschitzFunction.check allows
 _CUBE_ALPHA_MAX_DIM = 24     # largest cube hamming_cube_alpha evaluates
 _BALL_PAIR_BYTES = 33        # majority_ball_upper's scratch per pair: distance,
                              # order, weight, running mass and threshold flag
-_CHECK_PAIR_BYTES = 33       # LipschitzFunction.check's scratch per pair: gap,
-                             # scaled distance, excess and its sign
+_CHECK_PAIR_BYTES = 41       # LipschitzFunction.check's scratch per pair: distance,
+                             # gap, scaled distance, excess and its sign
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,10 @@ class LipschitzFunction:
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
         if not self.constant >= 0:
             raise ValueError("Lipschitz constant must be nonnegative")
+        # an infinite constant times a zero distance is nan, where check's
+        # argmax stops
+        if not math.isfinite(self.constant):
+            raise ValueError(f"Lipschitz constant must be finite, got {self.constant!r}")
         # a nan or inf value (inf - inf is nan) gives a nan excess, where
         # check's argmax stops, hiding every violation
         bad = np.flatnonzero(~np.isfinite(self.values))
@@ -72,16 +75,14 @@ class LipschitzFunction:
         """Raise if the claimed constant fails on some pair."""
         if self.values.shape[0] != space.n:
             raise ValueError("value vector length does not match the space")
-        d = space.dist
+        d = space.dist  # refused past its cap; majority_ball_upper reads the cache
         v = self.values
         n = space.n
         worst, at = 0.0, None  # the first largest excess, in row blocks
         idx = np.arange(n)
-        for r in _row_blocks(n, n, _CHECK_PAIR_BYTES):
-            # a nan distance gives a nan excess, where argmax stops
-            _refuse_non_finite(d[r], idx[r], idx)
+        for r, block in space.distance_blocks(idx, idx, _CHECK_PAIR_BYTES):
             gaps = np.abs(v[r, None] - v[None, :])
-            scaled = self.constant * d[r] * (1.0 + _LIPSCHITZ_REL_TOL)
+            scaled = self.constant * block * (1.0 + _LIPSCHITZ_REL_TOL)
             excess = gaps - scaled - 1e-12
             k = int(np.argmax(excess))
             if excess.flat[k] > worst:
@@ -141,10 +142,10 @@ def _prefix_mask(weight, scores, size=None):
 def _greedy_refine(space, mask, eps):
     """Local removals and swaps on a dense-matrix space.  Accepts strict
     lexicographic improvements in (thickened mass, set size), so it stops."""
-    d = space.dist
     w = space.weight
     n = space.n
-    _refuse_non_finite(d, np.arange(n), np.arange(n))
+    idx = np.arange(n)
+    d = np.vstack([block for _, block in space.distance_blocks(idx, idx, 8)])
     need = 0.5 - HALF_TOL
     mask = mask.copy()
 
@@ -220,19 +221,16 @@ def alpha_lower_bound(space, eps, cfg=None):
         anchors = sorted(rng.choice(n, size=min(cfg.ball_anchors, n), replace=False))
 
     def scores():
-        for a in anchors:
-            row = space.pairwise(np.array([a]), all_idx)[0]
-            _refuse_non_finite(row[None], [a], all_idx)
-            yield row
+        for _, rows in space.distance_blocks(anchors, all_idx, 8):
+            yield from rows
         scale = None
         for r in range(cfg.restarts):
             rng = np.random.default_rng([cfg.seed, 1 + r])
             picks = rng.choice(n, size=min(_LIPSCHITZ_ANCHORS, n), replace=False)
-            rows = space.pairwise(np.asarray(picks), all_idx)
-            _refuse_non_finite(rows, picks, all_idx)
+            rows = np.vstack([d for _, d in space.distance_blocks(picks, all_idx, 8)])
             if scale is None:
                 scale = float(rows.max()) or 1.0
-            offsets = rng.uniform(0.0, scale, size=picks.shape[0])
+            offsets = rng.uniform(0.0, scale, size=rows.shape[0])
             yield (rows + offsets[:, None]).min(axis=0)
 
     # A scan stops once its running mass reaches best + slack, when its
@@ -275,15 +273,14 @@ def majority_ball_upper(space, eps):
     half-mass set meets it, so x lies in the eps-thickening whenever r <= eps.
     One minus the mass of such x bounds alpha from above.  Each point's
     smallest majority radius depends on its own row alone, so rows are
-    processed in blocks of bounded scratch.
+    processed in blocks of bounded scratch.  A non-finite distance is
+    refused (ValueError).
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    n = space.n
-    all_idx = np.arange(n)
-    radii = np.empty(n)
-    for r in _row_blocks(n, n, _BALL_PAIR_BYTES):
-        d = space.pairwise(all_idx[r], all_idx)
+    all_idx = np.arange(space.n)
+    radii = np.empty(space.n)
+    for r, d in space.distance_blocks(all_idx, all_idx, _BALL_PAIR_BYTES):
         order = np.argsort(d, axis=1, kind="stable")
         cum = np.cumsum(space.weight[order], axis=1)
         first = np.argmax(cum > 0.5 + 1e-9, axis=1)

@@ -16,6 +16,7 @@ from .spaces import _as_mask, neighborhood
 
 _ENUMERATION_CAP = 1 << 22  # most colorings ramsey_verify sweeps, or subsets it colors
 _SWEEP_CHUNK = 1 << 16  # colorings one step of ramsey_verify's sweep decides
+_ACTION_PAIR_BYTES = 48  # an action's metric test per pair: two distances, allclose's scratch
 
 LEADER_THRESHOLD = math.sqrt(2.0) / 2.0 - math.sqrt(3.0) / 3.0
 
@@ -37,12 +38,15 @@ class IsometricAction:
         n = self.space.n
         self.elements = [np.asarray(p, dtype=np.intp).reshape(-1) for p in self.elements]
         ident = np.arange(n)
-        d = self.space.dist
         for idx, p in enumerate(self.elements):
             if p.shape != (n,) or not np.array_equal(np.sort(p), ident):
                 raise ValueError(f"element {idx} is not a permutation of {n} points")
-            if not np.allclose(d[np.ix_(p, p)], d, rtol=0, atol=self.atol):
-                raise ValueError(f"element {idx} does not preserve the metric")
+            # the image is refused like the block, so a nan is refused at any block size
+            blocks = zip(self.space.distance_blocks(ident, ident, _ACTION_PAIR_BYTES),
+                         self.space.distance_blocks(p, p, _ACTION_PAIR_BYTES))
+            for (_, d), (_, image) in blocks:
+                if not np.allclose(image, d, rtol=0, atol=self.atol):
+                    raise ValueError(f"element {idx} does not preserve the metric")
 
 
 @dataclass

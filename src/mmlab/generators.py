@@ -9,6 +9,7 @@ matter how the work would be partitioned.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 from .spaces import FiniteMMSpace
 
 _SAMPLE_BLOCK = 8192
-_SAMPLE_BUDGET = 1 << 28    # bytes the stacked samples of one sampled space may hold
+_SAMPLE_BUDGET = 1 << 28    # bytes the points of one sampled space may hold
 _CUBE_MAX_DIM = 20          # hamming_cube materializes 2^n points up to this
 _SYMMETRIC_MAX_N = 7        # symmetric_group materializes n! points up to this
 _SL2_PRIMES = (2, 3, 5, 7, 11, 13)  # sl2_word_metric builds (p^3 - p)^2 distances for these
@@ -42,14 +43,27 @@ def _blocks(seed, count, draw):
                    min(_SAMPLE_BLOCK, count - b0))
 
 
-def _sample_blocks(cfg, draw, row_bytes):
-    """All of cfg's blocks of draw, stacked.  Samples of row_bytes each that
-    would pass _SAMPLE_BUDGET are refused before the first block is drawn."""
-    need = cfg.sample_count * row_bytes
+def _sample_blocks(cfg, draw, row_bytes, label):
+    """All of cfg's blocks of draw, stacked.  Each point of the space keeps
+    its sample of row_bytes, its weight (8 bytes), its slot in the label
+    list (8) and its label, counted as sys.getsizeof(label) of the widest
+    label rounded up to the 8-byte alignment of an allocation (an int of 28
+    bytes takes 32).  Counts whose points would pass _SAMPLE_BUDGET are
+    refused before the first block is drawn."""
+    point_bytes = row_bytes + 16 + -(-sys.getsizeof(label) // 8) * 8
+    need = cfg.sample_count * point_bytes
     if need > _SAMPLE_BUDGET:
         raise ValueError(f"sample_count {cfg.sample_count} needs {need} bytes of samples, "
+                         f"weights and labels ({point_bytes} a point), "
                          f"over the budget of {_SAMPLE_BUDGET}")
     return np.concatenate(list(_blocks(cfg.seed, cfg.sample_count, draw)), axis=0)
+
+
+def _word_labels(words):
+    """One label per row of non-negative integer symbols: their decimal
+    digits, joined, read through a table of the symbols' strings."""
+    symbols = [str(k) for k in range(int(words.max(initial=0)) + 1)]
+    return ["".join([symbols[k] for k in row.tolist()]) for row in words]
 
 
 def _unit_vectors(rng, take, d):
@@ -82,8 +96,8 @@ def hamming_cube_sampled(n, cfg):
     if n < 1:
         raise ValueError("cube dimension must be positive")
     pts = _sample_blocks(cfg, lambda rng, take: rng.integers(
-        0, 2, size=(take, n), dtype=np.uint8), n)
-    labels = ["".join(map(str, row)) for row in pts]
+        0, 2, size=(take, n), dtype=np.uint8), n, "0" * n)
+    labels = _word_labels(pts)
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
     return FiniteMMSpace(labels, w, points=pts, metric="hamming")
 
@@ -98,7 +112,7 @@ def symmetric_group(n):
             f"symmetric group degree {n} outside [1, {_SYMMETRIC_MAX_N}]; "
             "use symmetric_group_sampled for larger degrees")
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
-    labels = ["".join(map(str, p)) for p in perms]
+    labels = _word_labels(perms)
     w = np.full(len(perms), 1.0 / len(perms))
     return FiniteMMSpace(labels, w, points=perms, metric="hamming")
 
@@ -109,8 +123,9 @@ def symmetric_group_sampled(n, cfg):
         raise ValueError("degree must be positive")
     dtype = np.min_scalar_type(n - 1)
     pts = _sample_blocks(cfg, lambda rng, take: rng.permuted(
-        np.tile(np.arange(n, dtype=dtype), (take, 1)), axis=1), n * dtype.itemsize)
-    labels = ["".join(map(str, row)) for row in pts]
+        np.tile(np.arange(n, dtype=dtype), (take, 1)), axis=1), n * dtype.itemsize,
+        "".join(map(str, range(n))))
+    labels = _word_labels(pts)
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
     return FiniteMMSpace(labels, w, points=pts, metric="hamming")
 
@@ -127,7 +142,8 @@ def sphere_sampled(dim, cfg, metric="euclidean"):
         raise ValueError("sphere dimension must be positive")
     if metric not in ("euclidean", "geodesic"):
         raise ValueError(f"metric must be euclidean or geodesic, got {metric!r}")
-    pts = _sample_blocks(cfg, lambda rng, take: _unit_vectors(rng, take, dim + 1), 8 * (dim + 1))
+    pts = _sample_blocks(cfg, lambda rng, take: _unit_vectors(rng, take, dim + 1), 8 * (dim + 1),
+                         cfg.sample_count - 1)
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
     kind = "euclidean" if metric == "euclidean" else "sphere_geodesic"
     return FiniteMMSpace(list(range(cfg.sample_count)), w, points=pts, metric=kind)
@@ -152,7 +168,7 @@ def so_n_sampled(n, cfg):
         q[dets < 0, :, -1] *= -1.0
         return q.reshape(take, n * n)
 
-    pts = _sample_blocks(cfg, draw, 8 * n * n)
+    pts = _sample_blocks(cfg, draw, 8 * n * n, cfg.sample_count - 1)
     w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
     return FiniteMMSpace(list(range(cfg.sample_count)), w, points=pts, metric="operator_norm")
 
@@ -241,7 +257,7 @@ def product_space(base_weights, n):
     for j in range(n - 1, -1, -1):
         digits[:, j] = rem % k
         rem //= k
-    labels = ["".join(map(str, row)) for row in digits]
+    labels = _word_labels(digits)
     w = base[digits].prod(axis=1)
     return FiniteMMSpace(labels, w, points=digits, metric="hamming")
 

@@ -128,6 +128,17 @@ class FiniteMMSpace:
             out[r, c] = self._kernel.block(rows[r], cols[c])
         return out
 
+    def distance_blocks(self, rows, cols, pair_bytes):
+        """Yield (r, pairwise(rows[r], cols)) for row slices r in order, as
+        _row_blocks cuts them at pair_bytes a pair.  The reader for results
+        that need a metric: a non-finite distance raises ValueError."""
+        for r in _row_blocks(len(rows), len(cols), pair_bytes):
+            d = self.pairwise(rows[r], cols)
+            if not np.isfinite(d).all():
+                i, j = np.argwhere(~np.isfinite(d))[0]
+                raise ValueError(f"not a metric: non-finite distance at ({rows[r][i]},{cols[j]})")
+            yield r, d
+
     @property
     def dist(self):
         """Dense distance matrix, materialized (and cached) on demand."""
@@ -253,13 +264,6 @@ def _row_blocks(rows, cols, pair_bytes):
     _TILE_BYTES of scratch at pair_bytes a (row, column) pair."""
     step = max(1, _TILE_BYTES // (pair_bytes * max(cols, 1)))
     return [slice(r0, r0 + step) for r0 in range(0, rows, step)]
-
-
-def _refuse_non_finite(block, rows, cols):
-    """Raise ValueError naming the first non-finite entry of block, d(rows, cols)."""
-    if not np.isfinite(block).all():
-        i, j = np.argwhere(~np.isfinite(block))[0]
-        raise ValueError(f"not a metric: non-finite distance at ({rows[i]},{cols[j]})")
 
 
 def _tiles(n_rows, n_cols, pair_bytes):
@@ -552,10 +556,10 @@ def validate_space(space):
 
 
 def diameter(space):
-    """Largest pairwise distance, scanned in kernel tiles."""
+    """Largest pairwise distance, read in row blocks of 9 bytes a pair (the
+    distance and its finite flag); a non-finite one is refused."""
     idx = np.arange(space.n)
-    return float(np.max([space._kernel.block(idx[r], idx[c]).max()
-                         for r, c in _tiles(space.n, space.n, space._kernel.pair_bytes)]))
+    return float(max(d.max() for _, d in space.distance_blocks(idx, idx, 9)))
 
 
 def _reach_table(nb):

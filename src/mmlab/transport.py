@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import _TILE_BYTES, _refuse_non_finite, _row_blocks
+from .spaces import _TILE_BYTES, _row_blocks
 
 _MARGINAL_TOL = 1e-9
 _REL_TOL = 1e-9         # slack, relative to d_max, of the metric and certificate checks
@@ -74,15 +74,13 @@ class EmdResult:
     potential: np.ndarray  # the dual certificate: 1-Lipschitz, pairs to distance
 
 
-def _scan_metric(d, src, dst, names):
+def _scan_metric(space, d, src, dst, names):
     """d_max over the pairs from the sources src to the targets dst (positions
-    in d).  The scan raises ValueError unless those distances are finite and
-    zero where a point meets itself, within _REL_TOL * d_max, naming the
-    entry by names, the points' indices in the space."""
+    in d, the distances between the space's points names), read through
+    space.distance_blocks.  ValueError names, by indices in the space, a
+    non-finite distance or a self-distance not zero within _REL_TOL * d_max."""
     d_max = 0.0
-    for r in _row_blocks(src.shape[0], dst.shape[0], _PAIR_BYTES):
-        block = d[np.ix_(src[r], dst)]
-        _refuse_non_finite(block, names[src[r]], names[dst])
+    for _, block in space.distance_blocks(names[src], names[dst], _PAIR_BYTES):
         d_max = max(d_max, float(block.max()))
     both = np.intersect1d(src, dst, assume_unique=True)
     diag = np.abs(d[both, both])
@@ -395,14 +393,13 @@ def emd(space, pair):
     if pair.mu1.shape[0] != n:
         raise ValueError("measure length does not match the space")
     support = np.flatnonzero((pair.mu1 > 0) | (pair.mu2 > 0))
-    dist = space.dist
-    d = dist if support.shape[0] == n else dist[np.ix_(support, support)]
+    d = space.dist if support.shape[0] == n else space.dist[np.ix_(support, support)]
     # each measure is rescaled to mass 1 on the support, so that the
     # balances agree to rounding: the measures' sums need only hold to 1e-9,
     # and a point of equal masses ships its share of their drift
     mu1, mu2 = (mu[support] / mu[support].sum() for mu in (pair.mu1, pair.mu2))
     src, dst = np.flatnonzero(mu1 > 0), np.flatnonzero(mu2 > 0)
-    d_max = _scan_metric(d, src, dst, support)
+    d_max = _scan_metric(space, d, src, dst, support)
     tol = _REL_TOL * d_max
     excess = mu1 - mu2
     tail, head, amount, u = _simplex(d, np.flatnonzero(excess > 0), np.flatnonzero(excess < 0),
@@ -428,8 +425,8 @@ def emd(space, pair):
     joint[support[tail], support[head]] = amount
     potential = np.zeros(n)
     outside = np.flatnonzero((pair.mu1 <= 0) & (pair.mu2 <= 0))
-    for r in _row_blocks(outside.shape[0], support.shape[0], _PAIR_BYTES):
-        potential[outside[r]] = (u[None, :] + dist[np.ix_(outside[r], support)]).min(axis=1)
+    for r, block in space.distance_blocks(outside, support, _PAIR_BYTES):
+        potential[outside[r]] = (u[None, :] + block).min(axis=1)
     potential[support] = u
     witness = Coupling(joint)
     witness.check(pair)

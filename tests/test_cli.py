@@ -263,7 +263,11 @@ def test_internal_fault_exits_1(monkeypatch, capsys):
     (["alpha", "--space", "{cube}", "--grid", "0.1:0.2:1000000000000"],
      "--grid count 1000000000000 is over the cap 10000"),
     (["generate", "--family", "sphere", "--dim", "2", "--samples", "1000000000000"],
-     "sample_count 1000000000000 needs 24000000000000 bytes of samples, over the budget"),
+     "sample_count 1000000000000 needs 72000000000000 bytes of samples, weights and labels "
+     "(72 a point), over the budget"),
+    # an infinite constant, whose product with a zero distance is nan
+    (["median", "--space", "{cube}", "--values", "{flat}", "--constant", "inf"],
+     "Lipschitz constant must be finite, got inf"),
 ])
 def test_malformed_inputs_are_refused_with_their_message(tmp_path, capsys, argv, message):
     paths = {name: str(tmp_path / name) for name in ("cube", "broken", "object", "action",

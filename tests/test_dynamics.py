@@ -3,6 +3,7 @@ block-sphere demonstration, and exhaustive monochromatic-subset verification."""
 
 import functools
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -12,13 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import normalized
+from mmlab import spaces as spaces_module
+from mmlab.cli import main
 from mmlab.dynamics import (LEADER_THRESHOLD, ColoredHypergraph, Cover,
                             IsometricAction, concentration_property_check,
                             fixed_points, is_essential, leader_certificate,
                             _block_masses, leader_empirical, ramsey_verify,
                             translate_mask)
 from mmlab.generators import hamming_cube, symmetric_group
-from mmlab.spaces import FiniteMMSpace, neighborhood
+from mmlab.spaces import FiniteMMSpace, neighborhood, save_space
 
 
 # -- construction helpers ------------------------------------------------------
@@ -99,6 +102,34 @@ def test_isometric_action_rejects_non_isometry():
     # a loose tolerance lets the corrupted element through
     action = IsometricAction(x, [np.array([2, 1, 0])], atol=1.0)
     assert len(action.elements) == 1
+
+
+def test_an_action_needs_no_dense_matrix(monkeypatch, tmp_path, capsys):
+    cube = hamming_cube(4)
+    flip = np.arange(16) ^ 1  # flipping the last bit is an isometry
+    IsometricAction(cube, [cube_bit_rotation(4), flip])
+    assert cube._dist is None
+    # below the 4-cube's 16 points, the dense matrix is refused: the action
+    # and the essential command still run
+    monkeypatch.setattr(spaces_module, "_MATERIALIZE_CAP", 8)
+    with pytest.raises(ValueError, match="too many for a dense matrix"):
+        hamming_cube(4).dist
+    assert len(IsometricAction(hamming_cube(4), [flip]).elements) == 1
+    save_space(cube, tmp_path / "cube.json")
+    (tmp_path / "action.json").write_text(json.dumps({"permutations": [flip.tolist()]}))
+    assert main(["essential", "--space", str(tmp_path / "cube.json"), "--action",
+                 str(tmp_path / "action.json"), "--set", "0,1", "--eps", "0.25",
+                 "--family", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["essential"] is True
+
+
+def test_an_action_refuses_a_nan_distance_at_any_block_size(monkeypatch):
+    nan = float("nan")
+    x = FiniteMMSpace([0, 1, 2], [1 / 3] * 3, dist=[[0, 1, 1], [1, 0, nan], [1, nan, 0]])
+    for tile in (1 << 25, 64):  # one block, and one row a block
+        monkeypatch.setattr(spaces_module, "_TILE_BYTES", tile)
+        with pytest.raises(ValueError, match=r"^not a metric: non-finite distance at \(1,2\)$"):
+            IsometricAction(x, [[1, 0, 2]])
 
 
 def test_isometric_action_rejects_non_permutation():

@@ -196,11 +196,16 @@ def test_build_space_dispatch():
 
 SAMPLERS = [(hamming_cube_sampled, 64, 64), (symmetric_group_sampled, 300, 600),
             (sphere_sampled, 2, 24), (so_n_sampled, 3, 72)]
+# what one point keeps: its sample row, its weight and its label-list slot
+# (8 bytes each), and its label rounded up to 8 bytes: a str of 64 or 790
+# characters (113 and 839 bytes), or an int
+POINT_BYTES = {hamming_cube_sampled: 64 + 16 + 120, symmetric_group_sampled: 600 + 16 + 840,
+               sphere_sampled: 24 + 16 + 32, so_n_sampled: 72 + 16 + 32}
 
 
 @pytest.mark.parametrize("sampler, size, row_bytes", SAMPLERS)
 def test_oversized_sample_counts_are_refused_before_drawing(sampler, size, row_bytes):
-    count = 10**12
+    count, point = 10**12, POINT_BYTES[sampler]
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as refused:
@@ -208,14 +213,27 @@ def test_oversized_sample_counts_are_refused_before_drawing(sampler, size, row_b
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert str(refused.value) == (f"sample_count {count} needs {count * row_bytes} bytes of "
-                                  f"samples, over the budget of {1 << 28}")
+    assert str(refused.value) == (f"sample_count {count} needs {count * point} bytes of "
+                                  f"samples, weights and labels ({point} a point), "
+                                  f"over the budget of {1 << 28}")
     assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("sampler, size, row_bytes", SAMPLERS)
 def test_the_sample_budget_holds_a_count_that_fits_it(monkeypatch, sampler, size, row_bytes):
-    monkeypatch.setattr(generators, "_SAMPLE_BUDGET", 5 * row_bytes)
+    point = POINT_BYTES[sampler]
+    monkeypatch.setattr(generators, "_SAMPLE_BUDGET", 5 * point)
     assert sampler(size, cfg(n=5)).points.nbytes == 5 * row_bytes
     with pytest.raises(ValueError, match="over the budget"):
         sampler(size, cfg(n=6))
+    # an admitted space keeps no more than its budget, but for a few
+    # fixed-size objects
+    count = 20_000
+    monkeypatch.setattr(generators, "_SAMPLE_BUDGET", count * point)
+    tracemalloc.start()
+    try:
+        space = sampler(size, cfg(n=count))
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.n == count and kept <= count * point + (64 << 10), kept - count * point

@@ -12,13 +12,20 @@ from mmlab.generators import (SamplerConfig, hamming_cube, hamming_cube_sampled,
                               sl2_word_metric, so_n_sampled, sphere_sampled,
                               symmetric_group_sampled)
 from mmlab.observable import StepFunction
-from mmlab.spaces import (ConcentrationCurve, FiniteMMSpace, alpha_exact, measure,
+from mmlab.spaces import (ConcentrationCurve, FiniteMMSpace, alpha_exact, diameter, measure,
                           neighborhood, point_space)
-from mmlab.transport import MeasurePair
+from mmlab.transport import MeasurePair, emd
 
 CURVE = ConcentrationCurve([0.1, 0.2], [0.25, 0.0], kind="exact")
 CSV = "eps,alpha,kind\n"
 NAN = float("nan")
+
+
+def broken(i, j):
+    """Three points at distance 1 but for d(i, j) = nan."""
+    d = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    d[i][j] = d[j][i] = NAN
+    return FiniteMMSpace([0, 1, 2], [1 / 3] * 3, dist=d)
 
 
 def outcome(call):
@@ -148,6 +155,19 @@ CASES = {
     "measure-nan-mass": (lambda: MeasurePair([NAN, 0.5], [0.5, 0.5]),
                          "mu1 sums to nan, expected 1"),
     "measure-sum": (lambda: MeasurePair([0.5, 0.5], [4.0, 4.0]), "mu2 sums to 8.0, expected 1"),
+    # readers that once built answers on a nan distance
+    "majority-ball-nan-distance": (lambda: majority_ball_upper(broken(1, 2), 0.5),
+                                   "not a metric: non-finite distance at (1,2)"),
+    "diameter-nan-distance": (lambda: diameter(broken(1, 2)),
+                              "not a metric: non-finite distance at (1,2)"),
+    "action-nan-distance": (lambda: IsometricAction(broken(1, 2), [[0, 1, 2]]),
+                            "not a metric: non-finite distance at (1,2)"),
+    # d(0,2) lies outside the measures' supports, where the potential extends
+    "emd-nan-distance-outside": (lambda: emd(broken(0, 2), MeasurePair(
+        [0.5, 0.5, 0.0], [0.25, 0.75, 0.0])), "not a metric: non-finite distance at (2,0)"),
+    # inf * 0 is nan, where the check's argmax once stopped
+    "lipschitz-inf-constant": (lambda: LipschitzFunction([0.0, 1.0], constant=float("inf")),
+                               "Lipschitz constant must be finite, got inf"),
 }
 
 

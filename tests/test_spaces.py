@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from conftest import (count_pairs, dense_dist_to_set, dense_thickening, full_table_alpha_exact,
                       normalized, spaces)
 from mmlab import spaces as spaces_module
-from mmlab.concentration import SearchConfig, alpha_lower_bound
+from mmlab.concentration import SearchConfig, alpha_lower_bound, majority_ball_upper
+from mmlab.dynamics import IsometricAction
 from mmlab.generators import (hamming_cube, hamming_cube_sampled, so_n_sampled,
                               sphere_sampled, SamplerConfig)
 from mmlab.observable import _best_const_rows, _family_hausdorff, lipschitz_extremes
@@ -395,11 +396,20 @@ def test_tile_budget_and_point_order_do_not_change_results(monkeypatch):
     cfg = SearchConfig(seed=2, restarts=3)
     rng = np.random.default_rng(5)
 
+    def accepted(space, perm):
+        try:
+            IsometricAction(space, [perm])
+        except ValueError:
+            return False
+        return True
+
     def run(pts, metric, masks):
         space = lazy_space(pts, metric)
         thick = [space.thickened(m, eps) for m in masks for eps in (0.3, 0.5, 1.0)]
         return thick, space.dist_to_set(masks[0]), diameter(space), [
-            alpha_lower_bound(lazy_space(pts, metric), eps, cfg) for eps in (0.3, 1.0)]
+            alpha_lower_bound(lazy_space(pts, metric), eps, cfg) for eps in (0.3, 1.0)], [
+            majority_ball_upper(space, eps) for eps in (0.3, 1.0)], [
+            accepted(space, perm) for perm in (np.arange(space.n), np.roll(np.arange(space.n), 1))]
 
     def fits(pts, metric):
         # the constant fit and the Hausdorff me1 of the observable search
@@ -426,6 +436,7 @@ def test_tile_budget_and_point_order_do_not_change_results(monkeypatch):
         for a, b in zip(want[0], rev[0]):
             assert np.array_equal(a, b[::-1]), name
         assert np.array_equal(want[1], rev[1][::-1]) and want[2] == rev[2], name
+        assert want[4] == rev[4] and want[5][0] and rev[5][0], name
 
 
 def test_hamming_thickening_tile_memory_is_bounded():
