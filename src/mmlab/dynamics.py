@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import _blocks
-from .spaces import _as_mask, neighborhood
+from .spaces import neighborhood
 
 _ENUMERATION_CAP = 1 << 22  # most colorings ramsey_verify sweeps, or subsets it colors
 _SWEEP_CHUNK = 1 << 16  # colorings one step of ramsey_verify's sweep decides
@@ -88,9 +88,6 @@ def translate_mask(action, mask, g):
 def is_essential(action, mask, eps, family):
     """Whether the translates of the eps-thickening under the family share a
     common point; returns one such point when they do."""
-    mask = _as_mask(action.space, mask)
-    if not mask.any():
-        raise ValueError("empty set has no neighborhood")
     nb = neighborhood(action.space, mask, eps)
     inter = np.ones(action.space.n, dtype=bool)
     for g in family:

@@ -43,20 +43,25 @@ def _blocks(seed, count, draw):
                    min(_SAMPLE_BLOCK, count - b0))
 
 
-def _sample_blocks(cfg, draw, row_bytes, label):
-    """All of cfg's blocks of draw, stacked.  Each point of the space keeps
-    its sample of row_bytes, its weight (8 bytes), its slot in the label
-    list (8) and its label, counted as sys.getsizeof(label) of the widest
-    label rounded up to the 8-byte alignment of an allocation (an int of 28
-    bytes takes 32).  Counts whose points would pass _SAMPLE_BUDGET are
-    refused before the first block is drawn."""
+def _sampled_space(cfg, draw, row_bytes, label, metric):
+    """The space of all of cfg's blocks of draw, stacked, under metric, with
+    the uniform measure.  Hamming points are labelled by their words, the
+    others by their index.  Each point keeps its sample of row_bytes, its
+    weight (8 bytes), its slot in the label list (8) and its label, counted
+    as sys.getsizeof(label) of the widest label rounded up to the 8-byte
+    alignment of an allocation (an int of 28 bytes takes 32).  Counts whose
+    points would pass _SAMPLE_BUDGET are refused before the first block is
+    drawn."""
+    count = cfg.sample_count
     point_bytes = row_bytes + 16 + -(-sys.getsizeof(label) // 8) * 8
-    need = cfg.sample_count * point_bytes
+    need = count * point_bytes
     if need > _SAMPLE_BUDGET:
-        raise ValueError(f"sample_count {cfg.sample_count} needs {need} bytes of samples, "
+        raise ValueError(f"sample_count {count} needs {need} bytes of samples, "
                          f"weights and labels ({point_bytes} a point), "
                          f"over the budget of {_SAMPLE_BUDGET}")
-    return np.concatenate(list(_blocks(cfg.seed, cfg.sample_count, draw)), axis=0)
+    pts = np.concatenate(list(_blocks(cfg.seed, count, draw)), axis=0)
+    labels = _word_labels(pts) if metric == "hamming" else list(range(count))
+    return FiniteMMSpace(labels, np.full(count, 1.0 / count), points=pts, metric=metric)
 
 
 def _word_labels(words):
@@ -95,11 +100,8 @@ def hamming_cube_sampled(n, cfg):
     """Uniformly sampled bit strings from {0,1}^n, empirical measure."""
     if n < 1:
         raise ValueError("cube dimension must be positive")
-    pts = _sample_blocks(cfg, lambda rng, take: rng.integers(
-        0, 2, size=(take, n), dtype=np.uint8), n, "0" * n)
-    labels = _word_labels(pts)
-    w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
-    return FiniteMMSpace(labels, w, points=pts, metric="hamming")
+    return _sampled_space(cfg, lambda rng, take: rng.integers(
+        0, 2, size=(take, n), dtype=np.uint8), n, "0" * n, "hamming")
 
 
 # -- permutation groups ------------------------------------------------------
@@ -122,12 +124,9 @@ def symmetric_group_sampled(n, cfg):
     if n < 1:
         raise ValueError("degree must be positive")
     dtype = np.min_scalar_type(n - 1)
-    pts = _sample_blocks(cfg, lambda rng, take: rng.permuted(
+    return _sampled_space(cfg, lambda rng, take: rng.permuted(
         np.tile(np.arange(n, dtype=dtype), (take, 1)), axis=1), n * dtype.itemsize,
-        "".join(map(str, range(n))))
-    labels = _word_labels(pts)
-    w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
-    return FiniteMMSpace(labels, w, points=pts, metric="hamming")
+        "".join(map(str, range(n))), "hamming")
 
 
 # -- spheres and rotations ---------------------------------------------------
@@ -142,11 +141,9 @@ def sphere_sampled(dim, cfg, metric="euclidean"):
         raise ValueError("sphere dimension must be positive")
     if metric not in ("euclidean", "geodesic"):
         raise ValueError(f"metric must be euclidean or geodesic, got {metric!r}")
-    pts = _sample_blocks(cfg, lambda rng, take: _unit_vectors(rng, take, dim + 1), 8 * (dim + 1),
-                         cfg.sample_count - 1)
-    w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
-    kind = "euclidean" if metric == "euclidean" else "sphere_geodesic"
-    return FiniteMMSpace(list(range(cfg.sample_count)), w, points=pts, metric=kind)
+    return _sampled_space(cfg, lambda rng, take: _unit_vectors(rng, take, dim + 1), 8 * (dim + 1),
+                          cfg.sample_count - 1,
+                          "euclidean" if metric == "euclidean" else "sphere_geodesic")
 
 
 def so_n_sampled(n, cfg):
@@ -168,9 +165,7 @@ def so_n_sampled(n, cfg):
         q[dets < 0, :, -1] *= -1.0
         return q.reshape(take, n * n)
 
-    pts = _sample_blocks(cfg, draw, 8 * n * n, cfg.sample_count - 1)
-    w = np.full(cfg.sample_count, 1.0 / cfg.sample_count)
-    return FiniteMMSpace(list(range(cfg.sample_count)), w, points=pts, metric="operator_norm")
+    return _sampled_space(cfg, draw, 8 * n * n, cfg.sample_count - 1, "operator_norm")
 
 
 # -- special linear groups over prime fields ---------------------------------
@@ -251,12 +246,9 @@ def product_space(base_weights, n):
     count = k**n
     if count > _PRODUCT_MAX_POINTS:
         raise ValueError(f"k^n = {count} exceeds cap {_PRODUCT_MAX_POINTS}")
-    idx = np.arange(count)
-    digits = np.empty((count, n), dtype=np.uint8)
-    rem = idx.copy()
-    for j in range(n - 1, -1, -1):
-        digits[:, j] = rem % k
-        rem //= k
+    # point i is the base-k word of i, most significant digit first
+    digits = np.stack(np.unravel_index(np.arange(count), (k,) * n), axis=1).astype(
+        np.min_scalar_type(k - 1))
     labels = _word_labels(digits)
     w = base[digits].prod(axis=1)
     return FiniteMMSpace(labels, w, points=digits, metric="hamming")

@@ -134,9 +134,7 @@ class FiniteMMSpace:
         that need a metric: a non-finite distance raises ValueError."""
         for r in _row_blocks(len(rows), len(cols), pair_bytes):
             d = self.pairwise(rows[r], cols)
-            if not np.isfinite(d).all():
-                i, j = np.argwhere(~np.isfinite(d))[0]
-                raise ValueError(f"not a metric: non-finite distance at ({rows[r][i]},{cols[j]})")
+            _refuse_non_finite(d, rows[r], cols)
             yield r, d
 
     @property
@@ -250,6 +248,14 @@ class FiniteMMSpace:
 
 
 # -- metric kernels ----------------------------------------------------------
+
+def _refuse_non_finite(d, rows, cols):
+    """Raise ValueError naming the first non-finite entry of d, the
+    distances between the points rows and cols, in row-major order."""
+    if not np.isfinite(d).all():
+        i, j = np.argwhere(~np.isfinite(d))[0]
+        raise ValueError(f"not a metric: non-finite distance at ({rows[i]},{cols[j]})")
+
 
 def _tile_shape(n_rows, n_cols, pair_bytes):
     """Row and column counts of a tile whose scratch fits in _TILE_BYTES."""
@@ -562,15 +568,15 @@ def diameter(space):
     return float(max(d.max() for _, d in space.distance_blocks(idx, idx, 9)))
 
 
-def _reach_table(nb):
-    """reach[s], for every bitmask s < 2^len(nb): the OR of nb[b] over the
-    bits b set in s."""
-    reach = np.empty(1 << nb.shape[0], dtype=np.uint64)
-    reach[0] = 0
-    for b in range(nb.shape[0]):
+def _subset_table(values, op):
+    """table[s], for every bitmask s < 2^len(values): values[b] over the bits
+    b set in s, folded from 0 by the ufunc op in ascending b."""
+    table = np.empty(1 << values.shape[0], dtype=values.dtype)
+    table[0] = 0
+    for b in range(values.shape[0]):
         lo = 1 << b
-        np.bitwise_or(reach[:lo], nb[b], out=reach[lo:2 * lo])
-    return reach
+        op(table[:lo], values[b], out=table[lo:2 * lo])
+    return table
 
 
 def alpha_exact(space, eps, exhaustive_cap=_EXHAUSTIVE_CAP):
@@ -582,7 +588,8 @@ def alpha_exact(space, eps, exhaustive_cap=_EXHAUSTIVE_CAP):
     mass per subset (8 bytes each) and walks the subsets in blocks of
     2^_SUBSET_BLOCK_BITS, whose thickenings join the reach of the block's
     low points with that of its high ones in one reused buffer; whatever
-    the cap, the masses and the blocks must fit in 1 GiB, so n <= 26.
+    the cap, the masses and the blocks must fit in 1 GiB, so n <= 26.  A
+    non-finite distance raises ValueError.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -601,22 +608,18 @@ def alpha_exact(space, eps, exhaustive_cap=_EXHAUSTIVE_CAP):
             f"space has {n} points; exhaustive enumeration needs {need} bytes, "
             f"over the {_SUBSET_TABLE_BUDGET}-byte budget")
     d = space.dist
-    w = space.weight
+    _refuse_non_finite(d, np.arange(n), np.arange(n))
 
     # nb[i] = bitmask of points within eps of point i (closed ball)
     within = d <= eps
     bits = (np.uint64(1) << np.arange(n, dtype=np.uint64))
     nb = (within * bits[None, :]).sum(axis=1, dtype=np.uint64)
 
-    wsum = np.empty(1 << n, dtype=float)  # mu(A) for each bitmask A
-    wsum[0] = 0
-    for b in range(n):
-        lo = 1 << b
-        np.add(wsum[:lo], w[b], out=wsum[lo:2 * lo])
+    wsum = _subset_table(space.weight, np.add)  # mu(A) for each bitmask A
 
     # the subsets (h << low) | l, for l < 2^low, have thickening
     # reach_lo[l] | reach_hi[h]
-    reach_lo, reach_hi = _reach_table(nb[:low]), _reach_table(nb[low:])
+    reach_lo, reach_hi = (_subset_table(part, np.bitwise_or) for part in (nb[:low], nb[low:]))
     size = reach_lo.shape[0]
     reach = np.empty(size, dtype=np.uint64)
     feasible = np.empty(size, dtype=bool)

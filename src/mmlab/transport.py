@@ -218,16 +218,16 @@ def _simplex(d, src, dst, excess, d_max):
     pairs each, straight from d; the block's most stretched pair enters when
     u_i - u_j - d_ij exceeds _ENTER_TOL times the artificial cost.  After a
     block with no such pair, one scan takes the next 2, 4, 8, ... blocks, up
-    to those the cycle has left and to _TILE_BYTES of scratch, and the first
-    of them with such a pair gives its own; the pivots are those of one
-    block at a time.  A full cycle of blocks with no such pair ends the
-    solve.  Every empty tree arc points to the root (the tree is strongly
-    feasible), and the leaving arc is the last blocking arc met walking the
-    cycle from its apex along the entering arc (Cunningham 1976), so
-    degenerate pivots cannot cycle.  The tree is kept as parent arcs,
-    subtree sizes and a preorder, so that a pivot walks the cycle in Python
-    and moves the cut subtree, re-rooted at the entering arc, as slices of
-    the preorder.
+    to those the cycle has left, the last block of src and _TILE_BYTES of
+    scratch, and the first of them with such a pair gives its own; the
+    pivots are those of one block at a time.  A full cycle of blocks with no
+    such pair ends the solve.  Every empty tree arc points to the root (the
+    tree is strongly feasible), and the leaving arc is the last blocking arc
+    met walking the cycle from its apex along the entering arc (Cunningham
+    1976), so degenerate pivots cannot cycle.  The tree is kept as parent
+    arcs, subtree sizes and a preorder, so that a pivot walks the cycle in
+    Python and moves the cut subtree, re-rooted at the entering arc, as
+    slices of the preorder.
     """
     m, cols = excess.shape[0], dst.shape[0]
     root = m
@@ -240,10 +240,8 @@ def _simplex(d, src, dst, excess, d_max):
     widest = max(1, _TILE_BYTES // (_PAIR_BYTES * step * max(cols, 1)))  # blocks a scan may take
     b, idle, run = 0, 0, 1
     while idle < blocks:
-        run = min(run, blocks - idle, widest)
+        run = min(run, blocks - idle, blocks - b, widest)
         rows = src[b * step:(b + run) * step]
-        if b + run > blocks:  # the run wraps round to block 0
-            rows = np.concatenate((rows, src[:(b + run - blocks) * step]))
         over = _stretch(d, rows, dst, potential)
         hit = int(over.argmax())
         if not over.flat[hit] > enter:
@@ -254,9 +252,8 @@ def _simplex(d, src, dst, excess, d_max):
             # the first block with a stretched pair gives its own most
             # stretched pair, as when each block is scanned alone
             first = int(np.argmax(over.max(axis=1) > enter))
-            row = (b * step + first) % src.shape[0]  # that row's place in src
-            g, lo = row // step, first - row % step
-            hit = lo * cols + int(over[lo:lo + min(step, src.shape[0] - g * step)].argmax())
+            g, lo = b + first // step, first // step * step
+            hit = lo * cols + int(over[lo:lo + step].argmax())
         i, j = divmod(hit, cols)
         gain = float(over[i, j])
         b, idle, run = (g + 1) % blocks, 0, 1

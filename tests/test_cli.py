@@ -871,3 +871,17 @@ def test_outputs_end_with_newline_and_sorted_keys(cube3):
     assert r.stdout.endswith("\n")
     doc = json.loads(r.stdout)
     assert json.dumps(doc, sort_keys=True) + "\n" == r.stdout
+
+
+def test_a_non_finite_distance_is_an_input_error(tmp_path):
+    # obsdist once printed "upper": NaN, which is not JSON, and alpha 0.0
+    d = np.ones((3, 3)) - np.eye(3)
+    d[1, 2] = d[2, 1] = np.nan
+    broken, point = tmp_path / "broken.json", tmp_path / "point.json"
+    save_space(FiniteMMSpace([0, 1, 2], [1 / 3] * 3, dist=d), broken)
+    save_space(point_space(), point)
+    for argv in (["obsdist", "--x", broken, "--y", point],
+                 ["alpha", "--space", broken, "--eps", 1.0]):
+        r = run_cli(*argv)
+        assert r.returncode == 2 and r.stdout == "", argv
+        assert json.loads(r.stderr)["error"] == "not a metric: non-finite distance at (1,2)"

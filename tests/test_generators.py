@@ -237,3 +237,16 @@ def test_the_sample_budget_holds_a_count_that_fits_it(monkeypatch, sampler, size
     finally:
         tracemalloc.stop()
     assert space.n == count and kept <= count * point + (64 << 10), kept - count * point
+
+
+def test_product_letters_past_255():
+    # digits are stored in the narrowest unsigned type holding k - 1; a
+    # uint8 digit once wrapped, so point 256 was point 0 again
+    x = product_space(np.full(300, 1 / 300), 1)
+    assert x.points.dtype == np.uint16
+    assert x.labels == [str(i) for i in range(300)]
+    assert x.pairwise([0], [256])[0, 0] == 1.0
+    assert validate_space(x) == []
+    base = np.arange(1, 301) / np.arange(1, 301).sum()
+    assert np.array_equal(product_space(base, 1).weight, base)
+    assert product_space(np.full(256, 1 / 256), 1).points.dtype == np.uint8

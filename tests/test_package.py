@@ -3,8 +3,10 @@ object its submodule defines."""
 
 import importlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,3 +51,10 @@ def test_a_fresh_process_resolves_names_and_submodules_on_first_use():
     # dynamics imports generators and spaces
     assert dynamics == ["mmlab", "mmlab.dynamics", "mmlab.generators", "mmlab.spaces"]
     assert transport == dynamics + ["mmlab.transport"]
+
+
+def test_the_numpy_floor_has_bitwise_count():
+    # the hamming kernel counts bits with np.bitwise_count, new in NumPy 2.0
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=([0-9.]+)"', text).group(1)
+    assert tuple(map(int, floor.split("."))) >= (2, 0)

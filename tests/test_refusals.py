@@ -11,7 +11,7 @@ from mmlab.dynamics import (Cover, IsometricAction, concentration_property_check
 from mmlab.generators import (SamplerConfig, hamming_cube, hamming_cube_sampled, product_space,
                               sl2_word_metric, so_n_sampled, sphere_sampled,
                               symmetric_group_sampled)
-from mmlab.observable import StepFunction
+from mmlab.observable import StepFunction, obs_distance
 from mmlab.spaces import (ConcentrationCurve, FiniteMMSpace, alpha_exact, diameter, measure,
                           neighborhood, point_space)
 from mmlab.transport import MeasurePair, emd
@@ -168,6 +168,19 @@ CASES = {
     # inf * 0 is nan, where the check's argmax once stopped
     "lipschitz-inf-constant": (lambda: LipschitzFunction([0.0, 1.0], constant=float("inf")),
                                "Lipschitz constant must be finite, got inf"),
+    "alpha-exact-nan-distance": (lambda: alpha_exact(broken(1, 2), 1.0),
+                                 "not a metric: non-finite distance at (1,2)"),
+    "obsdist-nan-distance": (lambda: obs_distance(broken(1, 2), point_space()),
+                             "not a metric: non-finite distance at (1,2)"),
+    "obsdist-nan-distance-in-y": (lambda: obs_distance(point_space(), broken(0, 2)),
+                                  "not a metric: non-finite distance at (0,2)"),
+    # neighborhood refuses the mask, after the eps
+    "essential-mask-shape": (lambda: is_essential(IsometricAction(point_space(), [[0]]),
+                                                  [True, False], 0.1, [0]),
+                             "mask shape (2,), expected (1,)"),
+    "essential-mask-shape-nan-eps": (lambda: is_essential(IsometricAction(point_space(), [[0]]),
+                                                          [True, False], NAN, [0]),
+                                     "eps must be nonnegative"),
 }
 
 

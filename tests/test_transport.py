@@ -755,3 +755,31 @@ def test_translate_distance():
     assert got == pytest.approx(0.3 * 1.0, abs=1e-9)  # 01 -> 10 flips both bits
     with pytest.raises(ValueError, match="bijection"):
         translate_distance(cube, mu, np.array([0, 0, 1, 3]))
+
+
+def test_a_pricing_run_stops_at_the_last_block(monkeypatch):
+    # the solve pivots mid-cycle, so some doubling runs reach src's last
+    # row; each run is one slice of src, and the solve is that of one-block
+    # runs to the bit
+    cloud, pair = gaussian_cloud(7, 300)
+    mu1, mu2 = pair.mu1 / pair.mu1.sum(), pair.mu2 / pair.mu2.sum()
+    src, neg = np.flatnonzero(mu1 > mu2), int((mu1 < mu2).sum())
+    runs, stretch = [], transport._stretch
+
+    def watched(d, rows, cols, potential):
+        if cols.shape[0] == neg:  # a pricing scan, not the certificate's
+            runs.append(rows.copy())
+        return stretch(d, rows, cols, potential)
+
+    monkeypatch.setattr(transport, "_stretch", watched)
+    want = emd(cloud, pair)
+    starts = [int(np.searchsorted(src, rows[0])) for rows in runs]
+    assert all(np.array_equal(rows, src[k:k + rows.shape[0]]) for k, rows in zip(starts, runs))
+    assert any(rows.shape[0] > 1 and rows[-1] == src[-1] for rows in runs)
+    monkeypatch.setattr(transport, "_TILE_BYTES", 1)  # one block a scan
+    runs.clear()
+    got = emd(cloud, pair)
+    assert {rows.shape[0] for rows in runs} == {1}
+    assert got.distance == want.distance
+    assert np.array_equal(got.witness.joint, want.witness.joint)
+    assert np.array_equal(got.potential, want.potential)
