@@ -257,7 +257,10 @@ def _cmd_essential(args, argv):
     doc = _read_json(args.action)
     if not isinstance(doc, dict) or "permutations" not in doc:
         raise InputError(f"{args.action} must hold {{\"permutations\": [...]}}")
-    action = IsometricAction(space, doc["permutations"])
+    try:
+        action = IsometricAction(space, doc["permutations"])
+    except TypeError as e:
+        raise InputError(f"malformed action file {args.action}: {e}")
     mask = np.zeros(space.n, dtype=bool)
     mask[_index_list(args.set, space.n, "set")] = True
     family = _index_list(args.family, len(action.elements), "family")

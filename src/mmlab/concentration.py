@@ -204,8 +204,7 @@ def alpha_lower_bound(space, eps, cfg=None):
     candidate is a sublevel set of its score (a distance row, or a min of
     shifted rows), which its thickening scan prunes by.  A scan stops once its
     mass reaches the best so far, as that candidate can no longer win; the
-    value is the same.  It refuses (ValueError) a non-finite distance in a
-    score row or in the greedy swaps' matrix.
+    value is the same.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -273,8 +272,7 @@ def majority_ball_upper(space, eps):
     half-mass set meets it, so x lies in the eps-thickening whenever r <= eps.
     One minus the mass of such x bounds alpha from above.  Each point's
     smallest majority radius depends on its own row alone, so rows are
-    processed in blocks of bounded scratch.  A non-finite distance is
-    refused (ValueError).
+    processed in blocks of bounded scratch.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")

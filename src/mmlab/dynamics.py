@@ -41,11 +41,8 @@ class IsometricAction:
         for idx, p in enumerate(self.elements):
             if p.shape != (n,) or not np.array_equal(np.sort(p), ident):
                 raise ValueError(f"element {idx} is not a permutation of {n} points")
-            # the image is refused like the block, so a nan is refused at any block size
-            blocks = zip(self.space.distance_blocks(ident, ident, _ACTION_PAIR_BYTES),
-                         self.space.distance_blocks(p, p, _ACTION_PAIR_BYTES))
-            for (_, d), (_, image) in blocks:
-                if not np.allclose(image, d, rtol=0, atol=self.atol):
+            for r, d in self.space.distance_blocks(ident, ident, _ACTION_PAIR_BYTES):
+                if not np.allclose(self.space.pairwise(p[r], p), d, rtol=0, atol=self.atol):
                     raise ValueError(f"element {idx} does not preserve the metric")
 
 

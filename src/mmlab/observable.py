@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import SearchConfig
-from .spaces import _refuse_non_finite, _row_blocks, point_space
+from .spaces import _row_blocks, point_space
 
 _COUPLING_TOL = 1e-12  # couplings this close entrywise are one candidate
 _PAIR_POOL_LIMIT = 12  # extreme families add distances to point pairs up to this size
@@ -158,9 +158,8 @@ def lipschitz_extremes(space, anchor):
     per row of a C-contiguous (members, points) matrix, for S in a subset
     pool: all singletons, and all pairs when the space has at most
     _PAIR_POOL_LIMIT points.  Distance functions to sets are exactly
-    1-Lipschitz; a non-finite distance raises ValueError.  The family
-    stands for itself and its negatives, which _family_hausdorff reads from
-    the same rows.
+    1-Lipschitz.  The family stands for itself and its negatives, which
+    _family_hausdorff reads from the same rows.
 
     Adding a constant changes neither membership nor any me1 fit, so the
     family at another anchor b is this matrix minus its column b.
@@ -169,8 +168,6 @@ def lipschitz_extremes(space, anchor):
     if not 0 <= anchor < n:
         raise ValueError(f"anchor {anchor} out of range")
     d = space.dist
-    _refuse_non_finite(d, np.arange(n), np.arange(n))
-
     pools = d.T  # row y: distance to {y}
     if n <= _PAIR_POOL_LIMIT:
         y, z = np.triu_indices(n, 1)

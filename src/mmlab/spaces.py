@@ -6,8 +6,8 @@ weight vector.  The metric, an explicit dense matrix or a point
 representation (bit vectors, coordinates on a sphere, flattened rotation
 matrices), is read through one kernel per metric kind.  The lazy form is what
 makes 1e5-sample spaces usable: the full matrix would not fit in memory, but
-thickenings and min-distance-to-set scans stream over tiles of bounded size,
-and point clouds screen those tiles with one BLAS product each.
+thickenings and distance reads stream over tiles of bounded size, and point
+clouds screen those tiles with one BLAS product each.
 """
 
 from __future__ import annotations
@@ -61,8 +61,11 @@ class FiniteMMSpace:
     Distances are read through the metric kind's kernel.  Space files keep a
     point-backed space's points, so a loaded space has the same kernel.
     Weight vectors within 1e-9 of summing to one are renormalized with a
-    warning; anything farther off is rejected.  Metric axioms are *not*
-    enforced here; validate_space reports violations as diagnostics.
+    warning; anything farther off is rejected.  Distances are finite by
+    construction: a matrix with a nan or infinite entry is refused, and so
+    is a coordinate point x whose 8 |x|^2 is not finite, which bounds every
+    sum the coordinate kernels form.  Metric axioms are only diagnosed, by
+    validate_space.
     """
 
     def __init__(self, labels, weight, dist=None, points=None, metric="matrix"):
@@ -93,6 +96,7 @@ class FiniteMMSpace:
             d = np.asarray(dist, dtype=float)
             if d.shape != (n, n):
                 raise ValueError(f"dist shape {d.shape}, expected {(n, n)}")
+            _refuse_non_finite(d)
             self._dist = d
         else:
             if points is None:
@@ -103,6 +107,12 @@ class FiniteMMSpace:
             self.points = p
             if metric == "operator_norm" and math.isqrt(p.shape[1]) ** 2 != p.shape[1]:
                 raise ValueError(f"operator_norm points of width {p.shape[1]} are not square")
+            if metric != "hamming":  # counts over d are always finite
+                sq = np.einsum("ij,ij->i", p, p)
+                bad = np.flatnonzero(~(sq <= np.finfo(float).max / 8.0))  # 8 |x|^2 finite
+                if bad.shape[0]:
+                    raise ValueError(f"point {bad[0]} has squared norm {float(sq[bad[0]])!r}, "
+                                     "but 8 |x|^2 must be finite for finite distances")
 
     @property
     def n(self):
@@ -130,12 +140,9 @@ class FiniteMMSpace:
 
     def distance_blocks(self, rows, cols, pair_bytes):
         """Yield (r, pairwise(rows[r], cols)) for row slices r in order, as
-        _row_blocks cuts them at pair_bytes a pair.  The reader for results
-        that need a metric: a non-finite distance raises ValueError."""
+        _row_blocks cuts them at pair_bytes a pair."""
         for r in _row_blocks(len(rows), len(cols), pair_bytes):
-            d = self.pairwise(rows[r], cols)
-            _refuse_non_finite(d, rows[r], cols)
-            yield r, d
+            yield r, self.pairwise(rows[r], cols)
 
     @property
     def dist(self):
@@ -143,30 +150,19 @@ class FiniteMMSpace:
         if self.n > _MATERIALIZE_CAP:
             raise ValueError(
                 f"space has {self.n} points, too many for a dense matrix; "
-                "use pairwise/dist_to_set block operations")
+                "use pairwise/distance_blocks")
         if self._dist is None:
             idx = np.arange(self.n)
             self._dist = self.pairwise(idx, idx)
         return self._dist
 
-    def dist_to_set(self, mask):
-        """For every point, min distance to the masked set, scanned in kernel tiles."""
-        members = _as_mask(self, mask).nonzero()[0]
-        if members.shape[0] == 0:
-            raise ValueError("empty set has no neighborhood")
-        rows = np.arange(self.n)
-        out = np.full(self.n, np.inf)
-        for r, c in _tiles(self.n, members.shape[0], self._kernel.pair_bytes):
-            out[r] = np.minimum(out[r], self._kernel.block(rows[r], members[c]).min(axis=1))
-        return out
-
     def thickened(self, mask, eps, score=None, *, stop=None):
         """Boolean mask of the closed eps-thickening of the masked set.
 
-        Same points as dist_to_set(mask) <= eps, with members in at any
-        eps >= 0, but cheaper: each tile asks the kernel only whether a row
-        has a member within eps, which point clouds screen with one BLAS
-        product, and a row stops being scanned once it is marked.
+        The points with a member within eps, members in at any eps >= 0.
+        Each tile asks the kernel only whether a row has a member within
+        eps, which point clouds screen with one BLAS product, and a row
+        stops being scanned once it is marked.
 
         score, if given, holds one value per point of a 1-Lipschitz function
         built from this space's distances, such as a distance row or a min
@@ -249,12 +245,12 @@ class FiniteMMSpace:
 
 # -- metric kernels ----------------------------------------------------------
 
-def _refuse_non_finite(d, rows, cols):
-    """Raise ValueError naming the first non-finite entry of d, the
-    distances between the points rows and cols, in row-major order."""
+def _refuse_non_finite(d):
+    """Raise ValueError naming the first non-finite entry of the distance
+    matrix d, in row-major order."""
     if not np.isfinite(d).all():
         i, j = np.argwhere(~np.isfinite(d))[0]
-        raise ValueError(f"not a metric: non-finite distance at ({rows[i]},{cols[j]})")
+        raise ValueError(f"not a metric: non-finite distance at ({i},{j})")
 
 
 def _tile_shape(n_rows, n_cols, pair_bytes):
@@ -285,7 +281,7 @@ class _Kernel:
 
     block(rows, cols) is the exact distance formula, applied to each pair on
     its own, so an entry never depends on the tile it is computed in; dense
-    matrices, diameter and dist_to_set use it.  within may use faster
+    matrices and every pairwise read use it.  within may use faster
     arithmetic, but leaves every pair its rounding could misjudge to the
     exact formula, so all paths agree with the dense matrix, ties included.
     pair_bytes is the scratch one pair of block or within takes.
@@ -415,19 +411,19 @@ class _Coordinates(_Kernel):
 
 
 class _Euclidean(_Coordinates):
+    # the constructor bounds 8 |x|^2, which keeps the screen's sums finite and
+    # every distance well below sqrt(float max), so an eps whose square
+    # overflows reaches every point
+    indexed = True
+
     def __init__(self, points):
         super().__init__(points)
-        # bounded squared norms keep the screen's sums finite and every
-        # distance well below sqrt(float max), so an eps whose square
-        # overflows reaches every point
-        self.indexed = bool(np.isfinite(8.0 * self.sq_max))
         # dist's difference, square, d-term sum and sqrt err by at most
         # (d/2 + 2) 2^-53 of a distance <= 2 sqrt(sq_max), so three distances
         # by (3d + 12) 2^-53 sqrt(sq_max), below _INDEX_MARGIN d sqrt(sq_max).
         # Squares that underflow add at most sqrt(d 2^-1075) < 1e-150 a
         # distance.
-        self.score_slack = (_INDEX_MARGIN * self.points.shape[1] * math.sqrt(self.sq_max)
-                            + 1e-150 if self.indexed else None)
+        self.score_slack = _INDEX_MARGIN * self.points.shape[1] * math.sqrt(self.sq_max) + 1e-150
 
     def radius_sq(self, eps):
         e = float(max(eps, 0.0))
@@ -524,7 +520,6 @@ def neighborhood(space, mask, eps):
     return space.thickened(mask, eps)
 
 
-@np.errstate(invalid="ignore")  # inf - inf in the later checks; reported as non-finite
 def validate_space(space):
     """Diagnostic list of metric/measure axiom violations ("" empty means valid).
 
@@ -539,8 +534,6 @@ def validate_space(space):
         np.random.default_rng(0).choice(n, _TRIANGLE_SAMPLE_CAP, replace=False))
     sub = space.pairwise(idx, idx)
 
-    for i, j in np.argwhere(~np.isfinite(sub))[:5]:
-        out.append(f"non-finite distance at ({idx[i]},{idx[j]})")
     for i in np.flatnonzero(np.diag(sub) != 0)[:5]:
         out.append(f"nonzero self-distance at ({idx[i]},{idx[i]})")
     asym = [(i, j) for i, j in np.argwhere(np.abs(sub - sub.T) > _VALIDATE_ATOL) if i < j]
@@ -562,10 +555,9 @@ def validate_space(space):
 
 
 def diameter(space):
-    """Largest pairwise distance, read in row blocks of 9 bytes a pair (the
-    distance and its finite flag); a non-finite one is refused."""
+    """Largest pairwise distance, read in row blocks of 8 bytes a pair."""
     idx = np.arange(space.n)
-    return float(max(d.max() for _, d in space.distance_blocks(idx, idx, 9)))
+    return float(max(d.max() for _, d in space.distance_blocks(idx, idx, 8)))
 
 
 def _subset_table(values, op):
@@ -588,8 +580,7 @@ def alpha_exact(space, eps, exhaustive_cap=_EXHAUSTIVE_CAP):
     mass per subset (8 bytes each) and walks the subsets in blocks of
     2^_SUBSET_BLOCK_BITS, whose thickenings join the reach of the block's
     low points with that of its high ones in one reused buffer; whatever
-    the cap, the masses and the blocks must fit in 1 GiB, so n <= 26.  A
-    non-finite distance raises ValueError.
+    the cap, the masses and the blocks must fit in 1 GiB, so n <= 26.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -607,11 +598,8 @@ def alpha_exact(space, eps, exhaustive_cap=_EXHAUSTIVE_CAP):
         raise ValueError(
             f"space has {n} points; exhaustive enumeration needs {need} bytes, "
             f"over the {_SUBSET_TABLE_BUDGET}-byte budget")
-    d = space.dist
-    _refuse_non_finite(d, np.arange(n), np.arange(n))
-
     # nb[i] = bitmask of points within eps of point i (closed ball)
-    within = d <= eps
+    within = space.dist <= eps
     bits = (np.uint64(1) << np.arange(n, dtype=np.uint64))
     nb = (within * bits[None, :]).sum(axis=1, dtype=np.uint64)
 

@@ -78,7 +78,7 @@ def _scan_metric(space, d, src, dst, names):
     """d_max over the pairs from the sources src to the targets dst (positions
     in d, the distances between the space's points names), read through
     space.distance_blocks.  ValueError names, by indices in the space, a
-    non-finite distance or a self-distance not zero within _REL_TOL * d_max."""
+    self-distance not zero within _REL_TOL * d_max."""
     d_max = 0.0
     for _, block in space.distance_blocks(names[src], names[dst], _PAIR_BYTES):
         d_max = max(d_max, float(block.max()))

@@ -1,7 +1,8 @@
 """Shared test instances and oracles: random finite metric-measure spaces,
 1-Lipschitz data, and random measures, both as hypothesis strategies and as
 plain seeded constructors for the bulk randomized sweeps; thickenings and
-distances to sets by dense matrix reads; step functions from cell masses and
+distances to sets by dense matrix reads, and distances to sets by pairwise
+blocks; step functions from cell masses and
 constants; the Hausdorff me1 distance between finite families, pair by
 pair, and between lifted families by a scan of every member pair; the
 concentration lower-bound search with every candidate scanned in full; the
@@ -104,6 +105,12 @@ def dense_dist_to_set(dist, mask):
     """Min distance from every point to the masked set, by one dense read of
     the matrix's member columns."""
     return dist[:, np.flatnonzero(mask)].min(axis=1)
+
+
+def pairwise_dist_to_set(space, mask):
+    """The same minimum from the space's pairwise block, the kernel's exact
+    formula read in tiles."""
+    return space.pairwise(np.arange(space.n), np.flatnonzero(mask)).min(axis=1)
 
 
 def dense_thickening(dist, mask, eps):

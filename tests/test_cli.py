@@ -16,7 +16,7 @@ from conftest import count_priced_pairs, emd_full_lp, flow_pairs, normalized
 from mmlab import __version__
 from mmlab.cli import main
 from mmlab.concentration import SearchConfig, alpha_lower_bound
-from mmlab.generators import FAMILIES, build_space, hamming_cube
+from mmlab.generators import FAMILIES, SamplerConfig, build_space, hamming_cube, sphere_sampled
 from mmlab.spaces import (ConcentrationCurve, FiniteMMSpace, alpha_exact, load_space,
                           point_space, save_space, space_to_json)
 from mmlab.transport import MeasurePair, emd
@@ -306,11 +306,12 @@ def test_a_one_point_grid_may_start_at_its_stop(cube3, capsys):
 
 def test_tail_refuses_a_non_finite_distance(tmp_path, capsys):
     # once the nan stopped the Lipschitz check's argmax, and (0,2)'s
-    # violation went unreported
-    space = FiniteMMSpace([0, 1, 2], [1 / 3] * 3, dist=[[0.0, float("nan"), 0.1],
-                                                        [float("nan"), 0.0, 1.0],
-                                                        [0.1, 1.0, 0.0]])
-    save_space(space, tmp_path / "space.json")
+    # violation went unreported; the file is written by hand, since
+    # FiniteMMSpace refuses to build the space
+    (tmp_path / "space.json").write_text(json.dumps({
+        "labels": [0, 1, 2], "weights": [1 / 3] * 3,
+        "metric": {"type": "matrix", "data": [[0.0, float("nan"), 0.1],
+                                              [float("nan"), 0.0, 1.0], [0.1, 1.0, 0.0]]}}))
     (tmp_path / "values.json").write_text(json.dumps([0.0, 0.0, 1.0]))
     assert main(["tail", "--space", str(tmp_path / "space.json"),
                  "--values", str(tmp_path / "values.json"), "--eps", "0.5"]) == 2
@@ -427,9 +428,9 @@ def test_non_finite_weights_and_distances_are_refused(tmp_path):
                        "data": [[0.0, 1.0, 1.0], [1.0, 0.0, bad], [1.0, bad, 0.0]]}}))
         r = run_cli("validate", "--space", path)
         assert r.returncode == 2, bad
-        violations = json.loads(r.stderr)["violations"]
-        assert "non-finite distance at (1,2)" in violations
-        assert "non-finite distance at (2,1)" in violations
+        # the constructor refuses the first one, which is the one violation
+        assert json.loads(r.stderr)["violations"] == [
+            "not a metric: non-finite distance at (1,2)"]
 
 
 def test_alpha_eps_and_grid(cube3, tmp_path):
@@ -873,15 +874,56 @@ def test_outputs_end_with_newline_and_sorted_keys(cube3):
     assert json.dumps(doc, sort_keys=True) + "\n" == r.stdout
 
 
-def test_a_non_finite_distance_is_an_input_error(tmp_path):
-    # obsdist once printed "upper": NaN, which is not JSON, and alpha 0.0
+def test_a_non_finite_distance_is_an_input_error(tmp_path, capsys):
+    # obsdist once printed "upper": NaN, which is not JSON, and alpha 0.0;
+    # every command refuses the space when it reads the file
     d = np.ones((3, 3)) - np.eye(3)
     d[1, 2] = d[2, 1] = np.nan
     broken, point = tmp_path / "broken.json", tmp_path / "point.json"
-    save_space(FiniteMMSpace([0, 1, 2], [1 / 3] * 3, dist=d), broken)
+    broken.write_text(json.dumps({"labels": [0, 1, 2], "weights": [1 / 3] * 3,
+                                  "metric": {"type": "matrix", "data": d.tolist()}}))
     save_space(point_space(), point)
+    files = {"values": [0.0, 0.0, 1.0], "mu1": [1.0, 0.0, 0.0], "mu2": [0.0, 0.0, 1.0],
+             "action": {"permutations": [[0, 1, 2]]}}
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    values, mu1, mu2, action = (str(tmp_path / f"{name}.json") for name in files)
     for argv in (["obsdist", "--x", broken, "--y", point],
-                 ["alpha", "--space", broken, "--eps", 1.0]):
-        r = run_cli(*argv)
-        assert r.returncode == 2 and r.stdout == "", argv
-        assert json.loads(r.stderr)["error"] == "not a metric: non-finite distance at (1,2)"
+                 ["obsdist", "--x", point, "--y", broken],
+                 ["alpha", "--space", broken, "--eps", 1.0],
+                 ["alpha", "--space", broken, "--eps", 1.0, "--mode", "lower"],
+                 ["tail", "--space", broken, "--values", values, "--eps", 0.5],
+                 ["emd", "--space", broken, "--mu1", mu1, "--mu2", mu2],
+                 ["essential", "--space", broken, "--action", action, "--set", "0",
+                  "--eps", 0.5, "--family", "0"]):
+        assert main(list(map(str, argv))) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "", argv
+        assert json.loads(out.err) == {"error": "not a metric: non-finite distance at (1,2)"}
+    r = run_cli("validate", "--space", broken)
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["violations"] == ["not a metric: non-finite distance at (1,2)"]
+
+
+def test_a_non_finite_coordinate_is_an_input_error(tmp_path):
+    doc = space_to_json(sphere_sampled(2, SamplerConfig(seed=1, sample_count=5)))
+    doc["metric"]["points"][3][1] = float("nan")
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(doc))  # json.dumps writes the nan as NaN
+    assert "NaN" in path.read_text()
+    r = run_cli("alpha", "--space", path, "--eps", 0.5)
+    assert r.returncode == 2 and r.stdout == ""
+    assert json.loads(r.stderr) == {
+        "error": "point 3 has squared norm nan, but 8 |x|^2 must be finite for finite distances"}
+
+
+def test_a_malformed_action_file_is_an_input_error(cube3, tmp_path, capsys):
+    # each once raised TypeError inside IsometricAction: internal error, exit 1
+    for k, perms in enumerate((5, [None], [[0, 1, 2, None]], [{"a": 1}])):
+        path = tmp_path / f"action{k}.json"
+        path.write_text(json.dumps({"permutations": perms}))
+        assert main(["essential", "--space", str(cube3), "--action", str(path), "--set", "0",
+                     "--eps", "0.5", "--family", "0"]) == 2, perms
+        out = capsys.readouterr()
+        assert out.out == "", perms
+        assert json.loads(out.err)["error"].startswith(f"malformed action file {path}: "), perms

@@ -333,26 +333,24 @@ def test_greedy_refine_on_one_point_has_nothing_to_swap_in():
 def test_lower_bound_search_refuses_a_non_finite_distance(tmp_path, capsys):
     # a nan distance once reached rng.uniform(0, nan) (exit 1), and
     # _greedy_refine's row minimum dropped a row that another member
-    # reaches, for a bound of 0.5 above alpha_exact's 0.3
-    nan = np.array([[0.0, 1.0, 0.1], [1.0, 0.0, np.nan], [0.1, np.nan, 0.0]])
-    space = FiniteMMSpace([0, 1, 2], [0.3, 0.3, 0.4], dist=nan)
+    # reaches, for a bound of 0.5 above alpha_exact's 0.3; such a space is
+    # refused when it is built, before any search reads it
+    nan = [[0.0, 1.0, 0.1], [1.0, 0.0, np.nan], [0.1, np.nan, 0.0]]
     message = "not a metric: non-finite distance at (1,2)"
-    for search in (lambda: alpha_lower_bound(space, 0.5),
-                   lambda: concentration._greedy_refine(space, np.array([True, True, False]), 0.5)):
-        with pytest.raises(ValueError) as refused:
-            search()
-        assert str(refused.value) == message
+    with pytest.raises(ValueError) as refused:
+        FiniteMMSpace([0, 1, 2], [0.3, 0.3, 0.4], dist=nan)
+    assert str(refused.value) == message
     path = tmp_path / "nan.json"
-    path.write_text(json.dumps(space_to_json(space)))
+    path.write_text(json.dumps({"labels": [0, 1, 2], "weights": [0.3, 0.3, 0.4],
+                                "metric": {"type": "matrix", "data": nan}}))
     assert main(["alpha", "--space", str(path), "--eps", "0.5", "--mode", "lower"]) == 2
     assert json.loads(capsys.readouterr().err) == {"error": message}
-    # past 64 points with no ball seeds, the first rows read are a restart's
+    # an infinite column, which a search past 64 points once met in a restart's rows
     line = np.abs(np.subtract.outer(np.arange(70.0), np.arange(70.0)))
     line[:, 5] = line[5, :] = np.inf
     line[5, 5] = 0.0
-    far = FiniteMMSpace(list(range(70)), np.full(70, 1 / 70), dist=line)
-    with pytest.raises(ValueError, match=r"non-finite distance at \(\d+,5\)"):
-        alpha_lower_bound(far, 0.5, SearchConfig(ball_anchors=0))
+    with pytest.raises(ValueError, match=r"^not a metric: non-finite distance at \(0,5\)$"):
+        FiniteMMSpace(list(range(70)), np.full(70, 1 / 70), dist=line)
 
 
 # -- analytic sphere caps --------------------------------------------------------

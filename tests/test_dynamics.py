@@ -124,12 +124,18 @@ def test_an_action_needs_no_dense_matrix(monkeypatch, tmp_path, capsys):
 
 
 def test_an_action_refuses_a_nan_distance_at_any_block_size(monkeypatch):
+    # a space with a nan distance is refused when it is built, so no action
+    # reads one; on a finite space each block of rows is compared with the
+    # image of the same rows, at any block size
     nan = float("nan")
-    x = FiniteMMSpace([0, 1, 2], [1 / 3] * 3, dist=[[0, 1, 1], [1, 0, nan], [1, nan, 0]])
+    with pytest.raises(ValueError, match=r"^not a metric: non-finite distance at \(1,2\)$"):
+        FiniteMMSpace([0, 1, 2], [1 / 3] * 3, dist=[[0, 1, 1], [1, 0, nan], [1, nan, 0]])
+    path = FiniteMMSpace([0, 1, 2], [1 / 3] * 3, dist=[[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     for tile in (1 << 25, 64):  # one block, and one row a block
         monkeypatch.setattr(spaces_module, "_TILE_BYTES", tile)
-        with pytest.raises(ValueError, match=r"^not a metric: non-finite distance at \(1,2\)$"):
-            IsometricAction(x, [[1, 0, 2]])
+        assert len(IsometricAction(path, [[2, 1, 0]]).elements) == 1  # the reflection
+        with pytest.raises(ValueError, match=r"^element 0 does not preserve the metric$"):
+            IsometricAction(path, [[1, 0, 2]])
 
 
 def test_isometric_action_rejects_non_permutation():

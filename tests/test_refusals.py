@@ -1,6 +1,8 @@
 """Argument and constructor refusals of the library, and its rarely taken
 branches: one case each, with the exact message or value it gives."""
 
+import math
+
 import pytest
 
 from mmlab.concentration import (LipschitzFunction, SearchConfig, alpha_lower_bound,
@@ -19,6 +21,7 @@ from mmlab.transport import MeasurePair, emd
 CURVE = ConcentrationCurve([0.1, 0.2], [0.25, 0.0], kind="exact")
 CSV = "eps,alpha,kind\n"
 NAN = float("nan")
+INF = float("inf")
 
 
 def broken(i, j):
@@ -128,11 +131,36 @@ CASES = {
     "space-points-shape": (lambda: FiniteMMSpace([0], [1.0], points=[1.0], metric="euclidean"),
                            "points shape (1,), expected (1, d)"),
     "space-repr": (lambda: repr(hamming_cube(2)), "FiniteMMSpace(n=4, metric='hamming')"),
+    # distances are finite by construction
+    "space-nan-distance": (lambda: FiniteMMSpace([0, 1], [0.5, 0.5], dist=[[0.0, NAN],
+                                                                           [1.0, 0.0]]),
+                           "not a metric: non-finite distance at (0,1)"),
+    "space-inf-distance": (lambda: FiniteMMSpace([0, 1], [0.5, 0.5], dist=[[0.0, 1.0],
+                                                                           [INF, 0.0]]),
+                           "not a metric: non-finite distance at (1,0)"),
+    "space-nan-coordinate": (lambda: FiniteMMSpace([0, 1], [0.5, 0.5], points=[[0.0, 1.0],
+                                                                               [NAN, 0.0]],
+                                                   metric="euclidean"),
+                             "point 1 has squared norm nan, but 8 |x|^2 must be finite for "
+                             "finite distances"),
+    # 8 |x|^2 overflows past |x| of about 4.7e153
+    "space-huge-euclidean": (lambda: FiniteMMSpace([0], [1.0], points=[[5e153]],
+                                                   metric="euclidean"),
+                             "point 0 has squared norm 2.5e+307, but 8 |x|^2 must be finite "
+                             "for finite distances"),
+    "space-large-euclidean": (lambda: math.isfinite(FiniteMMSpace(
+        [0], [1.0], points=[[4e153]], metric="euclidean")._kernel.score_slack), True),
+    "space-inf-operator-norm": (lambda: FiniteMMSpace([0], [1.0], points=[[1.0, 0.0, 0.0, INF]],
+                                                      metric="operator_norm"),
+                                "point 0 has squared norm inf, but 8 |x|^2 must be finite "
+                                "for finite distances"),
+    "space-nan-geodesic": (lambda: FiniteMMSpace([0], [1.0], points=[[0.0, NAN, 1.0]],
+                                                 metric="sphere_geodesic"),
+                           "point 0 has squared norm nan, but 8 |x|^2 must be finite "
+                           "for finite distances"),
     "neighborhood-nan-eps": (lambda: neighborhood(point_space(), [True], NAN),
                              "eps must be nonnegative"),
     "alpha-exact-nan-eps": (lambda: alpha_exact(point_space(), NAN), "eps must be positive"),
-    "dist-to-empty-set": (lambda: point_space().dist_to_set([False]),
-                          "empty set has no neighborhood"),
     "thickened-score-shape": (lambda: hamming_cube(2).thickened(
         [True, False, False, False], 0.5, score=[0.0]), "score shape (1,), expected (4,)"),
     "mask-shape": (lambda: measure(point_space(), [True, False]),
@@ -155,7 +183,7 @@ CASES = {
     "measure-nan-mass": (lambda: MeasurePair([NAN, 0.5], [0.5, 0.5]),
                          "mu1 sums to nan, expected 1"),
     "measure-sum": (lambda: MeasurePair([0.5, 0.5], [4.0, 4.0]), "mu2 sums to 8.0, expected 1"),
-    # readers that once built answers on a nan distance
+    # readers that once built answers on a nan distance: the space is refused
     "majority-ball-nan-distance": (lambda: majority_ball_upper(broken(1, 2), 0.5),
                                    "not a metric: non-finite distance at (1,2)"),
     "diameter-nan-distance": (lambda: diameter(broken(1, 2)),
@@ -164,7 +192,7 @@ CASES = {
                             "not a metric: non-finite distance at (1,2)"),
     # d(0,2) lies outside the measures' supports, where the potential extends
     "emd-nan-distance-outside": (lambda: emd(broken(0, 2), MeasurePair(
-        [0.5, 0.5, 0.0], [0.25, 0.75, 0.0])), "not a metric: non-finite distance at (2,0)"),
+        [0.5, 0.5, 0.0], [0.25, 0.75, 0.0])), "not a metric: non-finite distance at (0,2)"),
     # inf * 0 is nan, where the check's argmax once stopped
     "lipschitz-inf-constant": (lambda: LipschitzFunction([0.0, 1.0], constant=float("inf")),
                                "Lipschitz constant must be finite, got inf"),

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (count_pairs, dense_dist_to_set, dense_thickening, full_table_alpha_exact,
-                      normalized, spaces)
+                      normalized, pairwise_dist_to_set, spaces)
 from mmlab import spaces as spaces_module
 from mmlab.concentration import SearchConfig, alpha_lower_bound, majority_ball_upper
 from mmlab.dynamics import IsometricAction
@@ -61,7 +61,7 @@ def test_neighborhood_matches_distance_oracle(space, eps):
     mask = np.zeros(space.n, dtype=bool)
     mask[0] = True
     got = neighborhood(space, mask, eps)
-    want = space.dist_to_set(mask) <= eps
+    want = pairwise_dist_to_set(space, mask) <= eps
     assert (got == want).all()
 
 
@@ -130,7 +130,7 @@ def test_lazy_thickening_agrees_with_materialized():
             mask = rng.random(lazy.n) < share
             mask[rng.integers(lazy.n)] = True
             for space in (lazy, explicit, materialized):
-                assert np.array_equal(space.dist_to_set(mask),
+                assert np.array_equal(pairwise_dist_to_set(space, mask),
                                       dense_dist_to_set(dist, mask)), name
                 for eps in radii:
                     assert np.array_equal(space.thickened(mask, eps),
@@ -201,10 +201,10 @@ def test_score_pruned_thickening_matches_the_full_scan_at_every_tie(monkeypatch)
 
 
 def test_kernels_without_a_triangle_bound_scan_in_full(monkeypatch):
-    # an explicit matrix that breaks the triangle inequality, geodesic points
-    # 1e-9 off the unit sphere and euclidean points whose squares overflow:
-    # each breaks d(x, y) >= score[x] - score[y] by more than a pruning
-    # slack could cover, so each scans every pair with a score too
+    # an explicit matrix that breaks the triangle inequality and geodesic
+    # points 1e-9 off the unit sphere: each breaks d(x, y) >= score[x] -
+    # score[y] by more than a pruning slack could cover, so each scans every
+    # pair with a score too
     pairs = count_pairs(monkeypatch)
     broken = FiniteMMSpace([0, 1, 2], [0.4, 0.2, 0.4],
                            dist=[[0.0, 1.0, 3.0], [1.0, 0.0, 0.5], [3.0, 0.5, 0.0]])
@@ -219,24 +219,16 @@ def test_kernels_without_a_triangle_bound_scan_in_full(monkeypatch):
     assert off_unit.pairwise(np.array([1]), np.array([2]))[0, 0] == 0.0
     cases = [(broken, [True, True, False], [0.5, 1.0]),
              (off_unit, [True, True, False, False, False], [0.0, 1e-5])]
-    with np.errstate(over="ignore", invalid="ignore"):
-        pts = np.array(list(itertools.product(range(3), repeat=2)), dtype=float) * 1e154
-        huge = lazy_space(pts, "euclidean")
-        for k in (1, 3, 5):
-            mask = np.zeros(huge.n, dtype=bool)
-            mask[np.argsort(huge.pairwise(np.array([0]), np.arange(huge.n))[0],
-                            kind="stable")[:k]] = True
-            cases.append((huge, mask, [5e153, 1e154, 1.5e154, 1e300, np.inf]))
-        for space, mask, radii in cases:
-            assert space._kernel.score_slack is None
-            score = space.pairwise(np.array([0]), np.arange(space.n))[0]
-            for eps in radii:
-                pairs[0] = 0
-                want = space.thickened(mask, eps)
-                full = pairs[0]
-                pairs[0] = 0
-                assert np.array_equal(space.thickened(mask, eps, score), want), (space, eps)
-                assert pairs[0] == full
+    for space, mask, radii in cases:
+        assert space._kernel.score_slack is None
+        score = space.pairwise(np.array([0]), np.arange(space.n))[0]
+        for eps in radii:
+            pairs[0] = 0
+            want = space.thickened(mask, eps)
+            full = pairs[0]
+            pairs[0] = 0
+            assert np.array_equal(space.thickened(mask, eps, score), want), (space, eps)
+            assert pairs[0] == full
     # the points the anchor's score would have pruned are in
     assert broken.thickened([True, True, False], 0.5, [0.0, 1.0, 3.0]).all()
     assert off_unit.thickened([True, True, False, False, False], 1e-5, off_unit.pairwise(
@@ -347,7 +339,6 @@ def test_matrix_thickening_scratch_stays_within_the_tile_budget(monkeypatch):
     tracemalloc.start()
     try:
         explicit.thickened(mask, 0.3)
-        explicit.dist_to_set(mask)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -358,8 +349,8 @@ def test_matrix_thickening_scratch_stays_within_the_tile_budget(monkeypatch):
 
 def test_dist_to_set_picks_the_exact_nearest_among_near_ties():
     # every row has two members at mirror-image offsets, equally far up to
-    # rounding: the screen's BLAS products may rank the two either way, and
-    # dist_to_set must still give the smaller exact distance
+    # rounding: the lazy kernel's tiles must give the same smaller exact
+    # distance as the dense matrix
     rng = np.random.default_rng(3)
     x = rng.standard_normal((300, 3))
     x /= np.linalg.norm(x, axis=1)[:, None]
@@ -374,22 +365,29 @@ def test_dist_to_set_picks_the_exact_nearest_among_near_ties():
         pts = np.vstack([x, a, b])
         lazy = lazy_space(pts, metric)
         dense = FiniteMMSpace(lazy.labels, lazy.weight, dist=lazy_space(pts, metric).dist)
-        assert np.array_equal(lazy.dist_to_set(mask), dense.dist_to_set(mask)), metric
+        assert np.array_equal(pairwise_dist_to_set(lazy, mask),
+                              pairwise_dist_to_set(dense, mask)), metric
         assert lazy._dist is None
 
 
-def test_euclidean_points_too_large_to_screen_are_scanned_exactly():
-    # squared norms overflow here, so the squared-distance screen is off and
-    # the exact scan still gives the dense matrix's masks
-    pts = np.array(list(itertools.product(range(3), repeat=2)), dtype=float) * 1e154
+def test_euclidean_points_too_large_to_screen_are_refused():
+    # the screen's sums reach 8 |x|^2, so a cloud is built only while that is
+    # finite: at 1e154 a coordinate it overflows; at 1e153 the cloud is
+    # screened, prunes by a score, and gives the dense matrix's masks
+    pts = np.array(list(itertools.product(range(3), repeat=2)), dtype=float)
+    with pytest.raises(ValueError, match=r"^point 1 has squared norm 1e\+308, but 8 \|x\|\^2 "):
+        lazy_space(pts * 1e154, "euclidean")
+    big = pts * 1e153
+    lazy = lazy_space(big, "euclidean")
+    assert lazy._kernel.score_slack > 0.0
+    dense = FiniteMMSpace(lazy.labels, lazy.weight, dist=lazy_space(big, "euclidean").dist)
     mask = np.zeros(pts.shape[0], dtype=bool)
     mask[[0, 4]] = True
-    with np.errstate(over="ignore", invalid="ignore"):
-        lazy = lazy_space(pts, "euclidean")
-        dense = FiniteMMSpace(lazy.labels, lazy.weight, dist=lazy_space(pts, "euclidean").dist)
-        for eps in (5e153, 1e154, 1.5e154, 1e300, np.inf):
-            assert np.array_equal(lazy.thickened(mask, eps), dense.thickened(mask, eps)), eps
-            assert np.array_equal(lazy.dist_to_set(mask), dense.dist_to_set(mask))
+    score = lazy.pairwise(np.array([0]), np.arange(lazy.n))[0]
+    for eps in (5e152, 1e153, 1.5e153, 1e300, np.inf):
+        want = dense.thickened(mask, eps)
+        assert np.array_equal(lazy.thickened(mask, eps), want), eps
+        assert np.array_equal(lazy.thickened(mask, eps, score), want), eps
 
 
 def test_tile_budget_and_point_order_do_not_change_results(monkeypatch):
@@ -406,7 +404,7 @@ def test_tile_budget_and_point_order_do_not_change_results(monkeypatch):
     def run(pts, metric, masks):
         space = lazy_space(pts, metric)
         thick = [space.thickened(m, eps) for m in masks for eps in (0.3, 0.5, 1.0)]
-        return thick, space.dist_to_set(masks[0]), diameter(space), [
+        return thick, pairwise_dist_to_set(space, masks[0]), diameter(space), [
             alpha_lower_bound(lazy_space(pts, metric), eps, cfg) for eps in (0.3, 1.0)], [
             majority_ball_upper(space, eps) for eps in (0.3, 1.0)], [
             accepted(space, perm) for perm in (np.arange(space.n), np.roll(np.arange(space.n), 1))]

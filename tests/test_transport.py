@@ -531,10 +531,10 @@ def test_a_space_that_is_not_a_metric_is_refused(tmp_path, capsys):
                          dist=[[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.5]])
     with pytest.raises(ValueError, match=r"d\[2,2\]=0\.5 is not zero"):
         emd(loop, MeasurePair([0.0, 0.5, 0.5], [0.0, 0.5, 0.5]))
-    gap = FiniteMMSpace([0, 1, 2], np.full(3, 1 / 3),
-                        dist=[[0.0, 1.0, 1.0], [1.0, 0.0, np.inf], [1.0, np.inf, 0.0]])
+    # an infinite gap is refused when the space is built, before emd reads it
     with pytest.raises(ValueError, match=r"not a metric: non-finite distance at \(1,2\)"):
-        emd(gap, MeasurePair([0.0, 1.0, 0.0], [0.0, 0.0, 1.0]))
+        FiniteMMSpace([0, 1, 2], np.full(3, 1 / 3),
+                      dist=[[0.0, 1.0, 1.0], [1.0, 0.0, np.inf], [1.0, np.inf, 0.0]])
     # a failure within 1e-9 * d_max is float noise, not a broken metric, and
     # a diagonal entry that far below zero is no loop of negative cost
     d[0][2] = d[2][0] = 2.0 + 1e-12
