@@ -20,7 +20,7 @@ import numpy as np
 # rest of what it runs, so a command loads only its own modules
 from . import __version__
 from .generators import FAMILIES, build_space
-from .spaces import (_EXHAUSTIVE_CAP, ConcentrationCurve, space_from_json,
+from .spaces import (_EXHAUSTIVE_CAP, ConcentrationCurve, _numbers, space_from_json,
                      space_to_json, validate_space)
 
 _GRID_CAP = 10_000  # most eps values --grid may ask for
@@ -57,10 +57,10 @@ def _read_space(path):
 
 
 def _read_vector(path):
-    data = _read_json(path)
-    if not isinstance(data, list):
+    try:
+        return np.asarray(_numbers(_read_json(path), "vector", flat=True), dtype=float)
+    except TypeError:
         raise InputError(f"{path} must hold a JSON array of numbers")
-    return np.asarray(data, dtype=float)
 
 
 def _index_list(text, size, what):

@@ -365,7 +365,7 @@ class _Coordinates(_Kernel):
 
     def __init__(self, points):
         self.points = np.asarray(points, dtype=float)
-        self.sq = (self.points * self.points).sum(axis=1)
+        self.sq = np.einsum("ij,ij->i", self.points, self.points)
         ones = np.ones((self.sq.shape[0], 1))
         # lifted[i] . dropped[j] = |x_i|^2 + |x_j|^2 - 2 x_i . x_j
         self.lifted = np.hstack([self.points, self.sq[:, None], ones])
@@ -702,17 +702,25 @@ def space_to_json(space):
     return obj
 
 
+def _numbers(data, name, flat=False):
+    """data if a JSON array of numbers (no bools or nulls), flat or nested."""
+    if not (isinstance(data, list) and all(
+            type(x) in (int, float) or not flat and _numbers(x, name) is x for x in data)):
+        raise TypeError(f"{name} must be {'a flat' if flat else 'an'} array of numbers")
+    return data
+
+
 def space_from_json(obj):
     """The space of a space_to_json dict.  Of the keys older files carry, a
     hamming "n" is ignored, and an operator_norm "side" must be the square
     root of the point width."""
-    labels, weights, m = obj["labels"], obj["weights"], obj["metric"]
+    labels, weights, m = obj["labels"], _numbers(obj["weights"], "weights", True), obj["metric"]
     if m["type"] == "matrix":
-        return FiniteMMSpace(labels, weights, dist=m["data"])
+        return FiniteMMSpace(labels, weights, dist=_numbers(m["data"], "distances"))
     kind = next((k for k, row in METRIC_KINDS.items() if row.json_type == m["type"]), None)
     if kind is None:
         raise ValueError(f"unknown metric type {m['type']!r}")
-    pts = np.asarray(m["points"], dtype=float)
+    pts = np.asarray(_numbers(m["points"], "points"), dtype=float)
     if kind == "hamming":
         # symbols are non-negative integers, kept in the narrowest type that
         # holds them (permutation words may pass 255)

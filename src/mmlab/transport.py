@@ -74,19 +74,17 @@ class EmdResult:
     potential: np.ndarray  # the dual certificate: 1-Lipschitz, pairs to distance
 
 
-def _scan_metric(space, d, src, dst, names):
-    """d_max over the pairs from the sources src to the targets dst (positions
-    in d, the distances between the space's points names), read through
-    space.distance_blocks.  ValueError names, by indices in the space, a
-    self-distance not zero within _REL_TOL * d_max."""
+def _scan_metric(space, d, src, dst):
+    """d_max over src x dst, read through space.distance_blocks.  ValueError
+    names a self-distance in d, its matrix, not zero within _REL_TOL * d_max."""
     d_max = 0.0
-    for _, block in space.distance_blocks(names[src], names[dst], _PAIR_BYTES):
+    for _, block in space.distance_blocks(src, dst, _PAIR_BYTES):
         d_max = max(d_max, float(block.max()))
     both = np.intersect1d(src, dst, assume_unique=True)
     diag = np.abs(d[both, both])
     if diag.size and diag.max() > _REL_TOL * d_max:
         k = both[int(np.argmax(diag))]
-        raise ValueError(f"not a metric: d[{names[k]},{names[k]}]={float(d[k, k])!r} is not zero")
+        raise ValueError(f"not a metric: d[{k},{k}]={float(d[k, k])!r} is not zero")
     return d_max
 
 
@@ -335,7 +333,7 @@ def _price(d, rows, cols, potential):
     return most
 
 
-def _refuse_broken_triangles(d, rows, mids, cols, names, tol):
+def _refuse_broken_triangles(d, rows, mids, cols, tol):
     """Raise ValueError naming the first pair (i, j) of rows x cols, in
     row-major order, with d_ij > d_ik + d_kj + tol for a k in mids, and the
     k with the shortest legs, if there is such a triple."""
@@ -350,8 +348,8 @@ def _refuse_broken_triangles(d, rows, mids, cols, names, tol):
             legs = d[i, mids] + d[mids, j]
             k = mids[int(np.argmin(legs))]
             raise ValueError(
-                f"not a metric: d[{names[i]},{names[j]}]={float(d[i, j])!r} exceeds "
-                f"d[{names[i]},{names[k]}] + d[{names[k]},{names[j]}]={float(legs.min())!r}")
+                f"not a metric: d[{i},{j}]={float(d[i, j])!r} exceeds "
+                f"d[{i},{k}] + d[{k},{j}]={float(legs.min())!r}")
 
 
 def emd(space, pair):
@@ -360,19 +358,18 @@ def emd(space, pair):
     On a metric it depends only on mu1 - mu2 (Kantorovich-Rubinstein;
     Villani, Optimal Transport: Old and New, Thm 5.10): it is the cheapest
     flow from pos = {mu1 > mu2} to neg = {mu1 < mu2} (each measure rescaled
-    to mass 1 on the support) along pos x neg at costs d_ij, by one network
-    simplex (see _simplex); balanced points and points of neither support
-    s, t stay out.  The witness, diag(min(mu1, mu2)) plus the flow's cells,
-    costs the flow's value, as the scan of s x t holds d_ii at 0.
+    to mass 1 on the support, 0 off it) along pos x neg at costs d_ij, by one
+    network simplex on the space's points and matrix (see _simplex), whose
+    root holds every other point alone.  The witness, diag(min(mu1, mu2))
+    plus the flow's cells, costs the flow's value, as the scan of the
+    supports' pairs s x t holds d_ii at 0.
 
-    The certificate is the simplex's potential u, extended to each point z
-    on no flow arc (balanced, or of an excess so small that it stayed on the
-    root) by min over the flow's targets k of u_k + d_zk, or set to 0 when
-    nothing flows, and shifted to minimum 0.  One scan
-    of s x t, the pairs a coupling can charge (see _price), must find u
+    The certificate is the simplex's potential u, extended (McShane) to the
+    points z on no flow arc by min over the flow's targets k of u_k + d_zk,
+    or set to 0 when nothing flows, and shifted to minimum 0.  One scan of
+    s x t, the pairs a coupling can charge (see _price), must find u
     1-Lipschitz there and pairing with mu1 - mu2 to the flow's value, both
-    within _REL_TOL * d_max; by duality no coupling then costs less.  It
-    reaches a zero-mass x as min_y u_y + d(x, y) (McShane).
+    within _REL_TOL * d_max; by duality no coupling then costs less.
 
     A stretched pair (i, j) shows a broken triangle.  In the optimal tree a
     j in pos on a flow arc has one to some k in neg (u_j = u_k + d_jk) and
@@ -389,45 +386,40 @@ def emd(space, pair):
     n = space.n
     if pair.mu1.shape[0] != n:
         raise ValueError("measure length does not match the space")
-    support = np.flatnonzero((pair.mu1 > 0) | (pair.mu2 > 0))
-    d = space.dist if support.shape[0] == n else space.dist[np.ix_(support, support)]
+    d, support = space.dist, np.flatnonzero((pair.mu1 > 0) | (pair.mu2 > 0))
     # each measure is rescaled to mass 1 on the support, so that the
     # balances agree to rounding: the measures' sums need only hold to 1e-9,
     # and a point of equal masses ships its share of their drift
-    mu1, mu2 = (mu[support] / mu[support].sum() for mu in (pair.mu1, pair.mu2))
+    mu1, mu2 = np.zeros((2, n))
+    mu1[support], mu2[support] = (mu[support] / mu[support].sum() for mu in (pair.mu1, pair.mu2))
     src, dst = np.flatnonzero(mu1 > 0), np.flatnonzero(mu2 > 0)
-    d_max = _scan_metric(space, d, src, dst, support)
+    d_max = _scan_metric(space, d, src, dst)
     tol = _REL_TOL * d_max
     excess = mu1 - mu2
     tail, head, amount, u = _simplex(d, np.flatnonzero(excess > 0), np.flatnonzero(excess < 0),
                                      excess, d_max)
     distance = float(amount @ d[tail, head])
-    on_arc = np.bincount(np.concatenate((tail, head)), minlength=excess.shape[0]) > 0
+    on_arc = np.bincount(np.concatenate((tail, head)), minlength=n) > 0
     ends, lone = np.flatnonzero(on_arc & (excess < 0)), np.flatnonzero(~on_arc)
     if ends.size:
-        for r in _row_blocks(lone.shape[0], ends.shape[0], _PAIR_BYTES):
-            u[lone[r]] = (u[ends] + d[np.ix_(lone[r], ends)]).min(axis=1)
+        for r, block in space.distance_blocks(lone, ends, _PAIR_BYTES):
+            u[lone[r]] = (u[ends] + block).min(axis=1)
     else:
         u[:] = 0.0
     u -= u.min()
     (stretch, i, j), gap = _price(d, src, dst, u), abs(float(u @ excess) - distance)
     if stretch > tol:
-        _refuse_broken_triangles(d, src, np.array([i, j]), dst, support, tol)
+        _refuse_broken_triangles(d, src, np.array([i, j]), dst, tol)
     if stretch > tol or gap > tol:
         raise RuntimeError(
             f"transport certificate failed: potential exceeds the metric by "
             f"{stretch!r} and misses the cost by {gap!r} (tolerance {tol!r})")
     joint = np.zeros((n, n))
-    joint[support, support] = np.minimum(mu1, mu2)
-    joint[support[tail], support[head]] = amount
-    potential = np.zeros(n)
-    outside = np.flatnonzero((pair.mu1 <= 0) & (pair.mu2 <= 0))
-    for r, block in space.distance_blocks(outside, support, _PAIR_BYTES):
-        potential[outside[r]] = (u[None, :] + block).min(axis=1)
-    potential[support] = u
+    joint[support, support] = np.minimum(mu1, mu2)[support]  # np.diag would touch n pages
+    joint[tail, head] = amount
     witness = Coupling(joint)
     witness.check(pair)
-    return EmdResult(distance=distance, witness=witness, potential=potential)
+    return EmdResult(distance=distance, witness=witness, potential=u)
 
 
 def translate_distance(space, mu, perm):

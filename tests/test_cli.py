@@ -268,11 +268,32 @@ def test_internal_fault_exits_1(monkeypatch, capsys):
     # an infinite constant, whose product with a zero distance is nan
     (["median", "--space", "{cube}", "--values", "{flat}", "--constant", "inf"],
      "Lipschitz constant must be finite, got inf"),
+    # nested arrays, once flattened, and non-numeric entries, once read as
+    # numbers or refused by a message that named no file
+    (["emd", "--space", "{cube}", "--mu1", "{nested}", "--mu2", "{mu}"],
+     "{nested} must hold a JSON array of numbers"),
+    (["tail", "--space", "{cube}", "--values", "{nested}", "--eps", "0.3"],
+     "{nested} must hold a JSON array of numbers"),
+    (["emd", "--space", "{cube}", "--mu1", "{mu}", "--mu2", "{word_mu}"],
+     "{word_mu} must hold a JSON array of numbers"),
+    (["median", "--space", "{cube}", "--values", "{null_mu}"],
+     "{null_mu} must hold a JSON array of numbers"),
+    (["alpha", "--space", "{nested_weights}", "--eps", "0.3"],
+     "malformed space file {nested_weights}: weights must be a flat array of numbers"),
+    (["validate", "--space", "{word_weights}"],
+     "malformed space file {word_weights}: weights must be a flat array of numbers"),
+    (["emd", "--space", "{word_point}", "--mu1", "{mu}", "--mu2", "{mu}"],
+     "malformed space file {word_point}: points must be an array of numbers"),
+    (["validate", "--space", "{true_distance}"],
+     "malformed space file {true_distance}: distances must be an array of numbers"),
 ])
 def test_malformed_inputs_are_refused_with_their_message(tmp_path, capsys, argv, message):
     paths = {name: str(tmp_path / name) for name in ("cube", "broken", "object", "action",
                                                      "missing", "flat", "steep", "nan_curve",
-                                                     "curve", "mu", "nan_mu")}
+                                                     "curve", "mu", "nan_mu", "nested",
+                                                     "word_mu", "null_mu", "nested_weights",
+                                                     "word_weights", "word_point",
+                                                     "true_distance")}
     save_space(hamming_cube(3), paths["cube"])
     Path(paths["broken"]).write_text("{not json")
     Path(paths["object"]).write_text(json.dumps({"values": [0.0] * 8}))
@@ -284,6 +305,19 @@ def test_malformed_inputs_are_refused_with_their_message(tmp_path, capsys, argv,
     Path(paths["curve"]).write_text("eps,alpha,kind\n0.3,0.25,exact\n")
     Path(paths["mu"]).write_text(json.dumps([1 / 8] * 8))
     Path(paths["nan_mu"]).write_text(json.dumps([float("nan")] + [1 / 8] * 7))
+    Path(paths["nested"]).write_text(json.dumps([[1 / 8]] * 8))
+    Path(paths["word_mu"]).write_text(json.dumps(["ab"] + [1 / 8] * 7))
+    Path(paths["null_mu"]).write_text(json.dumps([None] + [1 / 8] * 7))
+    docs = {name: space_to_json(hamming_cube(3))
+            for name in ("nested_weights", "word_weights", "word_point")}
+    docs["nested_weights"]["weights"] = [[1 / 8]] * 8
+    docs["word_weights"]["weights"][0] = "ab"
+    docs["word_point"]["metric"]["points"][0][0] = "ab"
+    docs["true_distance"] = space_to_json(FiniteMMSpace([0, 1], [0.5, 0.5],
+                                                        dist=[[0.0, 1.0], [1.0, 0.0]]))
+    docs["true_distance"]["metric"]["data"][0][1] = True
+    for name, doc in docs.items():
+        Path(paths[name]).write_text(json.dumps(doc))
     assert main([arg.format(**paths) for arg in argv]) == 2
     out = capsys.readouterr()
     error = json.loads(out.err)["error"]

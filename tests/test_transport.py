@@ -369,7 +369,7 @@ def test_a_common_point_splits_pairs_between_partial_supports():
     assert res.witness.joint[1, 1] == 0.5
     # with mu1 = mu2 at point 1 it leaves the flow: it keeps its mass in
     # place and takes the potential min over the deficit points k of
-    # u_k + d[1, k]; point 2, of no mass, takes min_y u_y + d[2, y]
+    # u_k + d[1, k]; point 2, of no mass, takes it by the same rule
     balanced = MeasurePair([0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.0, 0.5])
     res = emd(path, balanced)
     assert res.distance == 1.5
@@ -379,8 +379,9 @@ def test_a_common_point_splits_pairs_between_partial_supports():
 
 
 def test_small_supports_on_a_large_cloud_stay_cheap():
-    # the flow and its checks see the supports, not the 3000 points; a point
-    # mass against the uniform measure ships along 2999 direct pairs
+    # the flow and its checks read the space's own matrix at the supports'
+    # pairs, not all 3000 points; a point mass against the uniform measure
+    # ships along 2999 direct pairs
     rng = np.random.default_rng(4)
     n = 3000
     cloud = FiniteMMSpace(list(range(n)), np.full(n, 1.0 / n),
@@ -783,3 +784,36 @@ def test_a_pricing_run_stops_at_the_last_block(monkeypatch):
     assert got.distance == want.distance
     assert np.array_equal(got.witness.joint, want.witness.joint)
     assert np.array_equal(got.potential, want.potential)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spaces(), st.data())
+def test_the_potential_is_a_certificate_on_every_point(space, data):
+    # the potential is 1-Lipschitz on every pair of the space, points of no
+    # mass included, and pairs with mu1 - mu2 to the distance
+    pair = MeasurePair(data.draw(sparse_measures_on(space.n)),
+                       data.draw(sparse_measures_on(space.n)))
+    res = emd(space, pair)
+    u, d = res.potential, space.dist
+    tol = 1e-9 * float(d.max())
+    assert u.shape == (space.n,) and u.min() == 0.0
+    assert (np.abs(u[:, None] - u[None, :]) <= d + tol).all()
+    assert abs(float(u @ (pair.mu1 - pair.mu2)) - res.distance) <= tol
+
+
+def test_the_flow_reads_the_space_matrix_itself(monkeypatch):
+    # on a partial support the simplex gets the space's dense matrix itself,
+    # not a copy of the support's submatrix
+    seen, simplex = [], transport._simplex
+
+    def watched(d, *args):
+        seen.append(d)
+        return simplex(d, *args)
+
+    monkeypatch.setattr(transport, "_simplex", watched)
+    d = np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0)))
+    line = FiniteMMSpace(list(range(6)), np.full(6, 1 / 6), dist=d)
+    res = emd(line, MeasurePair([0.5, 0.0, 0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.5, 0.5]))
+    assert len(seen) == 1 and seen[0] is line.dist
+    assert res.distance == 3.5
+    assert res.potential.tolist() == [5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
